@@ -30,7 +30,7 @@ from .solvers import (
     solve_lazy,
     validate_candidate,
 )
-from .verify import brute_force_optimal, sum_of_costs, validate_plan
+from .verify import brute_force_optimal, validate_plan
 
 __all__ = [
     "Agent", "CapacityMap", "Graph", "Instance", "generate_random",
@@ -41,7 +41,7 @@ __all__ = [
     "UNSAT", "CdclSolver", "SatResult", "encode_basic", "encode_complete",
     "extract_plan", "Conflict", "Plan", "Limits", "SolveReport", "solve",
     "solve_eager", "solve_lazy", "validate_candidate", "brute_force_optimal",
-    "sum_of_costs", "validate_plan",
+    "validate_plan",
 ]
 
 __version__ = "0.1.0"

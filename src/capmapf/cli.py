@@ -1,6 +1,7 @@
 """Command-line surface: solve, bench, export-cnf, validate, sat.
 
-Exit codes: 0 success, 1 error, 2 resource exhausted.
+Exit codes: 0 success, 1 error (a malformed flag included), 2 resource
+exhausted.
 """
 
 from __future__ import annotations
@@ -68,8 +69,6 @@ def _build_instance(args) -> Instance:
 def cmd_solve(args) -> int:
     instance = _build_instance(args)
     limits = solvers.Limits(time_limit_s=args.timeout)
-    if args.no_follow and args.solver != solvers.EAGER:
-        raise UsageError("--no-follow is only supported with --solver eager")
     report = solvers.solve(instance, args.solver, limits, no_follow=args.no_follow)
     if report.status == solvers.SOLVED:
         sys.stdout.write(solvers.format_plan(report))
@@ -183,11 +182,15 @@ def cmd_export_cnf(args) -> int:
 def cmd_validate(args) -> int:
     instance = _build_instance(args)
     with open(args.plan, encoding="utf-8") as f:
-        plan = solvers.parse_plan(f.read())
+        plan, summary = solvers.parse_plan(f.read())
     violations = verify.validate_plan(instance, plan)
     for v in violations:
         print(f"{v.kind} at t={v.time} agents={list(v.agents)} where={v.where}")
-    if violations:
+    expected = solvers.summary_line(plan)
+    wrong_summary = summary is not None and summary != expected
+    if wrong_summary:
+        print(f"wrong_summary: the file says {summary!r}, the rows give {expected!r}")
+    if violations or wrong_summary:
         return EXIT_ERROR
     print("valid")
     return EXIT_OK
@@ -236,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=500.0, help="seconds of wall clock")
     p.add_argument("--no-follow", action="store_true",
                    help="forbid moving into a vertex unless it has spare capacity beforehand")
-    p.add_argument("--seed", type=int, default=0, help="reserved; kept for reproducibility")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="run the benchmark grid and print CSV")
@@ -275,7 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a malformed flag, 0 after --help
+        return EXIT_OK if not exc.code else EXIT_ERROR
     try:
         return args.func(args)
     except UsageError as exc:

@@ -15,7 +15,7 @@ from .cnf import CnfFormula
 from .instance import Instance
 from .mdd import Mdd, build_all_mdds, compute_horizon
 from .pathcalc import agent_path_costs
-from .plans import CAPACITY, SWAP, Conflict, Plan
+from .plans import CAPACITY, Conflict, Plan
 
 COMPLETE = "complete"
 BASIC = "basic"
@@ -30,9 +30,6 @@ class EncodingArtifacts:
     formula: CnfFormula
     mdds: list[Mdd]
     horizon: int
-    delta: int
-    mode: str
-    agent_costs: list[int]
     instance: Instance
 
 
@@ -76,21 +73,23 @@ def _encode_routes(formula: CnfFormula, instance: Instance, mdds: list[Mdd]) -> 
                 formula.add([-x] + edge_vars)
 
 
-def _encode_swaps(formula: CnfFormula, instance: Instance, mdds: list[Mdd], mu: int) -> None:
+def _encode_swaps(formula: CnfFormula, mdds: list[Mdd]) -> None:
     """Group (d): no pair of agents crosses an edge in opposite directions."""
-    k = instance.k
-    for t in range(mu):
-        for (u, v) in instance.graph.edges():
-            for i in range(k):
-                e1 = formula.lookup(cnf.var_key_edge(i, u, v, t))
-                e1r = formula.lookup(cnf.var_key_edge(i, v, u, t))
-                for j in range(i + 1, k):
-                    e2 = formula.lookup(cnf.var_key_edge(j, v, u, t))
-                    if e1 is not None and e2 is not None:
-                        formula.add([-e1, -e2])
-                    e2r = formula.lookup(cnf.var_key_edge(j, u, v, t))
-                    if e1r is not None and e2r is not None:
-                        formula.add([-e1r, -e2r])
+    moves: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    for m in mdds:
+        for t, arcs in enumerate(m.arcs):
+            for (u, v) in arcs:
+                if u != v:
+                    e = formula.lookup(cnf.var_key_edge(m.agent, u, v, t))
+                    moves.setdefault((u, v, t), []).append((m.agent, e))
+    for (u, v, t), forward in moves.items():
+        backward = moves.get((v, u, t))
+        if u > v or backward is None:
+            continue
+        for i, e1 in forward:
+            for j, e2 in backward:
+                if i != j:
+                    formula.add([-e1, -e2])
 
 
 def _encode_capacities(formula: CnfFormula, instance: Instance, mu: int) -> None:
@@ -163,7 +162,7 @@ def _encode(instance: Instance, xi: int, mode: str,
     _allocate_route_vars(formula, mdds)
     _encode_routes(formula, instance, mdds)
     if mode == COMPLETE:
-        _encode_swaps(formula, instance, mdds, mu)
+        _encode_swaps(formula, mdds)
         _encode_capacities(formula, instance, mu)
         if no_follow:
             _encode_no_follow(formula, instance, mdds)
@@ -173,7 +172,7 @@ def _encode(instance: Instance, xi: int, mode: str,
             if clause is not None:
                 formula.add(clause)
     _encode_cost_bound(formula, instance, mdds, agent_costs, delta)
-    return EncodingArtifacts(formula, mdds, mu, delta, mode, agent_costs, instance)
+    return EncodingArtifacts(formula, mdds, mu, instance)
 
 
 def conflict_clause(formula: CnfFormula, conflict: Conflict) -> list[int] | None:

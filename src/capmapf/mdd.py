@@ -27,9 +27,6 @@ class Mdd:
     levels: tuple[tuple[int, ...], ...]          # levels[t] = sorted vertex ids
     arcs: tuple[tuple[tuple[int, int], ...], ...]  # arcs[t] = (u at t, v at t+1) pairs
 
-    def out_arcs(self, t: int, u: int) -> list[int]:
-        return [v for (a, v) in self.arcs[t] if a == u]
-
     def dump(self) -> str:
         """One line per level listing vertex ids (debug aid)."""
         return "\n".join(
@@ -67,36 +64,13 @@ def build_mdd(instance: Instance, agent: int, mu: int) -> Mdd:
             and to_goal[v] != UNREACHABLE and to_goal[v] <= mu - t
         })
 
-    def arcs_at(t: int) -> set[tuple[int, int]]:
-        out = set()
-        for u in levels[t]:
-            if u in levels[t + 1]:
-                out.add((u, u))
-            for v in graph.adjacency[u]:
-                if v in levels[t + 1]:
-                    out.add((u, v))
-        return out
-
-    arcs = [arcs_at(t) for t in range(mu)]
-
-    # drop nodes with no outgoing (t < mu) or no incoming (t > 0) arc, to fixpoint
-    changed = True
-    while changed:
-        changed = False
-        for t in range(mu + 1):
-            dead = set()
-            for v in levels[t]:
-                if t < mu and not any(u == v for (u, _) in arcs[t]):
-                    dead.add(v)
-                elif t > 0 and not any(w == v for (_, w) in arcs[t - 1]):
-                    dead.add(v)
-            if dead:
-                changed = True
-                levels[t] -= dead
-                if t < mu:
-                    arcs[t] = {(u, v) for (u, v) in arcs[t] if u not in dead}
-                if t > 0:
-                    arcs[t - 1] = {(u, v) for (u, v) in arcs[t - 1] if v not in dead}
+    # Every kept node has an arc out (a wait if it can spare a step, else a
+    # move nearer the goal) and, past level 0, an arc in (the mirror case),
+    # so two-sided reachability alone leaves no dead ends.
+    arcs = [
+        {(u, v) for u in levels[t] for v in (u, *graph.adjacency[u]) if v in levels[t + 1]}
+        for t in range(mu)
+    ]
 
     return Mdd(
         agent,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .instance import Graph, Instance
 
@@ -15,16 +14,7 @@ class UnsolvableInstanceError(ValueError):
     """Some agent's goal is unreachable from its start."""
 
 
-@dataclass(frozen=True)
-class DistanceField:
-    source: int
-    dist: tuple[int, ...]
-
-    def __getitem__(self, v: int) -> int:
-        return self.dist[v]
-
-
-def bfs_distances(graph: Graph, source: int) -> DistanceField:
+def bfs_distances(graph: Graph, source: int) -> tuple[int, ...]:
     """Exact hop distances from source; UNREACHABLE marks separate components."""
     dist = [UNREACHABLE] * graph.vertex_count
     dist[source] = 0
@@ -37,19 +27,19 @@ def bfs_distances(graph: Graph, source: int) -> DistanceField:
             if dist[v] == UNREACHABLE:
                 dist[v] = du
                 queue.append(v)
-    return DistanceField(source, tuple(dist))
+    return tuple(dist)
 
 
 def agent_path_costs(instance: Instance) -> list[int]:
     """Per-agent shortest start-to-goal distance; raises if any goal is unreachable."""
     costs = []
-    by_source: dict[int, DistanceField] = {}
+    by_source: dict[int, tuple[int, ...]] = {}
     for a in instance.agents:
-        field = by_source.get(a.start)
-        if field is None:
-            field = bfs_distances(instance.graph, a.start)
-            by_source[a.start] = field
-        d = field[a.goal]
+        dist = by_source.get(a.start)
+        if dist is None:
+            dist = bfs_distances(instance.graph, a.start)
+            by_source[a.start] = dist
+        d = dist[a.goal]
         if d == UNREACHABLE:
             raise UnsolvableInstanceError(
                 f"agent {a.id}: goal {a.goal} unreachable from start {a.start}"

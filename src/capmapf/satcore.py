@@ -27,9 +27,7 @@ class SatResult:
 
 
 class CdclSolver:
-    def __init__(self, seed: int = 0):
-        # seed kept for interface stability; the search is deterministic
-        self.seed = seed
+    def __init__(self):
         self.num_vars = 0
         self.clauses: list[list[int]] = []   # original, len >= 2
         self.learned: list[list[int]] = []

@@ -1,11 +1,11 @@
-"""The two optimal solving loops: eager (whole model per cost bound) and lazy
-(candidate extraction with conflict refinement)."""
+"""The optimal cost-bound loop and its two posting policies for the
+inter-agent rules: eager posts them all with each bound's encoding, lazy
+posts an elimination clause only for each conflict a candidate plan shows."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from . import encoder, satcore
 from .instance import Instance
@@ -82,11 +82,20 @@ def validate_candidate(instance: Instance, plan: Plan) -> list[Conflict]:
     return conflicts
 
 
-def solve_eager(
-    instance: Instance, limits: Limits | None = None, no_follow: bool = False
-) -> SolveReport:
-    """Iterate cost bounds from the lower bound up, consulting the SAT core
-    on the complete model; the first satisfiable bound is the optimum."""
+def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
+          no_follow: bool = False) -> SolveReport:
+    """Iterate cost bounds from the lower bound up; the first bound with a
+    clean plan is the optimum.
+
+    Eager posts every capacity and swap constraint up front, so its first
+    satisfying model is clean.  Lazy posts one elimination clause per
+    conflict a candidate plan shows and re-solves; the recorded conflicts
+    carry over to every later bound.
+    """
+    if solver not in (EAGER, LAZY):
+        raise ValueError(f"unknown solver {solver!r}")
+    if no_follow and solver != EAGER:
+        raise ValueError("no-follow is only supported with the eager solver")
     limits = limits or Limits()
     deadline = time.monotonic() + limits.time_limit_s
     try:
@@ -94,26 +103,45 @@ def solve_eager(
     except UnsolvableInstanceError:
         return SolveReport(UNSOLVABLE)
     report = SolveReport(EXHAUSTED)
+    conflicts: list[Conflict] = []
     for xi in range(xi0, _ceiling(instance, limits, xi0) + 1):
         started = time.monotonic()
         if started >= deadline:
             return report
-        artifacts = encoder.encode_complete(instance, xi, no_follow=no_follow)
-        solver = satcore.CdclSolver()
+        if solver == EAGER:
+            artifacts = encoder.encode_complete(instance, xi, no_follow=no_follow)
+        else:
+            artifacts = encoder.encode_basic(instance, xi, conflicts)
+        sat = satcore.CdclSolver()
         for clause in artifacts.formula.clauses:
-            solver.add_clause(clause)
-        result = solver.solve(
-            conflict_limit=limits.conflict_limit,
-            time_limit=deadline - time.monotonic(),
-        )
-        stat = IterationStat(
-            xi, result.outcome, 0,
-            artifacts.formula.variable_count, len(artifacts.formula.clauses),
+            sat.add_clause(clause)
+        clause_count = len(artifacts.formula.clauses)
+        refinements = 0
+        plan = None
+        while plan is None:
+            result = sat.solve(
+                conflict_limit=limits.conflict_limit,
+                time_limit=deadline - time.monotonic(),
+            )
+            if result.outcome != satcore.SAT:
+                break
+            candidate = encoder.extract_plan(artifacts, result.model)
+            found = [] if solver == EAGER else validate_candidate(instance, candidate)
+            if not found:
+                plan = candidate
+            for conflict in found:
+                conflicts.append(conflict)
+                clause = encoder.conflict_clause(artifacts.formula, conflict)
+                if clause is not None:
+                    sat.add_clause(clause)
+                    clause_count += 1
+                    refinements += 1
+        report.iterations.append(IterationStat(
+            xi, result.outcome, refinements,
+            artifacts.formula.variable_count, clause_count,
             time.monotonic() - started,
-        )
-        report.iterations.append(stat)
-        if result.outcome == satcore.SAT:
-            plan = encoder.extract_plan(artifacts, result.model)
+        ))
+        if plan is not None:
             report.status = SOLVED
             report.plan = plan
             report.optimal_cost = plan.sum_of_costs
@@ -123,93 +151,14 @@ def solve_eager(
     return report
 
 
-def _strengthened(instance: Instance, conflict: Conflict) -> list[Conflict]:
-    """All (c(v)+1)-subsets of a capacity conflict's agent set."""
-    if conflict.kind != CAPACITY:
-        return [conflict]
-    c = instance.capacities[conflict.vertex]
-    return [
-        Conflict(CAPACITY, sub, conflict.vertex, conflict.time)
-        for sub in combinations(conflict.agents, c + 1)
-    ]
-
-
-def solve_lazy(
-    instance: Instance, limits: Limits | None = None, strengthen: bool = False
+def solve_eager(
+    instance: Instance, limits: Limits | None = None, no_follow: bool = False
 ) -> SolveReport:
-    """Lazy refinement: solve the relaxed model, validate the candidate, post
-    elimination clauses for every detected conflict, repeat.  The conflict
-    set persists across cost-bound iterations."""
-    limits = limits or Limits()
-    deadline = time.monotonic() + limits.time_limit_s
-    try:
-        xi0 = cost_lower_bound(instance)
-    except UnsolvableInstanceError:
-        return SolveReport(UNSOLVABLE)
-    report = SolveReport(EXHAUSTED)
-    conflicts: list[Conflict] = []
-    recorded: set[Conflict] = set()
-    for xi in range(xi0, _ceiling(instance, limits, xi0) + 1):
-        started = time.monotonic()
-        if started >= deadline:
-            return report
-        artifacts = encoder.encode_basic(instance, xi, conflicts)
-        solver = satcore.CdclSolver()
-        clause_count = len(artifacts.formula.clauses)
-        for clause in artifacts.formula.clauses:
-            solver.add_clause(clause)
-        refinements = 0
-        outcome = satcore.UNKNOWN
-        while True:
-            result = solver.solve(
-                conflict_limit=limits.conflict_limit,
-                time_limit=deadline - time.monotonic(),
-            )
-            outcome = result.outcome
-            if outcome != satcore.SAT:
-                break
-            candidate = encoder.extract_plan(artifacts, result.model)
-            found = validate_candidate(instance, candidate)
-            if not found:
-                stat = IterationStat(
-                    xi, satcore.SAT, refinements,
-                    artifacts.formula.variable_count, clause_count,
-                    time.monotonic() - started,
-                )
-                report.iterations.append(stat)
-                report.status = SOLVED
-                report.plan = candidate
-                report.optimal_cost = candidate.sum_of_costs
-                return report
-            for conflict in found:
-                posted = _strengthened(instance, conflict) if strengthen else [conflict]
-                for item in posted:
-                    if item in recorded:
-                        continue
-                    recorded.add(item)
-                    conflicts.append(item)
-                    clause = encoder.conflict_clause(artifacts.formula, item)
-                    if clause is not None:
-                        solver.add_clause(clause)
-                        clause_count += 1
-                        refinements += 1
-        report.iterations.append(IterationStat(
-            xi, outcome, refinements,
-            artifacts.formula.variable_count, clause_count,
-            time.monotonic() - started,
-        ))
-        if outcome == satcore.UNKNOWN:
-            return report
-    return report
+    return solve(instance, EAGER, limits, no_follow)
 
 
-def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
-          no_follow: bool = False) -> SolveReport:
-    if solver == EAGER:
-        return solve_eager(instance, limits, no_follow=no_follow)
-    if solver == LAZY:
-        return solve_lazy(instance, limits)
-    raise ValueError(f"unknown solver {solver!r}")
+def solve_lazy(instance: Instance, limits: Limits | None = None) -> SolveReport:
+    return solve(instance, LAZY, limits)
 
 
 def format_plan(report: SolveReport) -> str:
@@ -218,18 +167,26 @@ def format_plan(report: SolveReport) -> str:
     lines = []
     for t in range(plan.makespan + 1):
         lines.append(f"{t}: " + " ".join(str(path[t]) for path in plan.paths))
-    lines.append(f"cost={report.optimal_cost} makespan={plan.makespan}")
+    lines.append(summary_line(plan))
     return "\n".join(lines) + "\n"
 
 
-def parse_plan(text: str) -> Plan:
-    """Inverse of format_plan; the summary line is checked for consistency."""
+def summary_line(plan: Plan) -> str:
+    """The `cost=... makespan=...` line that ends a formatted plan."""
+    return f"cost={plan.sum_of_costs} makespan={plan.makespan}"
+
+
+def parse_plan(text: str) -> tuple[Plan, str | None]:
+    """Inverse of format_plan: the plan and its summary line (None if absent),
+    whitespace-normalised so it compares equal to `summary_line(plan)`."""
     rows: list[list[int]] = []
+    summary = None
     for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
         if line.startswith("cost="):
+            summary = " ".join(line.split())
             continue
         label, _, rest = line.partition(":")
         int(label)  # raises on malformed step label
@@ -239,4 +196,4 @@ def parse_plan(text: str) -> Plan:
     k = len(rows[0])
     if any(len(r) != k for r in rows):
         raise ValueError("ragged plan rows")
-    return Plan(tuple(tuple(row[i] for row in rows) for i in range(k)))
+    return Plan(tuple(tuple(row[i] for row in rows) for i in range(k))), summary

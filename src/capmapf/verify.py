@@ -19,6 +19,7 @@ OVER_CAPACITY = "over_capacity"
 WRONG_START = "wrong_start"
 WRONG_GOAL = "wrong_goal"
 RAGGED = "ragged"
+NOT_VERTEX = "not_vertex"
 
 OPTIMAL = "optimal"
 UNSOLVABLE_WITHIN_BOUND = "unsolvable_within_bound"
@@ -59,6 +60,14 @@ def validate_plan(instance: Instance, plan: Plan) -> list[Violation]:
         return [Violation(RAGGED, 0)]
     horizon = len(paths[0]) - 1
     graph, caps = instance.graph, instance.capacities
+    outside = [
+        Violation(NOT_VERTEX, t, (i,), v)
+        for i, path in enumerate(paths)
+        for t, v in enumerate(path)
+        if not 0 <= v < graph.vertex_count
+    ]
+    if outside:
+        return outside
 
     for a in instance.agents:
         if paths[a.id][0] != a.start:
@@ -87,14 +96,9 @@ def validate_plan(instance: Instance, plan: Plan) -> list[Violation]:
         for i, path in enumerate(paths):
             occupancy.setdefault(path[t], []).append(i)
         for v, occupants in sorted(occupancy.items()):
-            if v < len(caps) and len(occupants) > caps[v]:
+            if len(occupants) > caps[v]:
                 violations.append(Violation(OVER_CAPACITY, t, tuple(occupants), v))
     return violations
-
-
-def sum_of_costs(plan: Plan) -> int:
-    """Canonical cost: moves and waits until final goal arrival; trailing goal-waits free."""
-    return plan.sum_of_costs
 
 
 def _joint_successors(instance: Instance, config: tuple[int, ...]):

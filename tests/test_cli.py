@@ -89,6 +89,40 @@ def test_validate_rejects_bad_plan(capsys, tmp_path):
     assert "not_edge" in out
 
 
+def test_validate_rejects_wrong_summary(capsys, tmp_path):
+    code, out, _ = run(capsys, "solve", "--map", TINY_MAP, "--scen", TINY_SCEN)
+    assert code == EXIT_OK and "cost=2 makespan=2" in out
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text(out.replace("cost=2", "cost=999"))
+    code, out, _ = run(capsys, "validate", "--map", TINY_MAP, "--scen", TINY_SCEN,
+                       "--plan", str(plan_file))
+    assert code == EXIT_ERROR and "wrong_summary" in out and "valid\n" not in out
+
+
+def test_validate_out_of_range_vertex(capsys, tmp_path):
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text("0: 99\n1: 2\n")
+    code, out, _ = run(capsys, "validate", "--map", TINY_MAP, "--scen", TINY_SCEN,
+                       "--plan", str(plan_file))
+    assert code == EXIT_ERROR and "not_vertex" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--map", TINY_MAP, "--scen", TINY_SCEN, "--capacity", "two"],
+    ["bench", "--grid", "8by8"],
+    ["solve", "--solver", "magic"],
+    ["no-such-command"],
+])
+def test_malformed_flag_exits_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_ERROR and "error" in err
+
+
+def test_help_exits_ok(capsys):
+    code, out, _ = run(capsys, "solve", "--help")
+    assert code == EXIT_OK and "--solver" in out
+
+
 def test_export_cnf_then_sat(capsys, tmp_path):
     out_file = tmp_path / "f.cnf"
     code, _, _ = run(capsys, "export-cnf", "--map", TINY_MAP, "--scen", TINY_SCEN,

@@ -7,12 +7,12 @@ from capmapf import (
     extract_plan,
     validate_plan,
 )
-from capmapf.cnf import var_key_vertex
+from capmapf.cnf import EDGE, var_key_edge, var_key_vertex
 from capmapf.encoder import EncodingSoundnessError
 from capmapf.plans import CAPACITY, Conflict
 from capmapf.satcore import SAT, UNSAT, CdclSolver
 
-from conftest import make_instance, p3_swap, path_graph
+from conftest import grid3x3, make_instance, p3_swap, path_graph
 
 
 def solve_formula(artifacts):
@@ -111,6 +111,38 @@ def test_uniform_one_capacity_emits_pairwise():
         ) and f.key_of(-c[0])[1] != f.key_of(-c[1])[1]
     }
     assert expected <= emitted
+
+
+@pytest.mark.parametrize("inst,slack", [
+    (p3_swap(), 2),
+    (make_instance(grid3x3(), 1, [(0, 8), (8, 0), (2, 6), (4, 1)]), 2),
+])
+def test_swap_clauses_are_opposite_arc_pairs(inst, slack):
+    artifacts = encode_complete(inst, cost_lower_bound(inst) + slack)
+    f = artifacts.formula
+    expected = set()
+    for mi in artifacts.mdds:
+        for mj in artifacts.mdds:
+            if mi.agent == mj.agent:
+                continue
+            for t in range(artifacts.horizon):
+                for (u, v) in mi.arcs[t]:
+                    if u != v and (v, u) in mj.arcs[t]:
+                        expected.add(frozenset((
+                            -f.lookup(var_key_edge(mi.agent, u, v, t)),
+                            -f.lookup(var_key_edge(mj.agent, v, u, t)),
+                        )))
+
+    def crosses(clause):  # two negated moves along one edge in opposite directions
+        if len(clause) != 2 or any(l > 0 for l in clause):
+            return False
+        a, b = (f.key_of(-l) for l in clause)
+        return a[0] == b[0] == EDGE and a[2] != a[3] and (a[2], a[3], a[4]) == (b[3], b[2], b[4])
+
+    emitted = [frozenset(c) for c in f.clauses if crosses(c)]
+    assert expected
+    assert len(emitted) == len(set(emitted))
+    assert set(emitted) == expected
 
 
 def test_extract_rejects_ambiguous_model():

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from capmapf import build_mdd, compute_horizon, Graph
+from capmapf import build_mdd, compute_horizon, cost_lower_bound, Graph, parse_map
 from capmapf.mdd import EmptyMddError, HorizonContractError
 
 from conftest import cycle_graph, make_instance, path_graph, star_graph
@@ -120,15 +120,30 @@ def test_level_sizes_monotone_in_horizon():
         prev = sizes
 
 
-def test_every_node_has_through_arcs():
-    inst = make_instance(cycle_graph(5), 1, [(0, 3)])
-    m = build_mdd(inst, 0, 5)
-    for t, level in enumerate(m.levels):
-        for v in level:
-            if t < m.horizon:
-                assert any(u == v for (u, _) in m.arcs[t])
-            if t > 0:
-                assert any(w == v for (_, w) in m.arcs[t - 1])
+WALLED = parse_map(
+    "type octile\nheight 4\nwidth 5\nmap\n"
+    ".....\n"
+    ".@@@.\n"
+    "...@.\n"
+    ".@...\n"
+)
+
+
+def test_every_node_has_through_arcs(corpus):
+    walled = make_instance(WALLED, 1, [(0, 14), (10, 11), (8, 3)])
+    cases = [(make_instance(cycle_graph(5), 1, [(0, 3)]), 1)]
+    cases += [(inst, slack) for _, inst in corpus for slack in range(3)]
+    cases += [(walled, slack) for slack in range(4)]
+    for inst, slack in cases:
+        mu = compute_horizon(inst, cost_lower_bound(inst) + slack)
+        for agent in range(inst.k):
+            m = build_mdd(inst, agent, mu)
+            for t, level in enumerate(m.levels):
+                for v in level:
+                    if t < m.horizon:
+                        assert any(u == v for (u, _) in m.arcs[t])
+                    if t > 0:
+                        assert any(w == v for (_, w) in m.arcs[t - 1])
 
 
 def test_dump_one_line_per_level():

@@ -24,13 +24,13 @@ def dijkstra_unit(graph: Graph, source: int) -> list[int]:
 
 
 def test_bfs_p3():
-    assert bfs_distances(path_graph(3), 0).dist == (0, 1, 2)
+    assert bfs_distances(path_graph(3), 0) == (0, 1, 2)
 
 
 def test_bfs_disconnected():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     field = bfs_distances(g, 0)
-    assert field.dist == (0, 1, UNREACHABLE, UNREACHABLE)
+    assert field == (0, 1, UNREACHABLE, UNREACHABLE)
 
 
 def test_bfs_open_grid_is_manhattan():
@@ -41,7 +41,7 @@ def test_bfs_open_grid_is_manhattan():
     for v in range(64):
         x, y = v % 8, v // 8
         assert field[v] == x + y
-    assert field.dist == tuple(dijkstra_unit(inst.graph, 0))
+    assert field == tuple(dijkstra_unit(inst.graph, 0))
 
 
 def test_bfs_matches_dijkstra_on_random_graphs():
@@ -52,7 +52,7 @@ def test_bfs_matches_dijkstra_on_random_graphs():
         edges = rng.sample(possible, min(len(possible), rng.randint(1, 2 * n)))
         g = Graph.from_edges(n, edges)
         src = rng.randrange(n)
-        assert bfs_distances(g, src).dist == tuple(dijkstra_unit(g, src))
+        assert bfs_distances(g, src) == tuple(dijkstra_unit(g, src))
 
 
 def test_bfs_edge_lipschitz():

@@ -129,12 +129,9 @@ def test_pairwise_conflicts_under_unit_capacity():
     assert capacity and all(len(c.agents) == 2 for c in capacity)
 
 
-def test_strengthened_mode_matches_default():
-    inst = make_instance(star_graph(6), [2, 1, 1, 1, 1, 1, 1],
-                         [(1, 4), (2, 5), (3, 6)])
-    default = solve_lazy(inst)
-    strengthened = solve_lazy(inst, strengthen=True)
-    assert default.optimal_cost == strengthened.optimal_cost == 7
+def test_lazy_rejects_no_follow():
+    with pytest.raises(ValueError, match="no-follow"):
+        solve(p3_swap(), "lazy", no_follow=True)
 
 
 def test_capacity_relaxation_monotone():

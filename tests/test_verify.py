@@ -1,8 +1,11 @@
 import pytest
 
-from capmapf import Plan, brute_force_optimal, cost_lower_bound, sum_of_costs, validate_plan
+from pathlib import Path
+
+from capmapf import Plan, brute_force_optimal, cost_lower_bound, parse_map, validate_plan
 from capmapf.verify import (
     NOT_EDGE,
+    NOT_VERTEX,
     OPTIMAL,
     OVER_CAPACITY,
     RAGGED,
@@ -57,6 +60,16 @@ def test_ragged_plan():
     assert validate_plan(inst, Plan(((0, 1, 2), (2, 0))))[0].kind == RAGGED
 
 
+def test_out_of_range_vertex_reported():
+    text = (Path(__file__).parent / "fixtures" / "tiny.map").read_text()
+    inst = make_instance(parse_map(text), 1, [(0, 2)])
+    violations = validate_plan(inst, Plan(((99, 2),)))
+    assert [(v.kind, v.time, v.agents, v.where) for v in violations] == [
+        (NOT_VERTEX, 0, (0,), 99)
+    ]
+    assert validate_plan(inst, Plan(((0, -1, 2),)))[0].kind == NOT_VERTEX
+
+
 def test_follow_train_rotation_is_valid():
     # agents rotating around a cycle enter vertices being simultaneously vacated
     inst = make_instance(cycle_graph(3), 1, [(0, 1), (1, 2), (2, 0)])
@@ -65,10 +78,10 @@ def test_follow_train_rotation_is_valid():
 
 
 def test_sum_of_costs_examples():
-    assert sum_of_costs(Plan(((0, 1, 2),))) == 2
-    assert sum_of_costs(Plan(((0, 1, 1, 2),))) == 3
-    assert sum_of_costs(Plan(((2, 2, 2),))) == 0
-    assert sum_of_costs(Plan(((2, 2, 0, 2),))) == 3  # leaving the goal re-charges
+    assert Plan(((0, 1, 2),)).sum_of_costs == 2
+    assert Plan(((0, 1, 1, 2),)).sum_of_costs == 3
+    assert Plan(((2, 2, 2),)).sum_of_costs == 0
+    assert Plan(((2, 2, 0, 2),)).sum_of_costs == 3  # leaving the goal re-charges
 
 
 def test_oracle_single_agent():
@@ -94,7 +107,7 @@ def test_oracle_witness_consistency(corpus):
         result = brute_force_optimal(inst, 8)
         if result.status == OPTIMAL:
             assert validate_plan(inst, result.plan) == [], name
-            assert sum_of_costs(result.plan) == result.cost, name
+            assert result.plan.sum_of_costs == result.cost, name
             assert result.cost >= cost_lower_bound(inst), name
 
 
