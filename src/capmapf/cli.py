@@ -53,6 +53,8 @@ def _build_instance(args) -> Instance:
     with open(args.scen, encoding="utf-8") as f:
         agents = parse_scenario(f.read(), graph)
     if args.agents is not None:
+        if args.agents < 1:
+            raise UsageError(f"--agents must be >= 1, got {args.agents}")
         if args.agents > len(agents):
             raise UsageError(f"scenario has only {len(agents)} agents")
         agents = agents[: args.agents]

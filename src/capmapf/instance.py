@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 PASSABLE_CHARS = frozenset(".G")
 BLOCKED_CHARS = frozenset("@OTW")
@@ -41,8 +42,12 @@ class Graph:
     width: int | None = None
     height: int | None = None
     passable: tuple[bool, ...] | None = None  # row-major, len == width*height
+    # passable cells before each cell, so a passable cell's vertex id; built once
+    _cells_before: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.passable is not None:
+            object.__setattr__(self, "_cells_before", tuple(accumulate(self.passable, initial=0)))
         if len(self.adjacency) != self.vertex_count:
             raise InstanceError("adjacency length != vertex_count")
         for u, nbrs in enumerate(self.adjacency):
@@ -69,7 +74,7 @@ class Graph:
         idx = y * self.width + x
         if not self.passable[idx]:
             return None
-        return sum(1 for i in range(idx) if self.passable[i])
+        return self._cells_before[idx]
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.vertex_count) for v in self.adjacency[u] if u < v]

@@ -1,9 +1,13 @@
-"""Self-contained CDCL SAT solver.
+"""Self-contained incremental CDCL SAT solver.
 
 Two-watched-literal propagation, first-UIP clause learning, activity-based
 branching (false-first polarity), geometric restarts.  Clauses may be added
 between solve calls; learned clauses are kept, which stays sound because
-clauses are only ever added.
+clauses are only ever added.  The trail, the decision heap and the variable
+activities persist across calls: a clause added while the solver holds an
+assignment is watched against it, backtracking only as far as the watch
+invariant needs, so a re-solve resumes from the previous model instead of
+descending again from the empty assignment.
 """
 
 from __future__ import annotations
@@ -39,6 +43,13 @@ class CdclSolver:
         self.level: list[int] = [0]
         self.reason: list[list[int] | None] = [None]
         self.activity: list[float] = [0.0]
+        self.seen: list[bool] = [False]      # scratch for _analyze, all False between calls
+        # search state, kept across solve() calls
+        self.trail: list[int] = []
+        self.trail_lim: list[int] = []
+        self.qhead = 0
+        self.heap: list[tuple[float, int]] = []
+        self.var_inc = 1.0
         self.conflicts_total = 0
 
     def _ensure_var(self, v: int) -> None:
@@ -48,34 +59,80 @@ class CdclSolver:
             self.level.append(0)
             self.reason.append(None)
             self.activity.append(0.0)
+            self.seen.append(False)
             self.watches[self.num_vars] = []
             self.watches[-self.num_vars] = []
+            heapq.heappush(self.heap, (0.0, self.num_vars))
 
     def add_clause(self, lits: list[int]) -> None:
         """Permanently conjoin a clause; callable between solve() calls."""
-        seen = set()
-        clause = []
-        for lit in lits:
-            if lit == 0:
-                raise ValueError("0 is not a literal")
-            if -lit in seen:
-                return  # tautology
-            if lit not in seen:
-                seen.add(lit)
-                clause.append(lit)
-            self._ensure_var(abs(lit))
-        if not clause:
+        lit_set = set(lits)
+        if 0 in lit_set:
+            raise ValueError("0 is not a literal")
+        if not lit_set:
             self.contradiction = True
             return
+        clause = list(lits) if len(lit_set) == len(lits) else list(dict.fromkeys(lits))
+        top = 0
+        for lit in clause:
+            if -lit in lit_set:
+                return  # tautology
+            if lit > top:
+                top = lit
+            elif -lit > top:
+                top = -lit
+        if top > self.num_vars:
+            self._ensure_var(top)
         if len(clause) == 1:
             self.units.append(clause[0])
+            self._backtrack(0)  # a unit belongs at level 0
+            if not self._enqueue(clause[0], None):
+                self.contradiction = True
             return
         self.clauses.append(clause)
-        self._watch(clause)
+        if self.qhead:
+            self._attach(clause)
+        else:  # nothing propagated yet: every assigned literal will still be visited
+            self._watch(clause)
 
     def _watch(self, clause: list[int]) -> None:
         self.watches[clause[0]].append(clause)
         self.watches[clause[1]].append(clause)
+
+    def _attach(self, clause: list[int]) -> None:
+        """Watch `clause` against the live trail.
+
+        Non-false literals go first, false ones follow by decreasing level,
+        and the first two are watched.  A false watch is then fine only when
+        the other watch is true at or below its level; otherwise backtrack
+        just far enough and, if the clause is then unit, enqueue its literal.
+        """
+        level = self.level
+
+        def rank(lit: int) -> tuple[bool, int]:
+            return (self._value(lit) != -1, level[abs(lit)])
+
+        clause.sort(key=rank, reverse=True)
+        first, second = clause[0], clause[1]
+        if self._value(second) != -1:  # two non-false watches
+            self._watch(clause)
+            return
+        low = level[abs(second)]  # the highest level among the other, false, literals
+        if self._value(first) == -1:  # falsified
+            high = level[abs(first)]
+            if high == 0:
+                self.contradiction = True
+                return
+            if high == low:  # two literals share the top level: unassign both
+                self._backtrack(high - 1)
+                self._watch(clause)
+                return
+        elif self._value(first) == 1 and level[abs(first)] <= low:
+            self._watch(clause)  # satisfied below every false literal
+            return
+        self._backtrack(low)
+        self._watch(clause)
+        self._enqueue(first, clause)
 
     def load_dimacs(self, text: str) -> None:
         from .cnf import parse_dimacs
@@ -86,20 +143,6 @@ class CdclSolver:
             self.add_clause(clause)
 
     # --- search -----------------------------------------------------------
-
-    def _reset(self) -> None:
-        for v in range(1, self.num_vars + 1):
-            self.assign[v] = 0
-            self.reason[v] = None
-            self.level[v] = 0
-        self.trail: list[int] = []
-        self.trail_lim: list[int] = []
-        self.qhead = 0
-        self.var_inc = 1.0
-        self.heap: list[tuple[float, int]] = [
-            (-self.activity[v], v) for v in range(1, self.num_vars + 1)
-        ]
-        heapq.heapify(self.heap)
 
     def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
         v = abs(lit)
@@ -117,38 +160,57 @@ class CdclSolver:
         return a if lit > 0 else -a
 
     def _propagate(self) -> list[int] | None:
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            false_lit = -lit
-            watch_list = self.watches[false_lit]
+        assign = self.assign
+        level = self.level
+        reason = self.reason
+        watches = self.watches
+        trail = self.trail
+        current = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            watch_list = watches[false_lit]
             i = 0
-            while i < len(watch_list):
+            n = len(watch_list)
+            while i < n:
                 clause = watch_list[i]
                 # put the false watch at position 1
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._value(first) == 1:
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                value = assign[first] if first > 0 else -assign[-first]
+                if value == 1:
                     i += 1
                     continue
-                moved = False
                 for j in range(2, len(clause)):
-                    if self._value(clause[j]) != -1:
-                        clause[1], clause[j] = clause[j], clause[1]
-                        self.watches[clause[1]].append(clause)
-                        watch_list[i] = watch_list[-1]
+                    lit = clause[j]
+                    if (assign[lit] if lit > 0 else -assign[-lit]) != -1:
+                        clause[1] = lit
+                        clause[j] = false_lit
+                        watches[lit].append(clause)
+                        n -= 1
+                        watch_list[i] = watch_list[n]
                         watch_list.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                # unit or conflicting
-                if self._value(first) == -1:
-                    self.qhead = len(self.trail)
-                    return clause
-                self._enqueue(first, clause)
-                i += 1
+                else:
+                    # unit or conflicting
+                    if value == -1:
+                        self.qhead = len(trail)
+                        return clause
+                    if first > 0:
+                        assign[first] = 1
+                        v = first
+                    else:
+                        assign[-first] = -1
+                        v = -first
+                    level[v] = current
+                    reason[v] = clause
+                    trail.append(first)
+                    i += 1
+        self.qhead = qhead
         return None
 
     def _bump(self, v: int) -> None:
@@ -162,27 +224,29 @@ class CdclSolver:
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """First-UIP learned clause and the level to backtrack to."""
         cur_level = len(self.trail_lim)
-        seen = [False] * (self.num_vars + 1)
+        seen = self.seen
+        level = self.level
+        trail = self.trail
         learned = [0]  # placeholder for the asserting literal
         counter = 0
         lit = None
         reason = conflict
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         while True:
             for q in reason:
                 if q == lit:
                     continue
                 v = abs(q)
-                if not seen[v] and self.level[v] > 0:
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
                     self._bump(v)
-                    if self.level[v] >= cur_level:
+                    if level[v] >= cur_level:
                         counter += 1
                     else:
                         learned.append(q)
-            while not seen[abs(self.trail[idx])]:
+            while not seen[abs(trail[idx])]:
                 idx -= 1
-            p = self.trail[idx]
+            p = trail[idx]
             v = abs(p)
             seen[v] = False
             counter -= 1
@@ -192,26 +256,31 @@ class CdclSolver:
                 break
             reason = self.reason[v]
             lit = p  # the reason clause contains p itself; skip it
+        for q in learned[1:]:
+            seen[abs(q)] = False
         if len(learned) == 1:
             return learned, 0
-        back_level = max(self.level[abs(q)] for q in learned[1:])
+        back_level = max(level[abs(q)] for q in learned[1:])
         # watch the asserting literal and a literal from the backtrack level
         for j in range(1, len(learned)):
-            if self.level[abs(learned[j])] == back_level:
+            if level[abs(learned[j])] == back_level:
                 learned[1], learned[j] = learned[j], learned[1]
                 break
         return learned, back_level
 
     def _backtrack(self, target_level: int) -> None:
-        while len(self.trail_lim) > target_level:
-            mark = self.trail_lim.pop()
-            for lit in self.trail[mark:]:
-                v = abs(lit)
-                self.assign[v] = 0
-                self.reason[v] = None
-                heapq.heappush(self.heap, (-self.activity[v], v))
-            del self.trail[mark:]
-        self.qhead = min(self.qhead, len(self.trail))
+        if len(self.trail_lim) <= target_level:
+            return
+        mark = self.trail_lim[target_level]
+        del self.trail_lim[target_level:]
+        assign, reason, activity, heap = self.assign, self.reason, self.activity, self.heap
+        for lit in self.trail[mark:]:
+            v = abs(lit)
+            assign[v] = 0
+            reason[v] = None
+            heapq.heappush(heap, (-activity[v], v))
+        del self.trail[mark:]
+        self.qhead = min(self.qhead, mark)
 
     def _decide(self) -> int:
         while self.heap:
@@ -225,26 +294,26 @@ class CdclSolver:
         conflict_limit: int | None = None,
         time_limit: float | None = None,
     ) -> SatResult:
-        """Complete decision procedure; UNKNOWN only when a budget runs out."""
+        """Complete decision procedure; UNKNOWN only when a budget runs out.
+
+        UNSAT found at level 0 is final: `contradiction` stays set.
+        """
         if self.contradiction:
             return SatResult(UNSAT)
         deadline = None if time_limit is None else time.monotonic() + time_limit
-        self._reset()
-        for lit in self.units:
-            if not self._enqueue(lit, None):
-                return SatResult(UNSAT)
-        if self._propagate() is not None:
+        if not self.trail_lim and self._propagate() is not None:
+            self.contradiction = True
             return SatResult(UNSAT)
 
         conflicts = 0
         restart_limit = 100
-        restarts = 0
         while True:
             conflict = self._propagate()
             if conflict is not None:
                 conflicts += 1
                 self.conflicts_total += 1
                 if len(self.trail_lim) == 0:
+                    self.contradiction = True
                     return SatResult(UNSAT)
                 learned, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
@@ -260,7 +329,6 @@ class CdclSolver:
                 if deadline is not None and conflicts % 64 == 0 and time.monotonic() > deadline:
                     return SatResult(UNKNOWN)
                 if conflicts >= restart_limit:
-                    restarts += 1
                     restart_limit = int(restart_limit * 1.5) + conflicts
                     self._backtrack(0)
             else:
@@ -268,9 +336,7 @@ class CdclSolver:
                     return SatResult(UNKNOWN)
                 lit = self._decide()
                 if lit == 0:
-                    model = [False] * (self.num_vars + 1)
-                    for v in range(1, self.num_vars + 1):
-                        model[v] = self.assign[v] == 1
+                    model = [a == 1 for a in self.assign]
                     if __debug__:
                         assert self._model_ok(model), "model fails clause replay"
                     return SatResult(SAT, model)
@@ -278,9 +344,6 @@ class CdclSolver:
                 self._enqueue(lit, None)
 
     def _model_ok(self, model: list[bool]) -> bool:
-        def sat_lit(lit: int) -> bool:
-            return model[lit] if lit > 0 else not model[-lit]
-
-        return all(sat_lit(u) for u in self.units) and all(
-            any(sat_lit(lit) for lit in clause) for clause in self.clauses
-        )
+        """Replay every unit and every original clause against the model."""
+        true = {v if value else -v for v, value in enumerate(model)}
+        return true.issuperset(self.units) and not any(map(true.isdisjoint, self.clauses))

@@ -178,7 +178,10 @@ def summary_line(plan: Plan) -> str:
 
 def parse_plan(text: str) -> tuple[Plan, str | None]:
     """Inverse of format_plan: the plan and its summary line (None if absent),
-    whitespace-normalised so it compares equal to `summary_line(plan)`."""
+    whitespace-normalised so it compares equal to `summary_line(plan)`.
+
+    Raises ValueError on a malformed row, including a step label that is not
+    the row's index (labels run 0, 1, 2, ...)."""
     rows: list[list[int]] = []
     summary = None
     for line in text.splitlines():
@@ -189,7 +192,8 @@ def parse_plan(text: str) -> tuple[Plan, str | None]:
             summary = " ".join(line.split())
             continue
         label, _, rest = line.partition(":")
-        int(label)  # raises on malformed step label
+        if int(label) != len(rows):
+            raise ValueError(f"step label {label.strip()} out of sequence, expected {len(rows)}")
         rows.append([int(tok) for tok in rest.split()])
     if not rows:
         raise ValueError("empty plan")

@@ -70,6 +70,13 @@ def test_solve_capacity_file(capsys, tmp_path):
     assert code == EXIT_OK and "cost=4" in out
 
 
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_agents_below_one_is_usage_error(capsys, count):
+    code, out, err = run(capsys, "solve", "--map", TINY_MAP, "--scen", SWAP_SCEN,
+                         "--agents", count)
+    assert code == EXIT_ERROR and "--agents must be >= 1" in err and out == ""
+
+
 def test_validate_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", "--map", TINY_MAP, "--scen", TINY_SCEN)
     assert code == EXIT_OK
@@ -105,6 +112,14 @@ def test_validate_out_of_range_vertex(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", "--map", TINY_MAP, "--scen", TINY_SCEN,
                        "--plan", str(plan_file))
     assert code == EXIT_ERROR and "not_vertex" in out
+
+
+def test_validate_rejects_out_of_sequence_labels(capsys, tmp_path):
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text("5: 0\n2: 1\n0: 2\n")
+    code, out, err = run(capsys, "validate", "--map", TINY_MAP, "--scen", TINY_SCEN,
+                         "--plan", str(plan_file))
+    assert code == EXIT_ERROR and "step label 5 out of sequence" in err and "valid" not in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -168,3 +168,98 @@ def test_load_dimacs():
     result = s.solve()
     assert result.outcome == SAT
     assert result.model[1] is False and result.model[2] is True
+
+
+def _random_clause(rng, n):
+    vs = rng.sample(range(1, n + 1), rng.choice((2, 2, 3, 3, 4)))
+    return [v if rng.random() < 0.5 else -v for v in vs]
+
+
+def test_incremental_batches_against_truth_table():
+    """Clause batches between solve() calls, posted the way lazy refinement posts
+    them: units and clauses the previous model falsifies, among random ones.
+    Every answer must agree with the truth table of the clauses so far."""
+    rng = random.Random(4321)
+    outcomes = {SAT: 0, UNSAT: 0}
+    for _ in range(150):
+        n = rng.randint(4, 14)
+        s = CdclSolver()
+        clauses: list[list[int]] = []
+        model = None
+        unsat = False
+        for _ in range(rng.randint(2, 10)):
+            batch = []
+            for _ in range(rng.randint(1, 6)):
+                roll = rng.random()
+                if roll < 0.15:
+                    v = rng.randint(1, n)
+                    batch.append([v if rng.random() < 0.5 else -v])
+                elif roll < 0.6 and model is not None:
+                    vs = rng.sample(range(1, len(model)), min(rng.randint(1, 4), len(model) - 1))
+                    batch.append([-v if model[v] else v for v in vs])  # false in the model
+                else:
+                    batch.append(_random_clause(rng, n))
+            for c in batch:
+                s.add_clause(c)
+            clauses.extend(batch)
+            if rng.random() < 0.3:
+                s.solve(conflict_limit=1)  # may stop mid-search; the next call resumes
+            result = s.solve()
+            expected = bitset_sat(n, clauses)
+            assert result.outcome == (SAT if expected else UNSAT)
+            assert not unsat or result.outcome == UNSAT
+            outcomes[result.outcome] += 1
+            if result.outcome == SAT:
+                assert model_satisfies(clauses, result.model)
+                model = result.model
+            else:
+                unsat = True
+    assert outcomes[SAT] > 100 and outcomes[UNSAT] > 50
+
+
+def test_clause_false_at_level_zero_after_sat_stays_unsat():
+    s = CdclSolver()
+    s.add_clause([1])
+    s.add_clause([-1, 2])
+    s.add_clause([3, 4])
+    result = s.solve()
+    assert result.outcome == SAT and result.model[1] and result.model[2]
+    s.add_clause([-1, -2])  # both literals false at level 0
+    assert s.solve().outcome == UNSAT
+    assert s.contradiction
+    s.add_clause([5, 6])
+    assert s.solve().outcome == UNSAT
+
+
+def test_model_replay_rejects_violated_clause():
+    s = CdclSolver()
+    s.add_clause([1, 2])
+    s.add_clause([-1, 3])
+    s.add_clause([4])
+    model = s.solve().model
+    assert s._model_ok(model)
+    assert not s._model_ok([False, False, False, False, True])  # violates [1, 2]
+    assert not s._model_ok([False, True, False, False, True])   # violates [-1, 3]
+    assert not s._model_ok([False, False, True, False, False])  # violates the unit [4]
+
+
+@pytest.mark.parametrize("clause, lit, lit_level, solver_level", [
+    ([4, 2], 4, 2, 2),       # all false, one literal on top: assert it one level down
+    ([4, -5, 1], None, None, 3),  # all false, two on top: unassign both
+    ([5, 1], 5, 1, 1),       # true only above its false literal: re-assert it lower
+    ([5, 4], None, None, 4),  # true at the false literal's level: nothing to undo
+    ([-2], -2, 0, 0),        # a unit belongs at level 0
+])
+def test_clause_added_to_live_trail_backtracks_only_as_needed(clause, lit, lit_level, solver_level):
+    s = CdclSolver()
+    s.add_clause([1, 2, 3, 4, 5])
+    assert s.solve().outcome == SAT
+    # false-first decisions -1, -2, -3, -4 at levels 1-4, then 5 is implied at level 4
+    assert s.trail == [-1, -2, -3, -4, 5] and s.trail_lim == [0, 1, 2, 3]
+    s.add_clause(clause)
+    assert len(s.trail_lim) == solver_level
+    if lit is not None:
+        assert s._value(lit) == 1 and s.level[abs(lit)] == lit_level
+    result = s.solve()
+    assert result.outcome == SAT
+    assert model_satisfies([[1, 2, 3, 4, 5], clause], result.model)
