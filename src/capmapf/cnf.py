@@ -153,7 +153,9 @@ def parse_dimacs(text: str) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"line {ln}: malformed problem line {line!r}")
-            n_vars = int(parts[2])
+            n_vars, n_clauses = int(parts[2]), int(parts[3])
+            if n_vars < 0 or n_clauses < 0:
+                raise ValueError(f"line {ln}: negative count in problem line {line!r}")
             continue
         if n_vars is None:
             raise ValueError(f"line {ln}: clause before problem line")

@@ -29,7 +29,6 @@ class EncodingSoundnessError(AssertionError):
 class EncodingArtifacts:
     formula: CnfFormula
     mdds: list[Mdd]
-    horizon: int
     instance: Instance
 
 
@@ -172,7 +171,7 @@ def _encode(instance: Instance, xi: int, mode: str,
             if clause is not None:
                 formula.add(clause)
     _encode_cost_bound(formula, instance, mdds, agent_costs, delta)
-    return EncodingArtifacts(formula, mdds, mu, instance)
+    return EncodingArtifacts(formula, mdds, instance)
 
 
 def conflict_clause(formula: CnfFormula, conflict: Conflict) -> list[int] | None:

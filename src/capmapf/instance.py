@@ -291,6 +291,8 @@ def generate_random(width: int, height: int, k: int, capacity: int, seed: int) -
     """
     if capacity < 1:
         raise CapacityError(f"capacity must be >= 1, got {capacity}")
+    if k < 1:
+        raise InstanceError(f"an instance needs at least one agent, got k={k}")
     n = width * height
     if k > capacity * n:
         raise InstanceError(f"cannot place {k} agents on {n} vertices with capacity {capacity}")
@@ -307,11 +309,15 @@ def validate_instance(instance: Instance) -> None:
     g, caps = instance.graph, instance.capacities
     if len(caps) != g.vertex_count:
         raise InstanceError("capacity map size != vertex count")
+    if not instance.agents:
+        raise InstanceError("instance has no agents")
     if instance.k > g.vertex_count * max(caps.values, default=1):
         raise InstanceError("more agents than total capacity")
     start_count: dict[int, int] = {}
     goal_count: dict[int, int] = {}
-    for a in instance.agents:
+    for i, a in enumerate(instance.agents):
+        if a.id != i:
+            raise InstanceError(f"agent at position {i} has id {a.id}; ids must be 0, 1, 2, ...")
         for v in (a.start, a.goal):
             if not 0 <= v < g.vertex_count:
                 raise InstanceError(f"agent {a.id}: vertex {v} out of range")

@@ -4,10 +4,12 @@ Two-watched-literal propagation, first-UIP clause learning, activity-based
 branching (false-first polarity), geometric restarts.  Clauses may be added
 between solve calls; learned clauses are kept, which stays sound because
 clauses are only ever added.  The trail, the decision heap and the variable
-activities persist across calls: a clause added while the solver holds an
-assignment is watched against it, backtracking only as far as the watch
-invariant needs, so a re-solve resumes from the previous model instead of
-descending again from the empty assignment.
+activities persist across calls.  One routine, `_attach`, puts every clause
+on the trail, whether it is a loaded unit, a clause added between calls or a
+learned clause: it watches the clause against the live assignment and
+backtracks only as far as the watch invariant needs, so a re-solve resumes
+from the previous model instead of descending again from the empty
+assignment.
 """
 
 from __future__ import annotations
@@ -26,16 +28,12 @@ class SatResult:
     outcome: str
     model: list[bool] | None = None  # 1-based; model[0] unused
 
-    def __bool__(self) -> bool:
-        return self.outcome == SAT
-
 
 class CdclSolver:
     def __init__(self):
         self.num_vars = 0
-        self.clauses: list[list[int]] = []   # original, len >= 2
-        self.learned: list[list[int]] = []
-        self.units: list[int] = []
+        self.clauses: list[list[int]] = []   # original, units included
+        self.learned: list[list[int]] = []   # len >= 2
         self.contradiction = False
         self.watches: dict[int, list[list[int]]] = {}
         # per-variable state, 1-based
@@ -83,14 +81,8 @@ class CdclSolver:
                 top = -lit
         if top > self.num_vars:
             self._ensure_var(top)
-        if len(clause) == 1:
-            self.units.append(clause[0])
-            self._backtrack(0)  # a unit belongs at level 0
-            if not self._enqueue(clause[0], None):
-                self.contradiction = True
-            return
         self.clauses.append(clause)
-        if self.qhead:
+        if self.qhead or len(clause) == 1:
             self._attach(clause)
         else:  # nothing propagated yet: every assigned literal will still be visited
             self._watch(clause)
@@ -100,13 +92,20 @@ class CdclSolver:
         self.watches[clause[1]].append(clause)
 
     def _attach(self, clause: list[int]) -> None:
-        """Watch `clause` against the live trail.
+        """Put `clause` on the live trail; every unit and learned clause comes here.
 
-        Non-false literals go first, false ones follow by decreasing level,
-        and the first two are watched.  A false watch is then fine only when
-        the other watch is true at or below its level; otherwise backtrack
-        just far enough and, if the clause is then unit, enqueue its literal.
+        A unit is asserted at level 0.  Otherwise non-false literals go first,
+        false ones follow by decreasing level, and the first two are watched.
+        A false watch is then fine only when the other watch is true at or
+        below its level; otherwise backtrack just far enough and, if the
+        clause is then unit, enqueue its literal.  A clause false at level 0
+        sets `contradiction`.
         """
+        if len(clause) == 1:
+            self._backtrack(0)
+            if not self._enqueue(clause[0], None):
+                self.contradiction = True
+            return
         level = self.level
 
         def rank(lit: int) -> tuple[bool, int]:
@@ -214,15 +213,19 @@ class CdclSolver:
         return None
 
     def _bump(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
+        activity = self.activity
+        activity[v] += self.var_inc
+        if activity[v] > 1e100:
             for u in range(1, self.num_vars + 1):
-                self.activity[u] *= 1e-100
+                activity[u] *= 1e-100
             self.var_inc *= 1e-100
-        heapq.heappush(self.heap, (-self.activity[v], v))
+            # keys pushed before the rescale would outrank every later one
+            self.heap = [(-activity[u], u) for u in range(1, self.num_vars + 1) if not self.assign[u]]
+            heapq.heapify(self.heap)
+        heapq.heappush(self.heap, (-activity[v], v))
 
-    def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
-        """First-UIP learned clause and the level to backtrack to."""
+    def _analyze(self, conflict: list[int]) -> list[int]:
+        """First-UIP learned clause, its asserting literal first."""
         cur_level = len(self.trail_lim)
         seen = self.seen
         level = self.level
@@ -258,15 +261,7 @@ class CdclSolver:
             lit = p  # the reason clause contains p itself; skip it
         for q in learned[1:]:
             seen[abs(q)] = False
-        if len(learned) == 1:
-            return learned, 0
-        back_level = max(level[abs(q)] for q in learned[1:])
-        # watch the asserting literal and a literal from the backtrack level
-        for j in range(1, len(learned)):
-            if level[abs(learned[j])] == back_level:
-                learned[1], learned[j] = learned[j], learned[1]
-                break
-        return learned, back_level
+        return learned
 
     def _backtrack(self, target_level: int) -> None:
         if len(self.trail_lim) <= target_level:
@@ -301,10 +296,6 @@ class CdclSolver:
         if self.contradiction:
             return SatResult(UNSAT)
         deadline = None if time_limit is None else time.monotonic() + time_limit
-        if not self.trail_lim and self._propagate() is not None:
-            self.contradiction = True
-            return SatResult(UNSAT)
-
         conflicts = 0
         restart_limit = 100
         while True:
@@ -315,14 +306,10 @@ class CdclSolver:
                 if len(self.trail_lim) == 0:
                     self.contradiction = True
                     return SatResult(UNSAT)
-                learned, back_level = self._analyze(conflict)
-                self._backtrack(back_level)
-                if len(learned) == 1:
-                    self._enqueue(learned[0], None)
-                else:
+                learned = self._analyze(conflict)
+                if len(learned) > 1:
                     self.learned.append(learned)
-                    self._watch(learned)
-                    self._enqueue(learned[0], learned)
+                self._attach(learned)
                 self.var_inc /= 0.95
                 if conflict_limit is not None and conflicts >= conflict_limit:
                     return SatResult(UNKNOWN)
@@ -344,6 +331,6 @@ class CdclSolver:
                 self._enqueue(lit, None)
 
     def _model_ok(self, model: list[bool]) -> bool:
-        """Replay every unit and every original clause against the model."""
+        """Replay every original clause, units included, against the model."""
         true = {v if value else -v for v, value in enumerate(model)}
-        return true.issuperset(self.units) and not any(map(true.isdisjoint, self.clauses))
+        return not any(map(true.isdisjoint, self.clauses))

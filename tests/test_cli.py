@@ -77,6 +77,13 @@ def test_agents_below_one_is_usage_error(capsys, count):
     assert code == EXIT_ERROR and "--agents must be >= 1" in err and out == ""
 
 
+def test_solve_rejects_scenario_without_agents(capsys, tmp_path):
+    scen = tmp_path / "empty.scen"
+    scen.write_text("version 1\n")
+    code, out, err = run(capsys, "solve", "--map", TINY_MAP, "--scen", str(scen))
+    assert code == EXIT_ERROR and "no agents" in err and out == ""
+
+
 def test_validate_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", "--map", TINY_MAP, "--scen", TINY_SCEN)
     assert code == EXIT_OK
@@ -205,6 +212,12 @@ def test_bench_deterministic_modulo_time(capsys):
             r.pop("time_s")
         outs.append(rows)
     assert outs[0] == outs[1]
+
+
+def test_bench_rejects_zero_agents(capsys):
+    code, out, err = run(capsys, "bench", "--grid", "3x3", "--agent-counts", "0",
+                         "--capacities", "1", "--count", "1")
+    assert code == EXIT_ERROR and "at least one agent" in err and out == ""
 
 
 def test_bench_sorted_table(capsys):

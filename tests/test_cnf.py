@@ -176,3 +176,7 @@ def test_parse_dimacs_errors():
         parse_dimacs("1 2 0\n")
     with pytest.raises(ValueError):
         parse_dimacs("p cnf 2 1\n1 2\n")
+    with pytest.raises(ValueError, match="negative"):
+        parse_dimacs("p cnf -3 0\n")
+    with pytest.raises(ValueError, match="negative"):
+        parse_dimacs("p cnf 3 -1\n1 0\n")

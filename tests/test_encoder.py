@@ -98,7 +98,7 @@ def test_uniform_one_capacity_emits_pairwise():
     artifacts = encode_complete(inst, 4)
     f = artifacts.formula
     expected = set()
-    for t in range(artifacts.horizon + 1):
+    for t in range(artifacts.mdds[0].horizon + 1):
         for v in range(3):
             x0 = f.lookup(var_key_vertex(0, v, t))
             x1 = f.lookup(var_key_vertex(1, v, t))
@@ -125,7 +125,7 @@ def test_swap_clauses_are_opposite_arc_pairs(inst, slack):
         for mj in artifacts.mdds:
             if mi.agent == mj.agent:
                 continue
-            for t in range(artifacts.horizon):
+            for t in range(artifacts.mdds[0].horizon):
                 for (u, v) in mi.arcs[t]:
                     if u != v and (v, u) in mj.arcs[t]:
                         expected.add(frozenset((

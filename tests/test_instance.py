@@ -3,6 +3,7 @@ import pytest
 from capmapf import (
     CapacityMap,
     Graph,
+    Instance,
     generate_random,
     load_capacities,
     parse_map,
@@ -147,6 +148,13 @@ def test_generate_random_deterministic():
 def test_generate_random_infeasible():
     with pytest.raises(InstanceError):
         generate_random(2, 2, 5, 1, seed=0)
+
+
+def test_validate_instance_rejects_ids_out_of_position():
+    inst = generate_random(4, 4, 4, 1, 3)
+    dropped = Instance(inst.graph, inst.capacities, inst.agents[1:])  # ids 1, 2, 3
+    with pytest.raises(InstanceError, match="position 0 has id 1"):
+        validate_instance(dropped)
 
 
 def test_validate_instance_overfull_start():

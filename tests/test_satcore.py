@@ -263,3 +263,27 @@ def test_clause_added_to_live_trail_backtracks_only_as_needed(clause, lit, lit_l
     result = s.solve()
     assert result.outcome == SAT
     assert model_satisfies([[1, 2, 3, 4, 5], clause], result.model)
+
+
+def test_learned_unit_is_asserted_at_level_zero():
+    s = CdclSolver()
+    s.add_clause([1, 2])
+    s.add_clause([1, -2])
+    result = s.solve()  # decision -1 conflicts at level 1 and learns the unit [1]
+    assert result.outcome == SAT and result.model[1] is True
+    assert s.assign[1] == 1 and s.level[1] == 0
+    assert s.learned == [] and s.conflicts_total == 1
+
+
+def test_activity_rescale_drops_stale_heap_keys():
+    s = CdclSolver()
+    s.add_clause([1, 2, 3, 4])
+    s.var_inc = 1e99
+    s._bump(1)
+    s.var_inc = 1e100
+    s._bump(3)
+    s._bump(3)  # passes 1e100: every activity and var_inc are scaled by 1e-100
+    for _ in range(5):
+        s._bump(2)
+    assert s.activity[1:] == pytest.approx([0.1, 5.0, 2.0, 0.0])
+    assert s._decide() == -2
