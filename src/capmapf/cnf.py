@@ -170,6 +170,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise ValueError("trailing clause without terminating 0")
     if n_vars is None:
         raise ValueError("missing problem line")
+    if len(pending) != n_clauses:
+        raise ValueError(f"problem line declares {n_clauses} clauses, found {len(pending)}")
     for idx in range(1, n_vars + 1):
         formula.allocate(keyed.get(idx, (AUX, "dimacs", idx)))
     for clause in pending:

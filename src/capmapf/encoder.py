@@ -91,15 +91,26 @@ def _encode_swaps(formula: CnfFormula, mdds: list[Mdd]) -> None:
                     formula.add([-e1, -e2])
 
 
-def _encode_capacities(formula: CnfFormula, instance: Instance, mu: int) -> None:
+def _occupants(formula: CnfFormula, mdds: list[Mdd], mu: int) -> list[dict[int, list[int]]]:
+    """occupants[t][v]: the vertex variables of every agent whose diagram
+    holds v at step t, in agent id order."""
+    occupants: list[dict[int, list[int]]] = [{} for _ in range(mu + 1)]
+    for m in mdds:
+        for t, level in enumerate(m.levels):
+            at_t = occupants[t]
+            for v in level:
+                at_t.setdefault(v, []).append(formula.lookup(cnf.var_key_vertex(m.agent, v, t)))
+    return occupants
+
+
+def _encode_capacities(
+    formula: CnfFormula, instance: Instance, occupants: list[dict[int, list[int]]]
+) -> None:
     """Group (e): per vertex and step, at most c(v) occupants."""
     caps = instance.capacities
-    for t in range(mu + 1):
-        for v in range(instance.graph.vertex_count):
-            xs = [
-                x for i in range(instance.k)
-                if (x := formula.lookup(cnf.var_key_vertex(i, v, t))) is not None
-            ]
+    for at_t in occupants:
+        for v in sorted(at_t):
+            xs = at_t[v]
             if len(xs) <= caps[v]:
                 continue
             if caps[v] == 1:
@@ -108,20 +119,21 @@ def _encode_capacities(formula: CnfFormula, instance: Instance, mu: int) -> None
                 formula.add_all(cnf.at_most_k(formula, xs, caps[v]))
 
 
-def _encode_no_follow(formula: CnfFormula, instance: Instance, mdds: list[Mdd]) -> None:
+def _encode_no_follow(
+    formula: CnfFormula, instance: Instance, mdds: list[Mdd],
+    occupants: list[dict[int, list[int]]],
+) -> None:
     """Vacate-before-enter semantics: entering v requires at most c(v)-1
     other agents there at departure time."""
     caps = instance.capacities
-    for i, m in enumerate(mdds):
+    for m in mdds:
         for t, arcs in enumerate(m.arcs):
             for (u, v) in arcs:
                 if u == v:
                     continue
-                e = formula.lookup(cnf.var_key_edge(i, u, v, t))
-                others = [
-                    x for j in range(instance.k) if j != i
-                    if (x := formula.lookup(cnf.var_key_vertex(j, v, t))) is not None
-                ]
+                e = formula.lookup(cnf.var_key_edge(m.agent, u, v, t))
+                own = formula.lookup(cnf.var_key_vertex(m.agent, v, t))
+                others = [x for x in occupants[t].get(v, ()) if x != own]
                 for clause in cnf.at_most_k(formula, others, caps[v] - 1):
                     formula.add(clause + [-e])
 
@@ -162,9 +174,10 @@ def _encode(instance: Instance, xi: int, mode: str,
     _encode_routes(formula, instance, mdds)
     if mode == COMPLETE:
         _encode_swaps(formula, mdds)
-        _encode_capacities(formula, instance, mu)
+        occupants = _occupants(formula, mdds, mu)
+        _encode_capacities(formula, instance, occupants)
         if no_follow:
-            _encode_no_follow(formula, instance, mdds)
+            _encode_no_follow(formula, instance, mdds, occupants)
     else:
         for conflict in conflicts or []:
             clause = conflict_clause(formula, conflict)

@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import encoder, satcore
-from .instance import Instance
+from .instance import Instance, validate_instance
 from .pathcalc import UnsolvableInstanceError, cost_lower_bound
 from .plans import CAPACITY, SWAP, Conflict, Plan
 
@@ -91,7 +91,10 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
     satisfying model is clean.  Lazy posts one elimination clause per
     conflict a candidate plan shows and re-solves; the recorded conflicts
     carry over to every later bound.
+
+    Raises InstanceError for an instance that `validate_instance` rejects.
     """
+    validate_instance(instance)
     if solver not in (EAGER, LAZY):
         raise ValueError(f"unknown solver {solver!r}")
     if no_follow and solver != EAGER:

@@ -240,6 +240,13 @@ def test_sat_on_plain_dimacs(capsys, tmp_path):
     assert code == EXIT_OK and "s UNSATISFIABLE" in out
 
 
+def test_sat_rejects_truncated_dimacs(capsys, tmp_path):
+    f = tmp_path / "t.cnf"
+    f.write_text("p cnf 2 5\n1 0\n")
+    code, out, err = run(capsys, "sat", str(f))
+    assert code == EXIT_ERROR and "declares 5 clauses" in err and out == ""
+
+
 def test_missing_file_reports_error(capsys):
     code, _, err = run(capsys, "solve", "--map", "/nonexistent.map",
                        "--scen", TINY_SCEN)

@@ -180,3 +180,7 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf -3 0\n")
     with pytest.raises(ValueError, match="negative"):
         parse_dimacs("p cnf 3 -1\n1 0\n")
+    with pytest.raises(ValueError, match="declares 5 clauses, found 1"):
+        parse_dimacs("p cnf 2 5\n1 0\n")
+    with pytest.raises(ValueError, match="declares 1 clauses, found 2"):
+        parse_dimacs("p cnf 2 1\n1 0\n-2 0\n")

@@ -7,8 +7,10 @@ from capmapf import (
     extract_plan,
     validate_plan,
 )
-from capmapf.cnf import EDGE, var_key_edge, var_key_vertex
+from capmapf import cnf, encoder
+from capmapf.cnf import EDGE, CnfFormula, to_dimacs, var_key_edge, var_key_vertex
 from capmapf.encoder import EncodingSoundnessError
+from capmapf.pathcalc import agent_path_costs
 from capmapf.plans import CAPACITY, Conflict
 from capmapf.satcore import SAT, UNSAT, CdclSolver
 
@@ -188,3 +190,50 @@ def test_no_follow_generalizes_with_capacity():
     # middle holds 2, so moving into it beside the current occupant is fine
     strict = solve_eager(inst, Limits(time_limit_s=10), no_follow=True)
     assert strict.optimal_cost == 2
+
+
+def _scanned_encoding(inst, mdds, xi, no_follow):
+    """The complete encoding of the same diagrams with the capacity and
+    no-follow groups found by probing every (step, vertex, agent) key."""
+    formula = CnfFormula()
+    encoder._allocate_route_vars(formula, mdds)
+    encoder._encode_routes(formula, inst, mdds)
+    encoder._encode_swaps(formula, mdds)
+    mu, caps = mdds[0].horizon, inst.capacities
+
+    def occupants(v, t, skip=None):
+        return [x for i in range(inst.k) if i != skip
+                if (x := formula.lookup(var_key_vertex(i, v, t))) is not None]
+
+    for t in range(mu + 1):
+        for v in range(inst.graph.vertex_count):
+            xs = occupants(v, t)
+            if len(xs) > caps[v]:
+                if caps[v] == 1:
+                    formula.add_all(cnf.at_most_one_pairwise(xs))
+                else:
+                    formula.add_all(cnf.at_most_k(formula, xs, caps[v]))
+    if no_follow:
+        for m in mdds:
+            for t, arcs in enumerate(m.arcs):
+                for (u, v) in arcs:
+                    if u != v:
+                        e = formula.lookup(var_key_edge(m.agent, u, v, t))
+                        for clause in cnf.at_most_k(formula, occupants(v, t, m.agent), caps[v] - 1):
+                            formula.add(clause + [-e])
+    costs = agent_path_costs(inst)
+    encoder._encode_cost_bound(formula, inst, mdds, costs, xi - sum(costs))
+    return formula
+
+
+@pytest.mark.parametrize("no_follow", [False, True])
+def test_occupant_index_matches_full_scan(corpus, no_follow):
+    checked = 0
+    for name, inst in corpus[::3]:
+        xi0 = cost_lower_bound(inst)
+        for xi in (xi0, xi0 + 2):
+            artifacts = encode_complete(inst, xi, no_follow=no_follow)
+            expected = _scanned_encoding(inst, artifacts.mdds, xi, no_follow)
+            assert to_dimacs(artifacts.formula) == to_dimacs(expected), (name, xi)
+            checked += 1
+    assert checked >= 100

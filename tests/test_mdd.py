@@ -2,8 +2,16 @@ from itertools import product
 
 import pytest
 
-from capmapf import build_mdd, compute_horizon, cost_lower_bound, Graph, parse_map
-from capmapf.mdd import EmptyMddError, HorizonContractError
+from capmapf import (
+    brute_force_optimal,
+    build_mdd,
+    compute_horizon,
+    cost_lower_bound,
+    Graph,
+    parse_map,
+)
+from capmapf.mdd import EmptyMddError, HorizonContractError, build_all_mdds
+from capmapf.verify import OPTIMAL
 
 from conftest import cycle_graph, make_instance, path_graph, star_graph
 
@@ -59,6 +67,8 @@ def test_mdd_unreachable_within_horizon():
     inst = make_instance(path_graph(4), 1, [(0, 3)])
     with pytest.raises(EmptyMddError):
         build_mdd(inst, 0, 2)
+    with pytest.raises(EmptyMddError):  # arrival step below the path length
+        build_mdd(inst, 0, 5, 2)
 
 
 def test_mdd_arc_endpoints_present():
@@ -83,6 +93,14 @@ def _mdd_paths(m):
     return paths
 
 
+def _last_arrival(walk, goal):
+    """The step from which the walk stays at the goal."""
+    t = len(walk) - 1
+    while t > 0 and walk[t - 1] == goal:
+        t -= 1
+    return t
+
+
 def _walks(graph, start, goal, length):
     """All move/wait sequences of the given length from start to goal."""
     out = set()
@@ -104,8 +122,44 @@ def _walks(graph, start, goal, length):
 ])
 def test_mdd_paths_are_exactly_length_mu_walks(graph, start, goal, mu):
     inst = make_instance(graph, 1, [(start, goal)])
-    m = build_mdd(inst, 0, mu)
-    assert _mdd_paths(m) == _walks(graph, start, goal, mu)
+    walks = _walks(graph, start, goal, mu)
+    assert _mdd_paths(build_mdd(inst, 0, mu)) == walks
+    # cut at an arrival step: exactly the walks that stay at the goal from then on
+    for arrival in range(min(_last_arrival(w, goal) for w in walks), mu + 1):
+        m = build_mdd(inst, 0, mu, arrival)
+        assert _mdd_paths(m) == {w for w in walks if _last_arrival(w, goal) <= arrival}
+
+
+def test_short_agent_waits_at_goal_after_its_arrival_step():
+    # path lengths 1 and 5: at slack 0 the short agent must be home by step 1
+    inst = make_instance(path_graph(8), 1, [(7, 6), (0, 5)])
+    short, long = build_all_mdds(inst, compute_horizon(inst, cost_lower_bound(inst)))
+    assert short.horizon == long.horizon == 5
+    assert short.levels == ((7,), (6,), (6,), (6,), (6,), (6,))
+    assert short.arcs == (((7, 6),),) + (((6, 6),),) * 4
+    assert long.levels == tuple((t,) for t in range(6))
+    # one unit of slack lets the short agent arrive by step 2
+    short, _ = build_all_mdds(inst, compute_horizon(inst, cost_lower_bound(inst) + 1))
+    assert short.levels == ((7,), (6, 7)) + ((6,),) * 5
+
+
+def test_optimal_plans_run_through_the_diagrams(corpus):
+    """Every oracle-optimal plan, padded with goal waits to the horizon of
+    its cost, is a path through each agent's diagram for that horizon."""
+    checked = 0
+    for name, inst in corpus:
+        oracle = brute_force_optimal(inst, 8)
+        if oracle.status != OPTIMAL:
+            continue
+        mu = compute_horizon(inst, oracle.cost)
+        for m, path in zip(build_all_mdds(inst, mu), oracle.plan.paths):
+            assert len(path) <= mu + 1, name
+            path = path + (path[-1],) * (mu + 1 - len(path))
+            assert path[0] in m.levels[0], name
+            for t in range(mu):
+                assert (path[t], path[t + 1]) in m.arcs[t], (name, m.agent, t)
+        checked += 1
+    assert checked >= 150
 
 
 def test_level_sizes_monotone_in_horizon():

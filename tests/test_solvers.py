@@ -2,14 +2,17 @@ import pytest
 
 from capmapf import (
     Plan,
+    Instance,
     brute_force_optimal,
     cost_lower_bound,
+    generate_random,
     solve,
     solve_eager,
     solve_lazy,
     validate_candidate,
     validate_plan,
 )
+from capmapf.instance import InstanceError
 from capmapf.plans import CAPACITY, SWAP
 from capmapf.solvers import EXHAUSTED, SOLVED, UNSOLVABLE, Limits
 from capmapf.verify import OPTIMAL
@@ -154,3 +157,32 @@ def test_cross_solver_agreement_sample(corpus):
             assert eager.optimal_cost == lazy.optimal_cost, name
             assert validate_plan(inst, eager.plan) == [], name
             assert validate_plan(inst, lazy.plan) == [], name
+
+
+@pytest.mark.parametrize("solver", ["eager", "lazy"])
+def test_solve_validates_instance(solver):
+    g = generate_random(4, 4, 4, 1, 3)
+    dropped_first = Instance(g.graph, g.capacities, g.agents[1:])  # ids 1..3 at positions 0..2
+    with pytest.raises(InstanceError, match="ids must be"):
+        solve(dropped_first, solver)
+
+
+# eager optimal costs with vacate-before-enter (no-follow) semantics; each is
+# above the plain optimum, so the no-follow clauses decide them
+NO_FOLLOW_COSTS = {
+    "c4-k3-c1-r3": 9,
+    "c5-k3-c1-r0": 11,
+    "star3-k3-c2-r1": 8,
+    "grid3x3-k3-c1-r1": 8,
+}
+
+
+def test_no_follow_optimal_costs(corpus):
+    instances = dict(corpus)
+    for name, cost in NO_FOLLOW_COSTS.items():
+        inst = instances[name]
+        limits = Limits(time_limit_s=30, xi_ceiling=cost_lower_bound(inst) + 6)
+        report = solve_eager(inst, limits, no_follow=True)
+        assert report.status == SOLVED and report.optimal_cost == cost, name
+        assert validate_plan(inst, report.plan) == [], name
+        assert solve_eager(inst, limits).optimal_cost < cost, name
