@@ -163,6 +163,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_export_cnf(args) -> int:
+    if args.mode == "basic" and args.no_follow:
+        raise UsageError("--no-follow needs --mode complete")
     instance = _build_instance(args)
     if args.xi == "auto":
         xi = cost_lower_bound(instance)
@@ -260,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p)
     p.add_argument("--xi", default="auto", help="cost bound, or 'auto' for the lower bound")
     p.add_argument("--mode", choices=["complete", "basic"], default="complete")
-    p.add_argument("--no-follow", action="store_true")
+    p.add_argument("--no-follow", action="store_true",
+                   help="add the vacate-before-enter rule (complete mode only)")
     p.add_argument("-o", "--output", help="output file (default: stdout)")
     p.set_defaults(func=cmd_export_cnf)
 

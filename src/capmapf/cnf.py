@@ -2,8 +2,9 @@
 
 Variable keys are plain tuples:
     ("X", agent, vertex, t)        agent occupies vertex at step t
-    ("E", agent, u, v, t)          agent traverses u->v between t and t+1
     ("aux", tag, n)                auxiliary (cardinality counters, settled flags, ...)
+A move u->v between t and t+1 has no key of its own: it is the pair of
+vertex variables (agent, u, t) and (agent, v, t+1).
 Literals are nonzero signed ints in DIMACS convention.
 """
 
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 VERTEX = "X"
-EDGE = "E"
 AUX = "aux"
 
 VarKey = tuple
@@ -20,10 +20,6 @@ VarKey = tuple
 
 def var_key_vertex(agent: int, vertex: int, t: int) -> VarKey:
     return (VERTEX, agent, vertex, t)
-
-
-def var_key_edge(agent: int, u: int, v: int, t: int) -> VarKey:
-    return (EDGE, agent, u, v, t)
 
 
 @dataclass

@@ -46,11 +46,15 @@ def compute_horizon(instance: Instance, xi: int) -> int:
     Equals the largest per-agent shortest-path length plus the cost slack
     over the sum-of-costs lower bound.
     """
-    costs = agent_path_costs(instance)
-    xi0 = sum(costs)
+    return horizon_of(agent_path_costs(instance), xi)
+
+
+def horizon_of(agent_costs: list[int], xi: int) -> int:
+    """`compute_horizon` from the agents' shortest-path lengths."""
+    xi0 = sum(agent_costs)
     if xi < xi0:
         raise HorizonContractError(f"cost bound {xi} below lower bound {xi0}")
-    return max(costs) + (xi - xi0)
+    return max(agent_costs) + (xi - xi0)
 
 
 def _closed_neighbourhoods(graph: Graph) -> list[tuple[int, ...]]:

@@ -8,7 +8,7 @@ CAPACITY = "capacity"
 SWAP = "swap"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plan:
     """Per-agent vertex sequences over discrete time steps, all the same length."""
 
@@ -33,7 +33,7 @@ class Plan:
         return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conflict:
     """A capacity conflict (agent set, vertex, time) or swap conflict (pair, edge, time).
 

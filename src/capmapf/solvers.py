@@ -27,7 +27,7 @@ class Limits:
     conflict_limit: int | None = None  # per SAT call
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationStat:
     xi: int
     outcome: str          # sat / unsat / unknown
@@ -37,7 +37,7 @@ class IterationStat:
     time_s: float
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveReport:
     status: str
     plan: Plan | None = None

@@ -174,6 +174,14 @@ def test_export_cnf_basic_relaxes_swap(capsys, tmp_path):
     assert code == EXIT_OK and "s SATISFIABLE" in out
 
 
+def test_export_cnf_basic_rejects_no_follow(capsys, tmp_path):
+    out_file = tmp_path / "f.cnf"
+    code, _, err = run(capsys, "export-cnf", "--map", TINY_MAP, "--scen", TINY_SCEN,
+                       "--mode", "basic", "--no-follow", "-o", str(out_file))
+    assert code == EXIT_ERROR and "usage error" in err and "no-follow" in err
+    assert not out_file.exists()
+
+
 def test_export_cnf_stdout_has_key_comments(capsys):
     code, out, _ = run(capsys, "export-cnf", "--map", TINY_MAP, "--scen", TINY_SCEN)
     assert code == EXIT_OK

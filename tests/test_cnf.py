@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from capmapf import CnfFormula, at_most_k, at_most_one_pairwise, parse_dimacs, to_dimacs
-from capmapf.cnf import var_key_edge, var_key_vertex
+from capmapf.cnf import var_key_vertex
 from capmapf.satcore import SAT, CdclSolver
 
 
@@ -17,13 +17,13 @@ def test_allocate_idempotent():
 def test_allocate_distinct_keys():
     f = CnfFormula()
     a = f.allocate(var_key_vertex(0, 0, 0))
-    b = f.allocate(var_key_edge(0, 0, 1, 0))
+    b = f.allocate(var_key_vertex(0, 1, 0))
     assert a != b
 
 
 def test_key_map_round_trip():
     f = CnfFormula()
-    for key in [var_key_vertex(0, 3, 1), var_key_edge(2, 0, 1, 4), ("aux", "s", 9)]:
+    for key in [var_key_vertex(0, 3, 1), ("aux", "settled_2", 4), ("aux", "s", 9)]:
         idx = f.allocate(key)
         assert f.key_of(idx) == key
         assert f.allocate(f.key_of(idx)) == idx
@@ -146,14 +146,14 @@ def test_dimacs_single_unit():
 def test_dimacs_structural_round_trip():
     f = CnfFormula()
     a = f.allocate(var_key_vertex(0, 2, 1))
-    b = f.allocate(var_key_edge(0, 2, 3, 1))
+    b = f.allocate(("aux", "settled_0", 1))
     f.add([a, -b])
     f.add([-a, b])
     g = parse_dimacs(to_dimacs(f))
     assert g.variable_count == f.variable_count
     assert g.clauses == f.clauses
     assert g.key_of(a) == var_key_vertex(0, 2, 1)
-    assert g.key_of(b) == var_key_edge(0, 2, 3, 1)
+    assert g.key_of(b) == ("aux", "settled_0", 1)
 
 
 def test_dimacs_byte_stable_round_trip():

@@ -7,21 +7,27 @@ from capmapf import (
     extract_plan,
     validate_plan,
 )
-from capmapf import cnf, encoder
-from capmapf.cnf import EDGE, CnfFormula, to_dimacs, var_key_edge, var_key_vertex
+from capmapf import brute_force_optimal, build_mdd, cnf, encoder
+from capmapf.cnf import AUX, VERTEX, CnfFormula, to_dimacs, var_key_vertex
 from capmapf.encoder import EncodingSoundnessError
+from capmapf.mdd import compute_horizon
 from capmapf.pathcalc import agent_path_costs
 from capmapf.plans import CAPACITY, Conflict
 from capmapf.satcore import SAT, UNSAT, CdclSolver
+from capmapf.verify import OPTIMAL
 
 from conftest import grid3x3, make_instance, p3_swap, path_graph
 
 
-def solve_formula(artifacts):
+def solve_clauses(clauses):
     solver = CdclSolver()
-    for clause in artifacts.formula.clauses:
+    for clause in clauses:
         solver.add_clause(clause)
     return solver.solve()
+
+
+def solve_formula(artifacts):
+    return solve_clauses(artifacts.formula.clauses)
 
 
 def test_single_agent_shortest_path():
@@ -122,6 +128,10 @@ def test_uniform_one_capacity_emits_pairwise():
 def test_swap_clauses_are_opposite_arc_pairs(inst, slack):
     artifacts = encode_complete(inst, cost_lower_bound(inst) + slack)
     f = artifacts.formula
+
+    def x(agent, v, t):
+        return f.lookup(var_key_vertex(agent, v, t))
+
     expected = set()
     for mi in artifacts.mdds:
         for mj in artifacts.mdds:
@@ -131,20 +141,107 @@ def test_swap_clauses_are_opposite_arc_pairs(inst, slack):
                 for (u, v) in mi.arcs[t]:
                     if u != v and (v, u) in mj.arcs[t]:
                         expected.add(frozenset((
-                            -f.lookup(var_key_edge(mi.agent, u, v, t)),
-                            -f.lookup(var_key_edge(mj.agent, v, u, t)),
+                            -x(mi.agent, u, t), -x(mi.agent, v, t + 1),
+                            -x(mj.agent, v, t), -x(mj.agent, u, t + 1),
                         )))
 
-    def crosses(clause):  # two negated moves along one edge in opposite directions
-        if len(clause) != 2 or any(l > 0 for l in clause):
+    def crosses(clause):  # one agent at u then v, another at v then u
+        if len(clause) != 4 or any(l > 0 for l in clause):
             return False
-        a, b = (f.key_of(-l) for l in clause)
-        return a[0] == b[0] == EDGE and a[2] != a[3] and (a[2], a[3], a[4]) == (b[3], b[2], b[4])
+        keys = [f.key_of(-l) for l in clause]
+        if any(k[0] != VERTEX for k in keys):
+            return False
+        steps = {}
+        for _, agent, v, t in keys:
+            steps.setdefault(agent, {})[t] = v
+        if len(steps) != 2:
+            return False
+        a, b = steps.values()
+        if len(a) != 2 or a.keys() != b.keys():
+            return False
+        t0, t1 = sorted(a)
+        return t1 == t0 + 1 and a[t0] == b[t1] != a[t1] == b[t0]
 
     emitted = [frozenset(c) for c in f.clauses if crosses(c)]
     assert expected
     assert len(emitted) == len(set(emitted))
     assert set(emitted) == expected
+
+
+def _diagram_walks(m):
+    walks = {(v,) for v in m.levels[0]}
+    for arcs in m.arcs:
+        walks = {w + (v,) for w in walks for (u, v) in arcs if u == w[-1]}
+    return walks
+
+
+@pytest.mark.parametrize("graph,start,goal", [
+    (path_graph(3), 0, 2),
+    (path_graph(4), 1, 1),
+    (grid3x3(), 0, 8),
+    (grid3x3(), 4, 1),
+    (grid3x3(), 3, 5),
+])
+@pytest.mark.parametrize("slack", [0, 1, 2])
+def test_route_models_are_exactly_the_diagram_walks(graph, start, goal, slack):
+    """Projected onto the vertex variables, the route group's models are
+    exactly the diagram's mu-step walks."""
+    inst = make_instance(graph, 1, [(start, goal)])
+    mu = compute_horizon(inst, cost_lower_bound(inst) + slack)
+    m = build_mdd(inst, 0, mu)
+    formula = CnfFormula()
+    encoder._allocate_route_vars(formula, [m])
+    encoder._encode_routes(formula, inst, [m])
+    xs = {(t, v): formula.lookup(var_key_vertex(0, v, t))
+          for t, level in enumerate(m.levels) for v in level}
+    solver = CdclSolver()
+    for clause in formula.clauses:
+        solver.add_clause(clause)
+    walks = set()
+    while (result := solver.solve()).outcome == SAT:
+        true = sorted((t, v) for (t, v), x in xs.items() if result.model[x])
+        walk = tuple(v for _, v in true)
+        assert [t for t, _ in true] == list(range(mu + 1)), walk
+        walks.add(walk)
+        # block this projection only, so a model that differs in any vertex can follow
+        solver.add_clause([-x if result.model[x] else x for x in xs.values()])
+    assert result.outcome == UNSAT
+    assert walks == _diagram_walks(m)
+
+
+def test_cost_bound_counts_slack_inside_the_arrival_windows(corpus):
+    """With the vertex variables fixed to an oracle-optimal plan, the cost
+    bound admits it at its cost xi* and rejects it at xi* - 1, and each
+    agent has delta + 1 settled flags."""
+    checked = tight = 0
+    for name, inst in corpus:
+        oracle = brute_force_optimal(inst, 8)
+        if oracle.status != OPTIMAL:
+            continue
+        costs = agent_path_costs(inst)
+        delta = oracle.cost - sum(costs)
+        artifacts = encode_complete(inst, oracle.cost)
+        f = artifacts.formula
+        mu = artifacts.mdds[0].horizon
+        settled = [k for k in map(f.key_of, range(1, f.variable_count + 1))
+                   if k[0] == AUX and k[1].startswith("settled_")]
+        assert len(settled) == inst.k * (delta + 1), name
+        padded = [p + (p[-1],) * (mu + 1 - len(p)) for p in oracle.plan.paths]
+
+        def plan_units(formula):
+            return [[formula.lookup(var_key_vertex(i, v, t))]
+                    for i, p in enumerate(padded) for t, v in enumerate(p)]
+
+        assert solve_clauses(f.clauses + plan_units(f)).outcome == SAT, name
+        if delta > 0:  # the same diagrams under the bound xi* - 1
+            g = CnfFormula()
+            encoder._allocate_route_vars(g, artifacts.mdds)
+            encoder._encode_routes(g, inst, artifacts.mdds)
+            encoder._encode_cost_bound(g, inst, costs, delta - 1)
+            assert solve_clauses(g.clauses + plan_units(g)).outcome == UNSAT, name
+            tight += 1
+        checked += 1
+    assert checked >= 200 and tight >= 25
 
 
 def test_extract_rejects_ambiguous_model():
@@ -218,11 +315,12 @@ def _scanned_encoding(inst, mdds, xi, no_follow):
             for t, arcs in enumerate(m.arcs):
                 for (u, v) in arcs:
                     if u != v:
-                        e = formula.lookup(var_key_edge(m.agent, u, v, t))
+                        move = [-formula.lookup(var_key_vertex(m.agent, u, t)),
+                                -formula.lookup(var_key_vertex(m.agent, v, t + 1))]
                         for clause in cnf.at_most_k(formula, occupants(v, t, m.agent), caps[v] - 1):
-                            formula.add(clause + [-e])
+                            formula.add(clause + move)
     costs = agent_path_costs(inst)
-    encoder._encode_cost_bound(formula, inst, mdds, costs, xi - sum(costs))
+    encoder._encode_cost_bound(formula, inst, costs, xi - sum(costs))
     return formula
 
 
