@@ -22,7 +22,7 @@ from .instance import (
     parse_scenario,
     validate_instance,
 )
-from .pathcalc import UnsolvableInstanceError, cost_lower_bound
+from .pathcalc import UnsolvableInstanceError, agent_distances, agent_path_costs
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -166,14 +166,12 @@ def cmd_export_cnf(args) -> int:
     if args.mode == "basic" and args.no_follow:
         raise UsageError("--no-follow needs --mode complete")
     instance = _build_instance(args)
-    if args.xi == "auto":
-        xi = cost_lower_bound(instance)
-    else:
-        xi = int(args.xi)
+    dists = agent_distances(instance)
+    xi = sum(agent_path_costs(instance, dists)) if args.xi == "auto" else int(args.xi)
     if args.mode == "basic":
-        artifacts = encoder.encode_basic(instance, xi)
+        artifacts = encoder.encode_basic(instance, xi, dists=dists)
     else:
-        artifacts = encoder.encode_complete(instance, xi, no_follow=args.no_follow)
+        artifacts = encoder.encode_complete(instance, xi, args.no_follow, dists)
     text = cnf.to_dimacs(artifacts.formula)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:

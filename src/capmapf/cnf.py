@@ -56,7 +56,7 @@ class CnfFormula:
         for lit in clause:
             if lit == 0 or abs(lit) > self.variable_count:
                 raise ValueError(f"literal {lit} references an unallocated variable")
-        self.clauses.append(list(clause))
+        self.clauses.append(clause)  # kept, not copied: the caller hands it over
 
     def add_all(self, clauses: list[list[int]]) -> None:
         for c in clauses:

@@ -19,11 +19,14 @@ from . import cnf
 from .cnf import CnfFormula
 from .instance import Instance
 from .mdd import Mdd, build_all_mdds, horizon_of
-from .pathcalc import agent_path_costs
+from .pathcalc import AgentDistances, agent_distances, agent_path_costs
 from .plans import CAPACITY, Conflict, Plan
 
 COMPLETE = "complete"
 BASIC = "basic"
+
+#: xs[i][t][v]: the vertex variable of node (v, t) of the i-th diagram
+VertexVars = list[list[dict[int, int]]]
 
 
 class EncodingSoundnessError(AssertionError):
@@ -34,17 +37,17 @@ class EncodingSoundnessError(AssertionError):
 class EncodingArtifacts:
     formula: CnfFormula
     mdds: list[Mdd]
-    instance: Instance
+    xs: VertexVars
 
 
-def _allocate_route_vars(formula: CnfFormula, mdds: list[Mdd]) -> None:
-    for m in mdds:
-        for t, level in enumerate(m.levels):
-            for v in level:
-                formula.allocate(cnf.var_key_vertex(m.agent, v, t))
+def _allocate_route_vars(formula: CnfFormula, mdds: list[Mdd]) -> VertexVars:
+    """One vertex variable per diagram node, allocated level by level."""
+    return [[{v: formula.allocate(cnf.var_key_vertex(m.agent, v, t)) for v in level}
+             for t, level in enumerate(m.levels)] for m in mdds]
 
 
-def _encode_routes(formula: CnfFormula, instance: Instance, mdds: list[Mdd]) -> None:
+def _encode_routes(formula: CnfFormula, instance: Instance, mdds: list[Mdd],
+                   xs: VertexVars) -> None:
     """Groups (a)-(c) over vertex variables: endpoint units, a successor and
     a predecessor clause per diagram node, and at most one vertex per level.
 
@@ -56,9 +59,7 @@ def _encode_routes(formula: CnfFormula, instance: Instance, mdds: list[Mdd]) -> 
     (without them, eager search on 4x4 grids with 7 agents meets about 1.8
     times the conflicts).
     """
-    for a, m in zip(instance.agents, mdds):
-        x = [{v: formula.lookup(cnf.var_key_vertex(a.id, v, t)) for v in level}
-             for t, level in enumerate(m.levels)]
+    for a, m, x in zip(instance.agents, mdds, xs):
         formula.add([x[0][a.start]])
         formula.add([x[m.horizon][a.goal]])
         for t, arcs in enumerate(m.arcs):
@@ -75,22 +76,19 @@ def _encode_routes(formula: CnfFormula, instance: Instance, mdds: list[Mdd]) -> 
                 formula.add_all(cnf.at_most_k(formula, list(level.values()), 1))
 
 
-def _encode_swaps(formula: CnfFormula, mdds: list[Mdd]) -> None:
+def _encode_swaps(formula: CnfFormula, mdds: list[Mdd], xs: VertexVars) -> None:
     """Group (d): no pair of agents crosses an edge in opposite directions.
 
     One clause -x_i(u,t) | -x_i(v,t+1) | -x_j(v,t) | -x_j(u,t+1) per pair of
     opposite diagram arcs of two agents.
     """
     moves: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-    for m in mdds:
+    for m, x in zip(mdds, xs):
         for t, arcs in enumerate(m.arcs):
+            here, there = x[t], x[t + 1]
             for (u, v) in arcs:
                 if u != v:
-                    moves.setdefault((u, v, t), []).append((
-                        m.agent,
-                        -formula.lookup(cnf.var_key_vertex(m.agent, u, t)),
-                        -formula.lookup(cnf.var_key_vertex(m.agent, v, t + 1)),
-                    ))
+                    moves.setdefault((u, v, t), []).append((m.agent, -here[u], -there[v]))
     for (u, v, t), forward in moves.items():
         backward = moves.get((v, u, t))
         if u > v or backward is None:
@@ -101,15 +99,14 @@ def _encode_swaps(formula: CnfFormula, mdds: list[Mdd]) -> None:
                     formula.add([leave_i, enter_i, leave_j, enter_j])
 
 
-def _occupants(formula: CnfFormula, mdds: list[Mdd], mu: int) -> list[dict[int, list[int]]]:
+def _occupants(xs: VertexVars, mu: int) -> list[dict[int, list[int]]]:
     """occupants[t][v]: the vertex variables of every agent whose diagram
     holds v at step t, in agent id order."""
     occupants: list[dict[int, list[int]]] = [{} for _ in range(mu + 1)]
-    for m in mdds:
-        for t, level in enumerate(m.levels):
-            at_t = occupants[t]
-            for v in level:
-                at_t.setdefault(v, []).append(formula.lookup(cnf.var_key_vertex(m.agent, v, t)))
+    for x in xs:
+        for at_t, level in zip(occupants, x):
+            for v, var in level.items():
+                at_t.setdefault(v, []).append(var)
     return occupants
 
 
@@ -130,27 +127,26 @@ def _encode_capacities(
 
 
 def _encode_no_follow(
-    formula: CnfFormula, instance: Instance, mdds: list[Mdd],
+    formula: CnfFormula, instance: Instance, mdds: list[Mdd], xs: VertexVars,
     occupants: list[dict[int, list[int]]],
 ) -> None:
     """Vacate-before-enter semantics: moving u->v between t and t+1 requires
     at most c(v)-1 other agents at v at departure time."""
     caps = instance.capacities
-    for m in mdds:
+    for m, x in zip(mdds, xs):
         for t, arcs in enumerate(m.arcs):
+            here, there = x[t], x[t + 1]
             for (u, v) in arcs:
                 if u == v:
                     continue
-                leave = formula.lookup(cnf.var_key_vertex(m.agent, u, t))
-                enter = formula.lookup(cnf.var_key_vertex(m.agent, v, t + 1))
-                own = formula.lookup(cnf.var_key_vertex(m.agent, v, t))
-                others = [x for x in occupants[t].get(v, ()) if x != own]
+                own = here.get(v)
+                others = [y for y in occupants[t].get(v, ()) if y != own]
                 for clause in cnf.at_most_k(formula, others, caps[v] - 1):
-                    formula.add(clause + [-leave, -enter])
+                    formula.add(clause + [-here[u], -there[v]])
 
 
 def _encode_cost_bound(
-    formula: CnfFormula, instance: Instance, agent_costs: list[int], delta: int,
+    formula: CnfFormula, instance: Instance, agent_costs: list[int], delta: int, xs: VertexVars,
 ) -> None:
     """Group (f): settled flags over each agent's arrival window plus a
     global bound on extra cost.
@@ -162,12 +158,12 @@ def _encode_cost_bound(
     most delta of them true.
     """
     slack_lits: list[int] = []
-    for a, c0 in zip(instance.agents, agent_costs):
+    for a, c0, x in zip(instance.agents, agent_costs, xs):
         arrival = c0 + delta
         settled = [formula.allocate((cnf.AUX, f"settled_{a.id}", t))
                    for t in range(c0, arrival + 1)]
         for t, s in enumerate(settled, start=c0):
-            formula.add([-s, formula.lookup(cnf.var_key_vertex(a.id, a.goal, t))])
+            formula.add([-s, x[t][a.goal]])
             if t < arrival:
                 formula.add([-s, settled[t - c0 + 1]])
                 slack_lits.append(-s)
@@ -175,28 +171,30 @@ def _encode_cost_bound(
     formula.add_all(cnf.at_most_k(formula, slack_lits, delta))
 
 
-def _encode(instance: Instance, xi: int, mode: str,
-            conflicts: list[Conflict] | None, no_follow: bool) -> EncodingArtifacts:
-    agent_costs = agent_path_costs(instance)
+def _encode(instance: Instance, xi: int, mode: str, conflicts: list[Conflict] | None,
+            no_follow: bool, dists: AgentDistances | None,
+            closed: list[tuple[int, ...]] | None) -> EncodingArtifacts:
+    dists = dists or agent_distances(instance)
+    agent_costs = agent_path_costs(instance, dists)
     mu = horizon_of(agent_costs, xi)
     delta = xi - sum(agent_costs)
-    mdds = build_all_mdds(instance, mu)
+    mdds = build_all_mdds(instance, mu, dists, closed)
     formula = CnfFormula()
-    _allocate_route_vars(formula, mdds)
-    _encode_routes(formula, instance, mdds)
+    xs = _allocate_route_vars(formula, mdds)
+    _encode_routes(formula, instance, mdds, xs)
     if mode == COMPLETE:
-        _encode_swaps(formula, mdds)
-        occupants = _occupants(formula, mdds, mu)
+        _encode_swaps(formula, mdds, xs)
+        occupants = _occupants(xs, mu)
         _encode_capacities(formula, instance, occupants)
         if no_follow:
-            _encode_no_follow(formula, instance, mdds, occupants)
+            _encode_no_follow(formula, instance, mdds, xs, occupants)
     else:
         for conflict in conflicts or []:
             clause = conflict_clause(formula, conflict)
             if clause is not None:
                 formula.add(clause)
-    _encode_cost_bound(formula, instance, agent_costs, delta)
-    return EncodingArtifacts(formula, mdds, instance)
+    _encode_cost_bound(formula, instance, agent_costs, delta, xs)
+    return EncodingArtifacts(formula, mdds, xs)
 
 
 def conflict_clause(formula: CnfFormula, conflict: Conflict) -> list[int] | None:
@@ -223,32 +221,31 @@ def conflict_clause(formula: CnfFormula, conflict: Conflict) -> list[int] | None
     return lits
 
 
-def encode_complete(instance: Instance, xi: int, no_follow: bool = False) -> EncodingArtifacts:
-    """Complete model: satisfiable iff a plan of sum-of-costs <= xi exists."""
-    return _encode(instance, xi, COMPLETE, None, no_follow)
+def encode_complete(instance: Instance, xi: int, no_follow: bool = False,
+                    dists: AgentDistances | None = None,
+                    closed: list[tuple[int, ...]] | None = None) -> EncodingArtifacts:
+    """Complete model: satisfiable iff a plan of sum-of-costs <= xi exists.
+    `dists` and `closed` are passed on to `build_all_mdds`."""
+    return _encode(instance, xi, COMPLETE, None, no_follow, dists, closed)
 
 
-def encode_basic(
-    instance: Instance, xi: int, conflicts: list[Conflict] | None = None
-) -> EncodingArtifacts:
+def encode_basic(instance: Instance, xi: int, conflicts: list[Conflict] | None = None,
+                 dists: AgentDistances | None = None,
+                 closed: list[tuple[int, ...]] | None = None) -> EncodingArtifacts:
     """Relaxed model: no inter-agent rules beyond the recorded conflicts."""
-    return _encode(instance, xi, BASIC, conflicts, False)
+    return _encode(instance, xi, BASIC, conflicts, False, dists, closed)
 
 
 def extract_plan(artifacts: EncodingArtifacts, model: list[bool]) -> Plan:
     """Decode each agent's occupied vertex per level out of a satisfying model."""
-    formula = artifacts.formula
     paths = []
-    for a, m in zip(artifacts.instance.agents, artifacts.mdds):
+    for i, x in enumerate(artifacts.xs):
         path = []
-        for t, level in enumerate(m.levels):
-            occupied = [
-                v for v in level
-                if model[formula.lookup(cnf.var_key_vertex(a.id, v, t))]
-            ]
+        for t, level in enumerate(x):
+            occupied = [v for v, var in level.items() if model[var]]
             if len(occupied) != 1:
                 raise EncodingSoundnessError(
-                    f"agent {a.id} occupies {len(occupied)} vertices at step {t}"
+                    f"agent {i} occupies {len(occupied)} vertices at step {t}"
                 )
             path.append(occupied[0])
         paths.append(tuple(path))

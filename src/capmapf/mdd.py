@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .instance import Graph, Instance
-from .pathcalc import UNREACHABLE, agent_path_costs, bfs_distances
+from .pathcalc import UNREACHABLE, AgentDistances, agent_distances, agent_path_costs, bfs_distances
 
 
 class EmptyMddError(ValueError):
@@ -104,15 +104,15 @@ def build_mdd(instance: Instance, agent: int, mu: int, arrival: int | None = Non
     )
 
 
-def build_all_mdds(instance: Instance, mu: int) -> list[Mdd]:
+def build_all_mdds(instance: Instance, mu: int, dists: AgentDistances | None = None,
+                   closed: list[tuple[int, ...]] | None = None) -> list[Mdd]:
     """Every agent's diagram for the horizon mu, each cut at its own arrival
-    step c_i + (mu - max_j c_j)."""
-    graph = instance.graph
-    dists = [(bfs_distances(graph, a.start), bfs_distances(graph, a.goal))
-             for a in instance.agents]
-    costs = [from_start[a.goal] for a, (from_start, _) in zip(instance.agents, dists)]
-    delta = mu - max(costs)  # an unreachable goal (-1) fails in its own _diagram
-    closed = _closed_neighbourhoods(graph)
+    step c_i + (mu - max_j c_j), from `agent_distances` and
+    `_closed_neighbourhoods`, which a caller may compute once and pass in."""
+    dists = dists or agent_distances(instance)
+    closed = closed or _closed_neighbourhoods(instance.graph)
+    costs = agent_path_costs(instance, dists)
+    delta = mu - max(costs)
     return [
         _diagram(i, a.goal, mu, c + delta, from_start, to_goal, closed)
         for i, (a, c, (from_start, to_goal)) in enumerate(zip(instance.agents, costs, dists))

@@ -9,6 +9,9 @@ from .instance import Graph, Instance
 #: explicit sentinel, never mixed into horizon arithmetic
 UNREACHABLE = -1
 
+#: per agent, (hop distances from its start, hop distances to its goal)
+AgentDistances = list[tuple[tuple[int, ...], tuple[int, ...]]]
+
 
 class UnsolvableInstanceError(ValueError):
     """Some agent's goal is unreachable from its start."""
@@ -30,22 +33,22 @@ def bfs_distances(graph: Graph, source: int) -> tuple[int, ...]:
     return tuple(dist)
 
 
-def agent_path_costs(instance: Instance) -> list[int]:
-    """Per-agent shortest start-to-goal distance; raises if any goal is unreachable."""
-    costs = []
-    by_source: dict[int, tuple[int, ...]] = {}
+def agent_distances(instance: Instance) -> AgentDistances:
+    """Two BFS per agent; raises if any goal is unreachable."""
+    dists = []
     for a in instance.agents:
-        dist = by_source.get(a.start)
-        if dist is None:
-            dist = bfs_distances(instance.graph, a.start)
-            by_source[a.start] = dist
-        d = dist[a.goal]
-        if d == UNREACHABLE:
-            raise UnsolvableInstanceError(
-                f"agent {a.id}: goal {a.goal} unreachable from start {a.start}"
-            )
-        costs.append(d)
-    return costs
+        from_start = bfs_distances(instance.graph, a.start)
+        if from_start[a.goal] == UNREACHABLE:
+            raise UnsolvableInstanceError(f"agent {a.id}: goal {a.goal} unreachable"
+                                          f" from start {a.start}")
+        dists.append((from_start, bfs_distances(instance.graph, a.goal)))
+    return dists
+
+
+def agent_path_costs(instance: Instance, dists: AgentDistances | None = None) -> list[int]:
+    """Per-agent shortest start-to-goal distance, read from `agent_distances`."""
+    dists = dists or agent_distances(instance)
+    return [from_start[a.goal] for a, (from_start, _) in zip(instance.agents, dists)]
 
 
 def cost_lower_bound(instance: Instance) -> int:

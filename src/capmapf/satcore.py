@@ -30,7 +30,7 @@ class SatResult:
 
 
 class CdclSolver:
-    def __init__(self):
+    def __init__(self, num_vars: int = 0):  # presized; larger clauses still grow it
         self.num_vars = 0
         self.clauses: list[list[int]] = []   # original, units included
         self.learned: list[list[int]] = []   # len >= 2
@@ -49,18 +49,19 @@ class CdclSolver:
         self.heap: list[tuple[float, int]] = []
         self.var_inc = 1.0
         self.conflicts_total = 0
+        self._ensure_var(num_vars)
 
     def _ensure_var(self, v: int) -> None:
-        while self.num_vars < v:
-            self.num_vars += 1
-            self.assign.append(0)
-            self.level.append(0)
-            self.reason.append(None)
-            self.activity.append(0.0)
-            self.seen.append(False)
-            self.watches[self.num_vars] = []
-            self.watches[-self.num_vars] = []
-            heapq.heappush(self.heap, (0.0, self.num_vars))
+        # in bulk; activities are >= 0, so appending (0.0, u) in rising u keeps the heap valid
+        new = range(self.num_vars + 1, v + 1)
+        self.assign += [0] * len(new)
+        self.level += [0] * len(new)
+        self.reason += [None] * len(new)
+        self.activity += [0.0] * len(new)
+        self.seen += [False] * len(new)
+        self.watches.update((lit, []) for u in new for lit in (u, -u))
+        self.heap += [(0.0, u) for u in new]
+        self.num_vars = max(self.num_vars, v)
 
     def add_clause(self, lits: list[int]) -> None:
         """Permanently conjoin a clause; callable between solve() calls."""
@@ -85,7 +86,8 @@ class CdclSolver:
         if self.qhead or len(clause) == 1:
             self._attach(clause)
         else:  # nothing propagated yet: every assigned literal will still be visited
-            self._watch(clause)
+            self.watches[clause[0]].append(clause)
+            self.watches[clause[1]].append(clause)
 
     def _watch(self, clause: list[int]) -> None:
         self.watches[clause[0]].append(clause)

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 from . import encoder, satcore
 from .instance import Instance, validate_instance
-from .pathcalc import UnsolvableInstanceError, cost_lower_bound
+from .mdd import _closed_neighbourhoods
+from .pathcalc import UnsolvableInstanceError, agent_distances, agent_path_costs
 from .plans import CAPACITY, SWAP, Conflict, Plan
 
 SOLVED = "solved"
@@ -47,12 +48,6 @@ class SolveReport:
     @property
     def total_refinements(self) -> int:
         return sum(s.refinements for s in self.iterations)
-
-
-def _ceiling(instance: Instance, limits: Limits, xi0: int) -> int:
-    if limits.xi_ceiling is not None:
-        return limits.xi_ceiling
-    return xi0 + instance.graph.vertex_count * instance.k
 
 
 def validate_candidate(instance: Instance, plan: Plan) -> list[Conflict]:
@@ -101,21 +96,26 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
         raise ValueError("no-follow is only supported with the eager solver")
     limits = limits or Limits()
     deadline = time.monotonic() + limits.time_limit_s
-    try:
-        xi0 = cost_lower_bound(instance)
+    try:  # the distances and neighbourhoods serve every bound's diagrams
+        dists = agent_distances(instance)
     except UnsolvableInstanceError:
         return SolveReport(UNSOLVABLE)
+    closed = _closed_neighbourhoods(instance.graph)
+    xi0 = sum(agent_path_costs(instance, dists))
     report = SolveReport(EXHAUSTED)
     conflicts: list[Conflict] = []
-    for xi in range(xi0, _ceiling(instance, limits, xi0) + 1):
+    ceiling = limits.xi_ceiling
+    if ceiling is None:
+        ceiling = xi0 + instance.graph.vertex_count * instance.k
+    for xi in range(xi0, ceiling + 1):
         started = time.monotonic()
         if started >= deadline:
             return report
         if solver == EAGER:
-            artifacts = encoder.encode_complete(instance, xi, no_follow=no_follow)
+            artifacts = encoder.encode_complete(instance, xi, no_follow, dists, closed)
         else:
-            artifacts = encoder.encode_basic(instance, xi, conflicts)
-        sat = satcore.CdclSolver()
+            artifacts = encoder.encode_basic(instance, xi, conflicts, dists, closed)
+        sat = satcore.CdclSolver(artifacts.formula.variable_count)
         for clause in artifacts.formula.clauses:
             sat.add_clause(clause)
         clause_count = len(artifacts.formula.clauses)

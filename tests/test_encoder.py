@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from capmapf import (
@@ -5,15 +7,17 @@ from capmapf import (
     encode_basic,
     encode_complete,
     extract_plan,
+    solve,
     validate_plan,
 )
 from capmapf import brute_force_optimal, build_mdd, cnf, encoder
 from capmapf.cnf import AUX, VERTEX, CnfFormula, to_dimacs, var_key_vertex
 from capmapf.encoder import EncodingSoundnessError
 from capmapf.mdd import compute_horizon
-from capmapf.pathcalc import agent_path_costs
+from capmapf.pathcalc import UnsolvableInstanceError, agent_path_costs
 from capmapf.plans import CAPACITY, Conflict
 from capmapf.satcore import SAT, UNSAT, CdclSolver
+from capmapf.solvers import LAZY, Limits
 from capmapf.verify import OPTIMAL
 
 from conftest import grid3x3, make_instance, p3_swap, path_graph
@@ -190,8 +194,8 @@ def test_route_models_are_exactly_the_diagram_walks(graph, start, goal, slack):
     mu = compute_horizon(inst, cost_lower_bound(inst) + slack)
     m = build_mdd(inst, 0, mu)
     formula = CnfFormula()
-    encoder._allocate_route_vars(formula, [m])
-    encoder._encode_routes(formula, inst, [m])
+    route_vars = encoder._allocate_route_vars(formula, [m])
+    encoder._encode_routes(formula, inst, [m], route_vars)
     xs = {(t, v): formula.lookup(var_key_vertex(0, v, t))
           for t, level in enumerate(m.levels) for v in level}
     solver = CdclSolver()
@@ -235,9 +239,9 @@ def test_cost_bound_counts_slack_inside_the_arrival_windows(corpus):
         assert solve_clauses(f.clauses + plan_units(f)).outcome == SAT, name
         if delta > 0:  # the same diagrams under the bound xi* - 1
             g = CnfFormula()
-            encoder._allocate_route_vars(g, artifacts.mdds)
-            encoder._encode_routes(g, inst, artifacts.mdds)
-            encoder._encode_cost_bound(g, inst, costs, delta - 1)
+            route_vars = encoder._allocate_route_vars(g, artifacts.mdds)
+            encoder._encode_routes(g, inst, artifacts.mdds, route_vars)
+            encoder._encode_cost_bound(g, inst, costs, delta - 1, route_vars)
             assert solve_clauses(g.clauses + plan_units(g)).outcome == UNSAT, name
             tight += 1
         checked += 1
@@ -293,9 +297,9 @@ def _scanned_encoding(inst, mdds, xi, no_follow):
     """The complete encoding of the same diagrams with the capacity and
     no-follow groups found by probing every (step, vertex, agent) key."""
     formula = CnfFormula()
-    encoder._allocate_route_vars(formula, mdds)
-    encoder._encode_routes(formula, inst, mdds)
-    encoder._encode_swaps(formula, mdds)
+    route_vars = encoder._allocate_route_vars(formula, mdds)
+    encoder._encode_routes(formula, inst, mdds, route_vars)
+    encoder._encode_swaps(formula, mdds, route_vars)
     mu, caps = mdds[0].horizon, inst.capacities
 
     def occupants(v, t, skip=None):
@@ -320,7 +324,7 @@ def _scanned_encoding(inst, mdds, xi, no_follow):
                         for clause in cnf.at_most_k(formula, occupants(v, t, m.agent), caps[v] - 1):
                             formula.add(clause + move)
     costs = agent_path_costs(inst)
-    encoder._encode_cost_bound(formula, inst, costs, xi - sum(costs))
+    encoder._encode_cost_bound(formula, inst, costs, xi - sum(costs), route_vars)
     return formula
 
 
@@ -335,3 +339,44 @@ def test_occupant_index_matches_full_scan(corpus, no_follow):
             assert to_dimacs(artifacts.formula) == to_dimacs(expected), (name, xi)
             checked += 1
     assert checked >= 100
+
+
+# sha256 over the DIMACS text of every encoding below. Any change to the
+# variable numbering, the clauses or their order changes it, so a change
+# meant to keep the encoding must reproduce it.
+ENCODING_DIGEST = "b9046ec771107b7594772e5e4c53174db30f4442f603766c621450f8975e02f3"
+
+
+def test_encodings_match_pinned_digest(corpus, monkeypatch):
+    """The complete model with and without no-follow and the basic model
+    with the conflicts a lazy solve records, over the corpus at slack 0-2,
+    reproduce a pinned digest of their DIMACS text."""
+    recorded = []
+    encode = encoder.encode_basic
+
+    def recording(instance, xi, conflicts=None, *args, **kwargs):
+        recorded.append(conflicts)
+        return encode(instance, xi, conflicts, *args, **kwargs)
+
+    digest = hashlib.sha256()
+    encodings = with_conflicts = 0
+    for name, inst in corpus:
+        try:
+            xi0 = cost_lower_bound(inst)
+        except UnsolvableInstanceError:
+            continue
+        recorded.clear()
+        with monkeypatch.context() as m:
+            m.setattr(encoder, "encode_basic", recording)
+            solve(inst, LAZY, Limits(xi_ceiling=xi0 + 2))
+        conflicts = recorded[-1]  # the solve's list, holding every conflict it met
+        with_conflicts += bool(conflicts)
+        for xi in range(xi0, xi0 + 3):
+            for artifacts in (encode_complete(inst, xi),
+                              encode_complete(inst, xi, no_follow=True),
+                              encode_basic(inst, xi, conflicts)):
+                digest.update(f"{name} {xi}\n".encode())
+                digest.update(to_dimacs(artifacts.formula).encode())
+                encodings += 1
+    assert encodings >= 2000 and with_conflicts >= 50
+    assert digest.hexdigest() == ENCODING_DIGEST

@@ -287,3 +287,37 @@ def test_activity_rescale_drops_stale_heap_keys():
         s._bump(2)
     assert s.activity[1:] == pytest.approx([0.1, 5.0, 2.0, 0.0])
     assert s._decide() == -2
+
+
+def heap_ok(heap) -> bool:
+    return all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
+
+
+def test_presized_and_grown_heap_stays_valid():
+    """CdclSolver(n) and growth between solve() calls keep the decision heap
+    a valid heap, through bumps and an activity rescale, and every new
+    variable still gets decided."""
+    s = CdclSolver(6)
+    assert s.num_vars == 6
+    assert all(len(x) == 7 for x in (s.assign, s.level, s.reason, s.activity, s.seen))
+    assert sorted(v for _, v in s.heap) == list(range(1, 7)) and heap_ok(s.heap)
+    s.add_clause([1, 2, 3])
+    s.add_clause([-1, 4])
+    for v in (4, 2, 2, 5):
+        s._bump(v)
+    assert heap_ok(s.heap)
+    assert s.solve().outcome == SAT
+    s.add_clause([7, -8, 9])  # grows by three variables between calls
+    assert s.num_vars == 9 and heap_ok(s.heap)
+    s.var_inc = 1e100
+    s._bump(3)
+    s._bump(3)  # passes 1e100: rescale and heap rebuild
+    assert heap_ok(s.heap)
+    s.add_clause([-10, 12])  # grows again after the rescale
+    assert s.num_vars == 12 and heap_ok(s.heap)
+    s._bump(11)
+    assert heap_ok(s.heap)
+    result = s.solve()
+    assert result.outcome == SAT
+    assert model_satisfies([[1, 2, 3], [-1, 4], [7, -8, 9], [-10, 12]], result.model)
+    assert all(s.assign[v] != 0 for v in range(1, 13))  # 6 and 11 sit in no clause

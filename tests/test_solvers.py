@@ -1,3 +1,6 @@
+import sys
+import time
+
 import pytest
 
 from capmapf import (
@@ -12,6 +15,7 @@ from capmapf import (
     validate_candidate,
     validate_plan,
 )
+from capmapf import pathcalc
 from capmapf.instance import InstanceError
 from capmapf.plans import CAPACITY, SWAP
 from capmapf.solvers import EXHAUSTED, SOLVED, UNSOLVABLE, Limits
@@ -186,3 +190,38 @@ def test_no_follow_optimal_costs(corpus):
         assert report.status == SOLVED and report.optimal_cost == cost, name
         assert validate_plan(inst, report.plan) == [], name
         assert solve_eager(inst, limits).optimal_cost < cost, name
+
+
+@pytest.mark.parametrize("solver", ["eager", "lazy"])
+def test_solve_runs_two_bfs_per_agent(solver, monkeypatch):
+    """The distances are computed once per solve and serve every bound: one
+    BFS from each agent's start and one from its goal, however many bounds
+    the solve tries."""
+    original = pathcalc.bfs_distances
+    sources = []
+
+    def counting(graph, source):
+        sources.append(source)
+        return original(graph, source)
+
+    for name, module in list(sys.modules.items()):
+        if name == "capmapf" or name.startswith("capmapf."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    inst = generate_random(4, 4, 7, 1, 5)
+    report = solve(inst, solver)
+    assert report.status == SOLVED and len(report.iterations) >= 3
+    assert len(sources) == 2 * inst.k
+    assert sorted(sources) == sorted([a.start for a in inst.agents] + [a.goal for a in inst.agents])
+
+
+@pytest.mark.parametrize("solver", ["eager", "lazy"])
+def test_time_limit_bounds_a_large_solve(solver):
+    """24x24 grid, 40 agents: the solve returns within half a second of its
+    one-second limit, diagram build, encoding and loading included."""
+    inst = generate_random(24, 24, 40, 1, 1)
+    started = time.monotonic()
+    report = solve(inst, solver, Limits(time_limit_s=1.0))
+    assert time.monotonic() - started < 1.5
+    assert report.status in (SOLVED, EXHAUSTED)
