@@ -26,8 +26,6 @@ from .solvers import (
     Limits,
     SolveReport,
     solve,
-    solve_eager,
-    solve_lazy,
     validate_candidate,
 )
 from .verify import brute_force_optimal, validate_plan
@@ -40,8 +38,7 @@ __all__ = [
     "at_most_one_pairwise", "parse_dimacs", "to_dimacs", "SAT", "UNKNOWN",
     "UNSAT", "CdclSolver", "SatResult", "encode_basic", "encode_complete",
     "extract_plan", "Conflict", "Plan", "Limits", "SolveReport", "solve",
-    "solve_eager", "solve_lazy", "validate_candidate", "brute_force_optimal",
-    "validate_plan",
+    "validate_candidate", "brute_force_optimal", "validate_plan",
 ]
 
 __version__ = "0.1.0"

@@ -1,9 +1,11 @@
-"""CNF construction: semantic variable keys, clause store, cardinality encodings, DIMACS.
+"""CNF construction: variable labels, clause store, cardinality encodings, DIMACS.
 
-Variable keys are plain tuples:
+Each variable carries a label, a plain tuple:
     ("X", agent, vertex, t)        agent occupies vertex at step t
     ("aux", tag, n)                auxiliary (cardinality counters, settled flags, ...)
-A move u->v between t and t+1 has no key of its own: it is the pair of
+A label only names its variable in DIMACS `c var` comments; nothing finds a
+variable by its label (the encoder keeps its own map of the vertex variables).
+A move u->v between t and t+1 has no label of its own: it is the pair of
 vertex variables (agent, u, t) and (agent, v, t+1).
 Literals are nonzero signed ints in DIMACS convention.
 """
@@ -28,21 +30,13 @@ class CnfFormula:
 
     variable_count: int = 0
     clauses: list[list[int]] = field(default_factory=list)
-    _index: dict[VarKey, int] = field(default_factory=dict)
     _keys: list[VarKey | None] = field(default_factory=lambda: [None])  # 1-based
 
     def allocate(self, key: VarKey) -> int:
-        """Idempotent: the same key always maps to the same variable."""
-        idx = self._index.get(key)
-        if idx is None:
-            self.variable_count += 1
-            idx = self.variable_count
-            self._index[key] = idx
-            self._keys.append(key)
-        return idx
-
-    def lookup(self, key: VarKey) -> int | None:
-        return self._index.get(key)
+        """A new variable labelled `key`."""
+        self._keys.append(key)
+        self.variable_count += 1
+        return self.variable_count
 
     def key_of(self, index: int) -> VarKey:
         return self._keys[index]
@@ -117,12 +111,9 @@ def _comment_to_key(tokens: list[str]) -> VarKey:
 
 
 def to_dimacs(formula: CnfFormula) -> str:
-    """Standard DIMACS CNF; `c var` comment lines carry the key map."""
-    out = []
-    for idx in range(1, formula.variable_count + 1):
-        key = formula.key_of(idx)
-        if key is not None:
-            out.append(_key_to_comment(idx, key))
+    """Standard DIMACS CNF; `c var` comment lines carry the labels."""
+    out = [_key_to_comment(idx, formula.key_of(idx))
+           for idx in range(1, formula.variable_count + 1)]
     out.append(f"p cnf {formula.variable_count} {len(formula.clauses)}")
     for clause in formula.clauses:
         out.append(" ".join(str(lit) for lit in clause) + " 0")
@@ -130,7 +121,10 @@ def to_dimacs(formula: CnfFormula) -> str:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF, restoring the key map from `c var` comments."""
+    """Parse DIMACS CNF, restoring the labels from `c var` comments.
+
+    Comments never change what the CNF means: a `c var` line whose index is
+    not a decimal integer is a plain comment, and a label is only a name."""
     formula = CnfFormula()
     keyed: dict[int, VarKey] = {}
     n_vars = None
@@ -142,7 +136,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if line.startswith("c"):
             tokens = line.split()
-            if len(tokens) >= 3 and tokens[1] == "var":
+            if len(tokens) >= 3 and tokens[1] == "var" and tokens[2].isdecimal():
                 keyed[int(tokens[2])] = _comment_to_key(tokens[3:])
             continue
         if line.startswith("p"):

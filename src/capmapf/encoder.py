@@ -190,31 +190,31 @@ def _encode(instance: Instance, xi: int, mode: str, conflicts: list[Conflict] | 
             _encode_no_follow(formula, instance, mdds, xs, occupants)
     else:
         for conflict in conflicts or []:
-            clause = conflict_clause(formula, conflict)
+            clause = conflict_clause(xs, conflict)
             if clause is not None:
                 formula.add(clause)
     _encode_cost_bound(formula, instance, agent_costs, delta, xs)
     return EncodingArtifacts(formula, mdds, xs)
 
 
-def conflict_clause(formula: CnfFormula, conflict: Conflict) -> list[int] | None:
-    """Elimination clause for a recorded conflict; None when any referenced
-    variable is absent from the current expansion (vacuously satisfied).
+def conflict_clause(xs: VertexVars, conflict: Conflict) -> list[int] | None:
+    """Elimination clause for a recorded conflict over the vertex variables
+    `xs`; None when a node it names is absent from the current diagrams
+    (vacuously satisfied), including a step past an agent's horizon.
 
     A capacity conflict forbids its agents together at (vertex, time); a
     swap conflict forbids i at u then v while j is at v then u.
     """
     t = conflict.time
     if conflict.kind == CAPACITY:
-        keys = [cnf.var_key_vertex(a, conflict.vertex, t) for a in conflict.agents]
+        nodes = [(a, conflict.vertex, t) for a in conflict.agents]
     else:
         i, j = conflict.agents
         u, v = conflict.vertex
-        keys = [cnf.var_key_vertex(i, u, t), cnf.var_key_vertex(i, v, t + 1),
-                cnf.var_key_vertex(j, v, t), cnf.var_key_vertex(j, u, t + 1)]
+        nodes = [(i, u, t), (i, v, t + 1), (j, v, t), (j, u, t + 1)]
     lits = []
-    for key in keys:
-        x = formula.lookup(key)
+    for agent, vertex, step in nodes:
+        x = xs[agent][step].get(vertex) if step < len(xs[agent]) else None
         if x is None:
             return None
         lits.append(-x)

@@ -33,12 +33,6 @@ class Mdd:
     levels: tuple[tuple[int, ...], ...]          # levels[t] = sorted vertex ids
     arcs: tuple[tuple[tuple[int, int], ...], ...]  # arcs[t] = (u at t, v at t+1) pairs
 
-    def dump(self) -> str:
-        """One line per level listing vertex ids (debug aid)."""
-        return "\n".join(
-            f"t={t}: " + " ".join(str(v) for v in lvl) for t, lvl in enumerate(self.levels)
-        )
-
 
 def compute_horizon(instance: Instance, xi: int) -> int:
     """Number of time steps needed for any plan of sum-of-costs <= xi.

@@ -25,7 +25,6 @@ LAZY = "lazy"
 class Limits:
     time_limit_s: float = 500.0        # wall clock for the whole solve call
     xi_ceiling: int | None = None      # default: xi_0 + |V| * k
-    conflict_limit: int | None = None  # per SAT call
 
 
 @dataclass(slots=True)
@@ -122,10 +121,7 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
         refinements = 0
         plan = None
         while plan is None:
-            result = sat.solve(
-                conflict_limit=limits.conflict_limit,
-                time_limit=deadline - time.monotonic(),
-            )
+            result = sat.solve(time_limit=deadline - time.monotonic())
             if result.outcome != satcore.SAT:
                 break
             candidate = encoder.extract_plan(artifacts, result.model)
@@ -134,7 +130,7 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
                 plan = candidate
             for conflict in found:
                 conflicts.append(conflict)
-                clause = encoder.conflict_clause(artifacts.formula, conflict)
+                clause = encoder.conflict_clause(artifacts.xs, conflict)
                 if clause is not None:
                     sat.add_clause(clause)
                     clause_count += 1
@@ -152,16 +148,6 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
         if result.outcome == satcore.UNKNOWN:
             return report
     return report
-
-
-def solve_eager(
-    instance: Instance, limits: Limits | None = None, no_follow: bool = False
-) -> SolveReport:
-    return solve(instance, EAGER, limits, no_follow)
-
-
-def solve_lazy(instance: Instance, limits: Limits | None = None) -> SolveReport:
-    return solve(instance, LAZY, limits)
 
 
 def format_plan(report: SolveReport) -> str:

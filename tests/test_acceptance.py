@@ -22,8 +22,7 @@ from capmapf import (
     parse_dimacs,
     parse_map,
     serialize_map,
-    solve_eager,
-    solve_lazy,
+    solve,
     to_dimacs,
     validate_plan,
 )
@@ -31,7 +30,7 @@ from capmapf.cli import BENCH_HEADER
 from capmapf.mdd import HorizonContractError, compute_horizon
 from capmapf.pathcalc import UnsolvableInstanceError, agent_path_costs
 from capmapf.satcore import SAT, UNSAT, CdclSolver
-from capmapf.solvers import SOLVED, Limits
+from capmapf.solvers import EAGER, LAZY, SOLVED, Limits
 from capmapf.verify import OPTIMAL, UNSOLVABLE_WITHIN_BOUND
 
 from conftest import make_instance, p3_swap, path_graph
@@ -59,8 +58,8 @@ def test_criterion_1_oracle_equivalence(corpus):
         oracle = brute_force_optimal(inst, ORACLE_HORIZON)
         ceiling = _solver_ceiling(inst)
         limits = Limits(time_limit_s=60, xi_ceiling=ceiling)
-        eager = solve_eager(inst, limits)
-        lazy = solve_lazy(inst, limits)
+        eager = solve(inst, EAGER, limits)
+        lazy = solve(inst, LAZY, limits)
         if oracle.status == OPTIMAL:
             optimal += 1
             assert eager.status == lazy.status == SOLVED, name
@@ -85,8 +84,8 @@ def test_criterion_2_cross_solver_agreement():
     started = time.monotonic()
     for seed, k, c in runs:
         inst = generate_random(8, 8, k, c, seed)
-        eager = solve_eager(inst, Limits(time_limit_s=10))
-        lazy = solve_lazy(inst, Limits(time_limit_s=10))
+        eager = solve(inst, EAGER, Limits(time_limit_s=10))
+        lazy = solve(inst, LAZY, Limits(time_limit_s=10))
         if eager.status != SOLVED or lazy.status != SOLVED:
             continue
         completed += 1
@@ -109,8 +108,8 @@ def test_criterion_3_capacity_relaxation_monotone(corpus):
             variant = Instance(inst.graph, CapacityMap.uniform(inst.graph, c),
                                inst.agents)
             ceiling = _solver_ceiling(variant)
-            reports.append(solve_eager(variant, Limits(time_limit_s=60,
-                                                       xi_ceiling=ceiling)))
+            reports.append(solve(variant, EAGER, Limits(time_limit_s=60,
+                                                        xi_ceiling=ceiling)))
         for lower, higher in zip(reports, reports[1:]):
             if lower.status == SOLVED:
                 assert higher.status == SOLVED, name
@@ -124,13 +123,13 @@ def test_criterion_4_swap_fixture():
     narrow = p3_swap()
     assert brute_force_optimal(narrow, ORACLE_HORIZON).status == UNSOLVABLE_WITHIN_BOUND
     limits = Limits(xi_ceiling=_solver_ceiling(narrow))
-    assert solve_eager(narrow, limits).status != SOLVED
-    assert solve_lazy(narrow, limits).status != SOLVED
+    assert solve(narrow, EAGER, limits).status != SOLVED
+    assert solve(narrow, LAZY, limits).status != SOLVED
 
     wide = p3_swap(middle_capacity=2)
     oracle = brute_force_optimal(wide, ORACLE_HORIZON)
-    eager = solve_eager(wide)
-    lazy = solve_lazy(wide)
+    eager = solve(wide, EAGER)
+    lazy = solve(wide, LAZY)
     assert oracle.status == OPTIMAL
     assert oracle.cost == eager.optimal_cost == lazy.optimal_cost == 4
     assert validate_plan(wide, eager.plan) == []
@@ -173,7 +172,7 @@ def test_criterion_7_congestion_trend():
         for c in (1, 2):
             inst = generate_random(8, 8, 12, c, seed)
             t0 = time.monotonic()
-            report = solve_lazy(inst, Limits(time_limit_s=30))
+            report = solve(inst, LAZY, Limits(time_limit_s=30))
             elapsed = time.monotonic() - t0
             last = report.iterations[-1] if report.iterations else None
             rows.append({

@@ -248,6 +248,17 @@ def test_sat_on_plain_dimacs(capsys, tmp_path):
     assert code == EXIT_OK and "s UNSATISFIABLE" in out
 
 
+@pytest.mark.parametrize("comments", [
+    "c var 1 X 0 0 0\nc var 2 X 0 0 0\n",  # one label on two variables
+    "c var is the first literal\n",       # free text after `c var`
+])
+def test_sat_comments_never_change_the_cnf(capsys, tmp_path, comments):
+    f = tmp_path / "c.cnf"
+    f.write_text(comments + "p cnf 2 2\n1 2 0\n-1 2 0\n")
+    code, out, _ = run(capsys, "sat", str(f))
+    assert code == EXIT_OK and "s SATISFIABLE" in out
+
+
 def test_sat_rejects_truncated_dimacs(capsys, tmp_path):
     f = tmp_path / "t.cnf"
     f.write_text("p cnf 2 5\n1 0\n")

@@ -7,13 +7,6 @@ from capmapf.cnf import var_key_vertex
 from capmapf.satcore import SAT, CdclSolver
 
 
-def test_allocate_idempotent():
-    f = CnfFormula()
-    key = var_key_vertex(1, 5, 3)
-    assert f.allocate(key) == f.allocate(key) == 1
-    assert f.variable_count == 1
-
-
 def test_allocate_distinct_keys():
     f = CnfFormula()
     a = f.allocate(var_key_vertex(0, 0, 0))
@@ -26,7 +19,6 @@ def test_key_map_round_trip():
     for key in [var_key_vertex(0, 3, 1), ("aux", "settled_2", 4), ("aux", "s", 9)]:
         idx = f.allocate(key)
         assert f.key_of(idx) == key
-        assert f.allocate(f.key_of(idx)) == idx
 
 
 def test_add_rejects_empty_and_unallocated():

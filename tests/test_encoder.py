@@ -11,7 +11,7 @@ from capmapf import (
     validate_plan,
 )
 from capmapf import brute_force_optimal, build_mdd, cnf, encoder
-from capmapf.cnf import AUX, VERTEX, CnfFormula, to_dimacs, var_key_vertex
+from capmapf.cnf import AUX, VERTEX, CnfFormula, to_dimacs
 from capmapf.encoder import EncodingSoundnessError
 from capmapf.mdd import compute_horizon
 from capmapf.pathcalc import UnsolvableInstanceError, agent_path_costs
@@ -112,8 +112,8 @@ def test_uniform_one_capacity_emits_pairwise():
     expected = set()
     for t in range(artifacts.mdds[0].horizon + 1):
         for v in range(3):
-            x0 = f.lookup(var_key_vertex(0, v, t))
-            x1 = f.lookup(var_key_vertex(1, v, t))
+            x0 = artifacts.xs[0][t].get(v)
+            x1 = artifacts.xs[1][t].get(v)
             if x0 is not None and x1 is not None:
                 expected.add(frozenset((-x0, -x1)))
     emitted = {
@@ -134,7 +134,7 @@ def test_swap_clauses_are_opposite_arc_pairs(inst, slack):
     f = artifacts.formula
 
     def x(agent, v, t):
-        return f.lookup(var_key_vertex(agent, v, t))
+        return artifacts.xs[agent][t].get(v)
 
     expected = set()
     for mi in artifacts.mdds:
@@ -196,7 +196,7 @@ def test_route_models_are_exactly_the_diagram_walks(graph, start, goal, slack):
     formula = CnfFormula()
     route_vars = encoder._allocate_route_vars(formula, [m])
     encoder._encode_routes(formula, inst, [m], route_vars)
-    xs = {(t, v): formula.lookup(var_key_vertex(0, v, t))
+    xs = {(t, v): route_vars[0][t][v]
           for t, level in enumerate(m.levels) for v in level}
     solver = CdclSolver()
     for clause in formula.clauses:
@@ -232,17 +232,17 @@ def test_cost_bound_counts_slack_inside_the_arrival_windows(corpus):
         assert len(settled) == inst.k * (delta + 1), name
         padded = [p + (p[-1],) * (mu + 1 - len(p)) for p in oracle.plan.paths]
 
-        def plan_units(formula):
-            return [[formula.lookup(var_key_vertex(i, v, t))]
+        def plan_units(xs):
+            return [[xs[i][t][v]]
                     for i, p in enumerate(padded) for t, v in enumerate(p)]
 
-        assert solve_clauses(f.clauses + plan_units(f)).outcome == SAT, name
+        assert solve_clauses(f.clauses + plan_units(artifacts.xs)).outcome == SAT, name
         if delta > 0:  # the same diagrams under the bound xi* - 1
             g = CnfFormula()
             route_vars = encoder._allocate_route_vars(g, artifacts.mdds)
             encoder._encode_routes(g, inst, artifacts.mdds, route_vars)
             encoder._encode_cost_bound(g, inst, costs, delta - 1, route_vars)
-            assert solve_clauses(g.clauses + plan_units(g)).outcome == UNSAT, name
+            assert solve_clauses(g.clauses + plan_units(route_vars)).outcome == UNSAT, name
             tight += 1
         checked += 1
     assert checked >= 200 and tight >= 25
@@ -253,9 +253,8 @@ def test_extract_rejects_ambiguous_model():
     artifacts = encode_complete(inst, 3)
     result = solve_formula(artifacts)
     model = list(result.model)
-    f = artifacts.formula
     for v in (0, 1):  # force two occupied vertices at level 1
-        model[f.lookup(var_key_vertex(0, v, 1))] = True
+        model[artifacts.xs[0][1][v]] = True
     with pytest.raises(EncodingSoundnessError):
         extract_plan(artifacts, model)
 
@@ -273,29 +272,27 @@ def test_decoded_plans_always_validate(corpus):
 
 
 def test_no_follow_forbids_train_moves():
-    from capmapf import solve_eager
-    from capmapf.solvers import Limits
+    from capmapf.solvers import EAGER, Limits
 
     inst = make_instance(path_graph(3), 1, [(0, 1), (1, 2)])
-    default = solve_eager(inst, Limits(time_limit_s=10))
-    strict = solve_eager(inst, Limits(time_limit_s=10), no_follow=True)
+    default = solve(inst, EAGER, Limits(time_limit_s=10))
+    strict = solve(inst, EAGER, Limits(time_limit_s=10), no_follow=True)
     assert default.optimal_cost == 2  # simultaneous shift is a legal follow move
     assert strict.optimal_cost == 3  # target vertex must have spare room beforehand
 
 
 def test_no_follow_generalizes_with_capacity():
     inst = make_instance(path_graph(3), [1, 2, 1], [(0, 1), (1, 2)])
-    from capmapf import solve_eager
-    from capmapf.solvers import Limits
+    from capmapf.solvers import EAGER, Limits
 
     # middle holds 2, so moving into it beside the current occupant is fine
-    strict = solve_eager(inst, Limits(time_limit_s=10), no_follow=True)
+    strict = solve(inst, EAGER, Limits(time_limit_s=10), no_follow=True)
     assert strict.optimal_cost == 2
 
 
 def _scanned_encoding(inst, mdds, xi, no_follow):
     """The complete encoding of the same diagrams with the capacity and
-    no-follow groups found by probing every (step, vertex, agent) key."""
+    no-follow groups found by probing every (step, vertex, agent) node."""
     formula = CnfFormula()
     route_vars = encoder._allocate_route_vars(formula, mdds)
     encoder._encode_routes(formula, inst, mdds, route_vars)
@@ -304,7 +301,7 @@ def _scanned_encoding(inst, mdds, xi, no_follow):
 
     def occupants(v, t, skip=None):
         return [x for i in range(inst.k) if i != skip
-                if (x := formula.lookup(var_key_vertex(i, v, t))) is not None]
+                if (x := route_vars[i][t].get(v)) is not None]
 
     for t in range(mu + 1):
         for v in range(inst.graph.vertex_count):
@@ -319,8 +316,8 @@ def _scanned_encoding(inst, mdds, xi, no_follow):
             for t, arcs in enumerate(m.arcs):
                 for (u, v) in arcs:
                     if u != v:
-                        move = [-formula.lookup(var_key_vertex(m.agent, u, t)),
-                                -formula.lookup(var_key_vertex(m.agent, v, t + 1))]
+                        move = [-route_vars[m.agent][t][u],
+                                -route_vars[m.agent][t + 1][v]]
                         for clause in cnf.at_most_k(formula, occupants(v, t, m.agent), caps[v] - 1):
                             formula.add(clause + move)
     costs = agent_path_costs(inst)

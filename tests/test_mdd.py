@@ -198,9 +198,3 @@ def test_every_node_has_through_arcs(corpus):
                         assert any(u == v for (u, _) in m.arcs[t])
                     if t > 0:
                         assert any(w == v for (_, w) in m.arcs[t - 1])
-
-
-def test_dump_one_line_per_level():
-    inst = make_instance(path_graph(3), 1, [(0, 2)])
-    m = build_mdd(inst, 0, 2)
-    assert m.dump().splitlines() == ["t=0: 0", "t=1: 1", "t=2: 2"]

@@ -10,22 +10,20 @@ from capmapf import (
     cost_lower_bound,
     generate_random,
     solve,
-    solve_eager,
-    solve_lazy,
     validate_candidate,
     validate_plan,
 )
 from capmapf import pathcalc
 from capmapf.instance import InstanceError
 from capmapf.plans import CAPACITY, SWAP
-from capmapf.solvers import EXHAUSTED, SOLVED, UNSOLVABLE, Limits
+from capmapf.solvers import EAGER, EXHAUSTED, LAZY, SOLVED, UNSOLVABLE, Limits
 from capmapf.verify import OPTIMAL
 
 from conftest import cycle_graph, make_instance, p3_swap, path_graph, star_graph
 
 
 def test_eager_single_agent():
-    report = solve_eager(make_instance(path_graph(3), 1, [(0, 2)]))
+    report = solve(make_instance(path_graph(3), 1, [(0, 2)]), EAGER)
     assert report.status == SOLVED
     assert report.optimal_cost == 2
     assert len(report.iterations) == 1 and report.iterations[0].outcome == "sat"
@@ -33,21 +31,21 @@ def test_eager_single_agent():
 
 def test_eager_disjoint_paths_tight_bound():
     inst = make_instance(path_graph(4), 1, [(0, 1), (3, 2)])
-    report = solve_eager(inst)
+    report = solve(inst, EAGER)
     assert report.status == SOLVED
     assert report.optimal_cost == cost_lower_bound(inst) == 2
     assert len(report.iterations) == 1
 
 
 def test_eager_swap_with_wide_middle():
-    report = solve_eager(p3_swap(middle_capacity=2))
+    report = solve(p3_swap(middle_capacity=2), EAGER)
     assert report.status == SOLVED
     assert report.optimal_cost == 4
     assert brute_force_optimal(p3_swap(2), 6).cost == 4
 
 
 def test_eager_unsolvable_hits_ceiling():
-    report = solve_eager(p3_swap(), Limits(xi_ceiling=8))
+    report = solve(p3_swap(), EAGER, Limits(xi_ceiling=8))
     assert report.status == EXHAUSTED
     assert all(stat.outcome == "unsat" for stat in report.iterations)
 
@@ -56,11 +54,11 @@ def test_eager_unreachable_goal():
     from capmapf import Graph
 
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert solve_eager(make_instance(g, 1, [(0, 3)])).status == UNSOLVABLE
+    assert solve(make_instance(g, 1, [(0, 3)]), EAGER).status == UNSOLVABLE
 
 
 def test_lazy_single_agent_no_refinements():
-    report = solve_lazy(make_instance(path_graph(3), 1, [(0, 2)]))
+    report = solve(make_instance(path_graph(3), 1, [(0, 2)]), LAZY)
     assert report.status == SOLVED
     assert report.optimal_cost == 2
     assert report.total_refinements == 0
@@ -70,7 +68,7 @@ def test_lazy_capacity_refinement_on_star():
     # three agents funnel through the center, which holds only two
     inst = make_instance(star_graph(6), [2, 1, 1, 1, 1, 1, 1],
                          [(1, 4), (2, 5), (3, 6)])
-    report = solve_lazy(inst)
+    report = solve(inst, LAZY)
     assert report.status == SOLVED
     assert report.total_refinements >= 1
     oracle = brute_force_optimal(inst, 6)
@@ -78,21 +76,21 @@ def test_lazy_capacity_refinement_on_star():
 
 
 def test_lazy_swap_unsolvable_never_returns_invalid():
-    report = solve_lazy(p3_swap(), Limits(xi_ceiling=8))
+    report = solve(p3_swap(), LAZY, Limits(xi_ceiling=8))
     assert report.status == EXHAUSTED
     assert report.plan is None
 
 
 def test_lazy_matches_eager_with_swap_refinement():
     inst = p3_swap(middle_capacity=2)
-    lazy = solve_lazy(inst)
-    eager = solve_eager(inst)
+    lazy = solve(inst, LAZY)
+    eager = solve(inst, EAGER)
     assert lazy.optimal_cost == eager.optimal_cost == 4
     assert validate_plan(inst, lazy.plan) == []
 
 
 def test_timeout_reports_exhausted():
-    report = solve_eager(p3_swap(), Limits(time_limit_s=0.0))
+    report = solve(p3_swap(), EAGER, Limits(time_limit_s=0.0))
     assert report.status == EXHAUSTED
 
 
@@ -146,7 +144,7 @@ def test_capacity_relaxation_monotone():
     pairs = [(0, 2), (2, 0), (1, 3)]
     costs = []
     for c in (1, 2, 3):
-        report = solve_eager(make_instance(graph, c, pairs))
+        report = solve(make_instance(graph, c, pairs), EAGER)
         assert report.status == SOLVED
         costs.append(report.optimal_cost)
     assert costs[0] >= costs[1] >= costs[2]
@@ -154,8 +152,8 @@ def test_capacity_relaxation_monotone():
 
 def test_cross_solver_agreement_sample(corpus):
     for name, inst in corpus[::11]:
-        eager = solve_eager(inst, Limits(time_limit_s=30, xi_ceiling=cost_lower_bound(inst) + 6))
-        lazy = solve_lazy(inst, Limits(time_limit_s=30, xi_ceiling=cost_lower_bound(inst) + 6))
+        eager = solve(inst, EAGER, Limits(time_limit_s=30, xi_ceiling=cost_lower_bound(inst) + 6))
+        lazy = solve(inst, LAZY, Limits(time_limit_s=30, xi_ceiling=cost_lower_bound(inst) + 6))
         assert eager.status == lazy.status, name
         if eager.status == SOLVED:
             assert eager.optimal_cost == lazy.optimal_cost, name
@@ -186,10 +184,10 @@ def test_no_follow_optimal_costs(corpus):
     for name, cost in NO_FOLLOW_COSTS.items():
         inst = instances[name]
         limits = Limits(time_limit_s=30, xi_ceiling=cost_lower_bound(inst) + 6)
-        report = solve_eager(inst, limits, no_follow=True)
+        report = solve(inst, EAGER, limits, no_follow=True)
         assert report.status == SOLVED and report.optimal_cost == cost, name
         assert validate_plan(inst, report.plan) == [], name
-        assert solve_eager(inst, limits).optimal_cost < cost, name
+        assert solve(inst, EAGER, limits).optimal_cost < cost, name
 
 
 @pytest.mark.parametrize("solver", ["eager", "lazy"])
