@@ -17,7 +17,7 @@ from .instance import (
     validate_instance,
 )
 from .pathcalc import UNREACHABLE, bfs_distances, cost_lower_bound
-from .mdd import Mdd, build_mdd, compute_horizon
+from .mdd import Mdd, compute_horizon
 from .cnf import CnfFormula, at_most_k, at_most_one_pairwise, parse_dimacs, to_dimacs
 from .satcore import SAT, UNKNOWN, UNSAT, CdclSolver, SatResult
 from .encoder import encode_basic, encode_complete, extract_plan
@@ -34,7 +34,7 @@ __all__ = [
     "Agent", "CapacityMap", "Graph", "Instance", "generate_random",
     "load_capacities", "parse_map", "parse_scenario", "serialize_map",
     "validate_instance", "UNREACHABLE", "bfs_distances", "cost_lower_bound",
-    "Mdd", "build_mdd", "compute_horizon", "CnfFormula", "at_most_k",
+    "Mdd", "compute_horizon", "CnfFormula", "at_most_k",
     "at_most_one_pairwise", "parse_dimacs", "to_dimacs", "SAT", "UNKNOWN",
     "UNSAT", "CdclSolver", "SatResult", "encode_basic", "encode_complete",
     "extract_plan", "Conflict", "Plan", "Limits", "SolveReport", "solve",

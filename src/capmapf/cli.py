@@ -200,9 +200,10 @@ def cmd_validate(args) -> int:
 
 def cmd_sat(args) -> int:
     with open(args.cnf, encoding="utf-8") as f:
-        text = f.read()
-    solver = satcore.CdclSolver()
-    solver.load_dimacs(text)
+        formula = cnf.parse_dimacs(f.read())
+    solver = satcore.CdclSolver(formula.variable_count)
+    for clause in formula.clauses:
+        solver.add_clause(clause)
     result = solver.solve(time_limit=args.timeout)
     if result.outcome == satcore.SAT:
         print("s SATISFIABLE")

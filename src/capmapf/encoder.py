@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import cnf
 from .cnf import CnfFormula
 from .instance import Instance
-from .mdd import Mdd, build_all_mdds, horizon_of
+from .mdd import Mdd, build_all_mdds, cost_slack
 from .pathcalc import AgentDistances, agent_distances, agent_path_costs
 from .plans import CAPACITY, Conflict, Plan
 
@@ -172,19 +172,17 @@ def _encode_cost_bound(
 
 
 def _encode(instance: Instance, xi: int, mode: str, conflicts: list[Conflict] | None,
-            no_follow: bool, dists: AgentDistances | None,
-            closed: list[tuple[int, ...]] | None) -> EncodingArtifacts:
+            no_follow: bool, dists: AgentDistances | None) -> EncodingArtifacts:
     dists = dists or agent_distances(instance)
     agent_costs = agent_path_costs(instance, dists)
-    mu = horizon_of(agent_costs, xi)
-    delta = xi - sum(agent_costs)
-    mdds = build_all_mdds(instance, mu, dists, closed)
+    delta = cost_slack(agent_costs, xi)
+    mdds = build_all_mdds(instance, delta, dists)
     formula = CnfFormula()
     xs = _allocate_route_vars(formula, mdds)
     _encode_routes(formula, instance, mdds, xs)
     if mode == COMPLETE:
         _encode_swaps(formula, mdds, xs)
-        occupants = _occupants(xs, mu)
+        occupants = _occupants(xs, mdds[0].horizon)
         _encode_capacities(formula, instance, occupants)
         if no_follow:
             _encode_no_follow(formula, instance, mdds, xs, occupants)
@@ -222,18 +220,16 @@ def conflict_clause(xs: VertexVars, conflict: Conflict) -> list[int] | None:
 
 
 def encode_complete(instance: Instance, xi: int, no_follow: bool = False,
-                    dists: AgentDistances | None = None,
-                    closed: list[tuple[int, ...]] | None = None) -> EncodingArtifacts:
+                    dists: AgentDistances | None = None) -> EncodingArtifacts:
     """Complete model: satisfiable iff a plan of sum-of-costs <= xi exists.
-    `dists` and `closed` are passed on to `build_all_mdds`."""
-    return _encode(instance, xi, COMPLETE, None, no_follow, dists, closed)
+    The diagrams are built from `dists`, computed here when not given."""
+    return _encode(instance, xi, COMPLETE, None, no_follow, dists)
 
 
 def encode_basic(instance: Instance, xi: int, conflicts: list[Conflict] | None = None,
-                 dists: AgentDistances | None = None,
-                 closed: list[tuple[int, ...]] | None = None) -> EncodingArtifacts:
+                 dists: AgentDistances | None = None) -> EncodingArtifacts:
     """Relaxed model: no inter-agent rules beyond the recorded conflicts."""
-    return _encode(instance, xi, BASIC, conflicts, False, dists, closed)
+    return _encode(instance, xi, BASIC, conflicts, False, dists)
 
 
 def extract_plan(artifacts: EncodingArtifacts, model: list[bool]) -> Plan:

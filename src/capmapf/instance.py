@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 PASSABLE_CHARS = frozenset(".G")
@@ -60,6 +61,12 @@ class Graph:
                     raise InstanceError(f"asymmetric edge {u}-{v}")
             if len(set(nbrs)) != len(nbrs):
                 raise InstanceError(f"duplicate neighbor in list of {u}")
+
+    @cached_property
+    def closed_neighbourhoods(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, itself and its neighbours in ascending order: the
+        targets of a wait or a move. Computed on first use."""
+        return tuple(tuple(sorted((u, *nbrs))) for u, nbrs in enumerate(self.adjacency))
 
     @property
     def has_grid(self) -> bool:

@@ -1,21 +1,21 @@
 """Per-agent time expansion pruned by two-sided reachability and by the
 agent's own cost budget.
 
-A diagram spans the common horizon mu, but agent i must reach its goal for
-the last time by its arrival step c_i + delta, where c_i is its
-shortest-path length and delta = mu - max_j c_j is the cost slack. In a plan
-of sum-of-costs <= xi0 + delta every other agent j pays at least c_j, so
-agent i pays at most c_i + delta. Level t keeps vertex v iff the start
-reaches v within t steps and v reaches the goal by the arrival step; past
-that step only the goal remains, up to mu.
+At cost bound xi = xi0 + delta, where xi0 is the sum of the agents'
+shortest-path lengths c_j and delta the cost slack, every diagram spans the
+common horizon mu = max_j c_j + delta. Agent i must reach its goal for the
+last time by its arrival step c_i + delta: in a plan of sum-of-costs <= xi
+every other agent j pays at least c_j, so agent i pays at most c_i + delta.
+Level t keeps vertex v iff the start reaches v within t steps and v reaches
+the goal by the arrival step; past that step only the goal remains, up to mu.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import Graph, Instance
-from .pathcalc import UNREACHABLE, AgentDistances, agent_distances, agent_path_costs, bfs_distances
+from .instance import Instance
+from .pathcalc import UNREACHABLE, AgentDistances, agent_path_costs
 
 
 class EmptyMddError(ValueError):
@@ -40,25 +40,21 @@ def compute_horizon(instance: Instance, xi: int) -> int:
     Equals the largest per-agent shortest-path length plus the cost slack
     over the sum-of-costs lower bound.
     """
-    return horizon_of(agent_path_costs(instance), xi)
+    agent_costs = agent_path_costs(instance)
+    delta = cost_slack(agent_costs, xi)
+    return max(agent_costs) + delta
 
 
-def horizon_of(agent_costs: list[int], xi: int) -> int:
-    """`compute_horizon` from the agents' shortest-path lengths."""
+def cost_slack(agent_costs: list[int], xi: int) -> int:
+    """The slack delta of cost bound xi over the lower bound sum(agent_costs)."""
     xi0 = sum(agent_costs)
     if xi < xi0:
         raise HorizonContractError(f"cost bound {xi} below lower bound {xi0}")
-    return max(agent_costs) + (xi - xi0)
-
-
-def _closed_neighbourhoods(graph: Graph) -> list[tuple[int, ...]]:
-    """Per vertex, itself and its neighbours in ascending order: the targets
-    of a wait or a move."""
-    return [tuple(sorted((u, *nbrs))) for u, nbrs in enumerate(graph.adjacency)]
+    return xi - xi0
 
 
 def _diagram(agent: int, goal: int, mu: int, arrival: int, from_start: tuple[int, ...],
-             to_goal: tuple[int, ...], closed: list[tuple[int, ...]]) -> Mdd:
+             to_goal: tuple[int, ...], closed: tuple[tuple[int, ...], ...]) -> Mdd:
     """Vertex v sits on the levels of its window [from_start[v],
     arrival - to_goal[v]]; the goal's window runs on to mu."""
     if from_start[goal] == UNREACHABLE or from_start[goal] > arrival:
@@ -86,27 +82,13 @@ def _diagram(agent: int, goal: int, mu: int, arrival: int, from_start: tuple[int
     return Mdd(agent, mu, tuple(map(tuple, levels)), tuple(arcs))
 
 
-def build_mdd(instance: Instance, agent: int, mu: int, arrival: int | None = None) -> Mdd:
-    """Leveled diagram of all length-mu move/wait sequences from start to goal
-    whose last arrival at the goal is at or before `arrival` (default mu)."""
-    a = instance.agents[agent]
-    graph = instance.graph
-    return _diagram(
-        agent, a.goal, mu, mu if arrival is None else arrival,
-        bfs_distances(graph, a.start), bfs_distances(graph, a.goal),
-        _closed_neighbourhoods(graph),
-    )
-
-
-def build_all_mdds(instance: Instance, mu: int, dists: AgentDistances | None = None,
-                   closed: list[tuple[int, ...]] | None = None) -> list[Mdd]:
-    """Every agent's diagram for the horizon mu, each cut at its own arrival
-    step c_i + (mu - max_j c_j), from `agent_distances` and
-    `_closed_neighbourhoods`, which a caller may compute once and pass in."""
-    dists = dists or agent_distances(instance)
-    closed = closed or _closed_neighbourhoods(instance.graph)
+def build_all_mdds(instance: Instance, delta: int, dists: AgentDistances) -> list[Mdd]:
+    """Every agent's diagram at cost slack delta: horizon max_j c_j + delta,
+    agent i cut at its arrival step c_i + delta, from the solve's
+    `agent_distances`."""
     costs = agent_path_costs(instance, dists)
-    delta = mu - max(costs)
+    mu = max(costs) + delta
+    closed = instance.graph.closed_neighbourhoods
     return [
         _diagram(i, a.goal, mu, c + delta, from_start, to_goal, closed)
         for i, (a, c, (from_start, to_goal)) in enumerate(zip(instance.agents, costs, dists))

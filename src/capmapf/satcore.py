@@ -135,14 +135,6 @@ class CdclSolver:
         self._watch(clause)
         self._enqueue(first, clause)
 
-    def load_dimacs(self, text: str) -> None:
-        from .cnf import parse_dimacs
-
-        formula = parse_dimacs(text)
-        self._ensure_var(formula.variable_count)
-        for clause in formula.clauses:
-            self.add_clause(clause)
-
     # --- search -----------------------------------------------------------
 
     def _enqueue(self, lit: int, reason: list[int] | None) -> bool:

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 from . import encoder, satcore
 from .instance import Instance, validate_instance
-from .mdd import _closed_neighbourhoods
 from .pathcalc import UnsolvableInstanceError, agent_distances, agent_path_costs
 from .plans import CAPACITY, SWAP, Conflict, Plan
 
@@ -95,11 +94,10 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
         raise ValueError("no-follow is only supported with the eager solver")
     limits = limits or Limits()
     deadline = time.monotonic() + limits.time_limit_s
-    try:  # the distances and neighbourhoods serve every bound's diagrams
+    try:  # the distances serve every bound's diagrams
         dists = agent_distances(instance)
     except UnsolvableInstanceError:
         return SolveReport(UNSOLVABLE)
-    closed = _closed_neighbourhoods(instance.graph)
     xi0 = sum(agent_path_costs(instance, dists))
     report = SolveReport(EXHAUSTED)
     conflicts: list[Conflict] = []
@@ -111,13 +109,12 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
         if started >= deadline:
             return report
         if solver == EAGER:
-            artifacts = encoder.encode_complete(instance, xi, no_follow, dists, closed)
+            artifacts = encoder.encode_complete(instance, xi, no_follow, dists)
         else:
-            artifacts = encoder.encode_basic(instance, xi, conflicts, dists, closed)
+            artifacts = encoder.encode_basic(instance, xi, conflicts, dists)
         sat = satcore.CdclSolver(artifacts.formula.variable_count)
         for clause in artifacts.formula.clauses:
             sat.add_clause(clause)
-        clause_count = len(artifacts.formula.clauses)
         refinements = 0
         plan = None
         while plan is None:
@@ -133,11 +130,10 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
                 clause = encoder.conflict_clause(artifacts.xs, conflict)
                 if clause is not None:
                     sat.add_clause(clause)
-                    clause_count += 1
                     refinements += 1
         report.iterations.append(IterationStat(
             xi, result.outcome, refinements,
-            artifacts.formula.variable_count, clause_count,
+            artifacts.formula.variable_count, len(artifacts.formula.clauses) + refinements,
             time.monotonic() - started,
         ))
         if plan is not None:

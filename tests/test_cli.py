@@ -11,6 +11,7 @@ from capmapf.cli import (
     EXIT_OK,
     main,
 )
+from capmapf.cnf import parse_dimacs
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TINY_MAP = str(FIXTURES / "tiny.map")
@@ -154,6 +155,23 @@ def test_export_cnf_then_sat(capsys, tmp_path):
     assert code == EXIT_OK
     assert "s SATISFIABLE" in out
     assert out.splitlines()[1].startswith("v ") and out.rstrip().endswith(" 0")
+
+
+def test_sat_prints_a_model_of_the_file(capsys, tmp_path):
+    out_file = tmp_path / "f.cnf"
+    code, _, _ = run(capsys, "export-cnf", "--map", TINY_MAP, "--scen", TINY_SCEN,
+                     "-o", str(out_file))
+    assert code == EXIT_OK
+    code, out, _ = run(capsys, "sat", str(out_file))
+    assert code == EXIT_OK
+    status, values = out.splitlines()
+    assert status == "s SATISFIABLE" and values.startswith("v ")
+    *model, end = (int(tok) for tok in values.split()[1:])
+    assert end == 0
+    formula = parse_dimacs(out_file.read_text(encoding="utf-8"))
+    assert sorted(abs(lit) for lit in model) == list(range(1, formula.variable_count + 1))
+    true = set(model)  # each variable's literal that the model makes true
+    assert all(any(lit in true for lit in clause) for clause in formula.clauses)
 
 
 def test_export_cnf_swap_unsat(capsys, tmp_path):

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from capmapf.cnf import parse_dimacs
 from capmapf.satcore import SAT, UNKNOWN, UNSAT, CdclSolver
 
 
@@ -163,8 +164,10 @@ def test_tautology_ignored():
 
 
 def test_load_dimacs():
-    s = CdclSolver()
-    s.load_dimacs("p cnf 2 2\n1 2 0\n-1 0\n")
+    formula = parse_dimacs("p cnf 2 2\n1 2 0\n-1 0\n")
+    s = CdclSolver(formula.variable_count)
+    for clause in formula.clauses:
+        s.add_clause(clause)
     result = s.solve()
     assert result.outcome == SAT
     assert result.model[1] is False and result.model[2] is True
