@@ -22,7 +22,7 @@ from .instance import (
     parse_scenario,
     validate_instance,
 )
-from .pathcalc import UnsolvableInstanceError, agent_distances, agent_path_costs
+from .pathcalc import UnsolvableInstanceError, cost_lower_bound
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -166,12 +166,11 @@ def cmd_export_cnf(args) -> int:
     if args.mode == "basic" and args.no_follow:
         raise UsageError("--no-follow needs --mode complete")
     instance = _build_instance(args)
-    dists = agent_distances(instance)
-    xi = sum(agent_path_costs(instance, dists)) if args.xi == "auto" else int(args.xi)
+    xi = cost_lower_bound(instance) if args.xi == "auto" else int(args.xi)
     if args.mode == "basic":
-        artifacts = encoder.encode_basic(instance, xi, dists=dists)
+        artifacts = encoder.encode_basic(instance, xi)
     else:
-        artifacts = encoder.encode_complete(instance, xi, args.no_follow, dists)
+        artifacts = encoder.encode_complete(instance, xi, args.no_follow)
     text = cnf.to_dimacs(artifacts.formula)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
@@ -225,6 +224,20 @@ def _grid_arg(value: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected WxH, got {value!r}") from exc
 
 
+def _positive(convert):
+    """An argparse type: `convert(value)`, which must be > 0. `nan` is not, so
+    it cannot switch a time limit off."""
+    def parse(value: str):
+        try:
+            number = convert(value)
+        except ValueError:
+            number = 0  # rejected below like any other value that is not > 0
+        if not number > 0:
+            raise argparse.ArgumentTypeError(f"expected {convert.__name__} > 0, got {value!r}")
+        return number
+    return parse
+
+
 def _int_list(value: str) -> list[int]:
     return [int(tok) for tok in value.split(",") if tok]
 
@@ -239,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one instance and print the plan")
     _add_instance_flags(p)
     p.add_argument("--solver", choices=[solvers.EAGER, solvers.LAZY], default=solvers.EAGER)
-    p.add_argument("--timeout", type=float, default=500.0, help="seconds of wall clock")
+    p.add_argument("--timeout", type=_positive(float), default=500.0,
+                   help="seconds of wall clock")
     p.add_argument("--no-follow", action="store_true",
                    help="forbid moving into a vertex unless it has spare capacity beforehand")
     p.set_defaults(func=cmd_solve)
@@ -248,11 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_grid_arg, default=(8, 8), help="open grid WxH")
     p.add_argument("--agent-counts", dest="agent_counts", type=_int_list, default=[5, 10])
     p.add_argument("--capacities", type=_int_list, default=[1, 2, 3])
-    p.add_argument("--count", type=int, default=25, help="instances per cell")
+    p.add_argument("--count", type=_positive(int), default=25, help="instances per cell")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--solvers", type=lambda s: s.split(","),
                    default=[solvers.EAGER, solvers.LAZY])
-    p.add_argument("--timeout", type=float, default=10.0, help="seconds per run")
+    p.add_argument("--timeout", type=_positive(float), default=10.0, help="seconds per run")
     p.add_argument("--sorted", action="store_true",
                    help="emit the sorted-runtime table instead of per-run rows")
     p.set_defaults(func=cmd_bench)
@@ -273,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sat", help="run the embedded SAT core on a DIMACS file")
     p.add_argument("cnf", help="DIMACS CNF file")
-    p.add_argument("--timeout", type=float, default=None)
+    p.add_argument("--timeout", type=_positive(float), default=None)
     p.set_defaults(func=cmd_sat)
 
     return parser

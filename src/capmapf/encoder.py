@@ -19,7 +19,7 @@ from . import cnf
 from .cnf import CnfFormula
 from .instance import Instance
 from .mdd import Mdd, build_all_mdds, cost_slack
-from .pathcalc import AgentDistances, agent_distances, agent_path_costs
+from .pathcalc import agent_path_costs
 from .plans import CAPACITY, Conflict, Plan
 
 COMPLETE = "complete"
@@ -172,11 +172,10 @@ def _encode_cost_bound(
 
 
 def _encode(instance: Instance, xi: int, mode: str, conflicts: list[Conflict] | None,
-            no_follow: bool, dists: AgentDistances | None) -> EncodingArtifacts:
-    dists = dists or agent_distances(instance)
-    agent_costs = agent_path_costs(instance, dists)
+            no_follow: bool) -> EncodingArtifacts:
+    agent_costs = agent_path_costs(instance)
     delta = cost_slack(agent_costs, xi)
-    mdds = build_all_mdds(instance, delta, dists)
+    mdds = build_all_mdds(instance, delta)
     formula = CnfFormula()
     xs = _allocate_route_vars(formula, mdds)
     _encode_routes(formula, instance, mdds, xs)
@@ -219,17 +218,15 @@ def conflict_clause(xs: VertexVars, conflict: Conflict) -> list[int] | None:
     return lits
 
 
-def encode_complete(instance: Instance, xi: int, no_follow: bool = False,
-                    dists: AgentDistances | None = None) -> EncodingArtifacts:
-    """Complete model: satisfiable iff a plan of sum-of-costs <= xi exists.
-    The diagrams are built from `dists`, computed here when not given."""
-    return _encode(instance, xi, COMPLETE, None, no_follow, dists)
+def encode_complete(instance: Instance, xi: int, no_follow: bool = False) -> EncodingArtifacts:
+    """Complete model: satisfiable iff a plan of sum-of-costs <= xi exists."""
+    return _encode(instance, xi, COMPLETE, None, no_follow)
 
 
-def encode_basic(instance: Instance, xi: int, conflicts: list[Conflict] | None = None,
-                 dists: AgentDistances | None = None) -> EncodingArtifacts:
+def encode_basic(instance: Instance, xi: int,
+                 conflicts: list[Conflict] | None = None) -> EncodingArtifacts:
     """Relaxed model: no inter-agent rules beyond the recorded conflicts."""
-    return _encode(instance, xi, BASIC, conflicts, False, dists)
+    return _encode(instance, xi, BASIC, conflicts, False)
 
 
 def extract_plan(artifacts: EncodingArtifacts, model: list[bool]) -> Plan:

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 
+from .pathcalc import AgentDistances, agent_distances
+
 PASSABLE_CHARS = frozenset(".G")
 BLOCKED_CHARS = frozenset("@OTW")
 
@@ -134,6 +136,14 @@ class Instance:
     @property
     def k(self) -> int:
         return len(self.agents)
+
+    @cached_property
+    def distances(self) -> AgentDistances:
+        """Per agent, its BFS distances from its start and to its goal, the
+        input of every cost bound's diagrams. Computed on first use, once
+        per instance; raises UnsolvableInstanceError, and caches nothing,
+        while some goal is unreachable."""
+        return agent_distances(self)
 
 
 def _grid_graph(width: int, height: int, passable: list[bool]) -> Graph:
@@ -259,12 +269,14 @@ _UNIFORM_RE = re.compile(r"^uniform\(\s*(-?\d+)\s*\)$")
 def load_capacities(spec: str, graph: Graph) -> CapacityMap:
     """Build a CapacityMap from `uniform(c)` or per-vertex `vertex_id capacity` lines.
 
-    Unlisted vertices default to capacity 1.  `#` starts a comment.
+    Unlisted vertices default to capacity 1; a vertex listed twice is an
+    error.  `#` starts a comment.
     """
     m = _UNIFORM_RE.match(spec.strip())
     if m:
         return CapacityMap.uniform(graph, int(m.group(1)))
     values = [1] * graph.vertex_count
+    listed_on: dict[int, int] = {}  # vertex -> the line that set it
     for ln, line in enumerate(spec.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -280,6 +292,9 @@ def load_capacities(spec: str, graph: Graph) -> CapacityMap:
             raise CapacityError(f"line {ln}: unknown vertex id {v}")
         if c < 1:
             raise CapacityError(f"line {ln}: capacity must be >= 1, got {c}")
+        if v in listed_on:
+            raise CapacityError(f"line {ln}: vertex {v} already listed on line {listed_on[v]}")
+        listed_on[v] = ln
         values[v] = c
     return CapacityMap(tuple(values))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .instance import Instance
-from .pathcalc import UNREACHABLE, AgentDistances, agent_path_costs
+from .pathcalc import UNREACHABLE, agent_path_costs
 
 
 class EmptyMddError(ValueError):
@@ -82,14 +82,13 @@ def _diagram(agent: int, goal: int, mu: int, arrival: int, from_start: tuple[int
     return Mdd(agent, mu, tuple(map(tuple, levels)), tuple(arcs))
 
 
-def build_all_mdds(instance: Instance, delta: int, dists: AgentDistances) -> list[Mdd]:
+def build_all_mdds(instance: Instance, delta: int) -> list[Mdd]:
     """Every agent's diagram at cost slack delta: horizon max_j c_j + delta,
-    agent i cut at its arrival step c_i + delta, from the solve's
-    `agent_distances`."""
-    costs = agent_path_costs(instance, dists)
+    agent i cut at its arrival step c_i + delta, from `Instance.distances`."""
+    costs = agent_path_costs(instance)
     mu = max(costs) + delta
-    closed = instance.graph.closed_neighbourhoods
+    closed, distances = instance.graph.closed_neighbourhoods, instance.distances
     return [
         _diagram(i, a.goal, mu, c + delta, from_start, to_goal, closed)
-        for i, (a, c, (from_start, to_goal)) in enumerate(zip(instance.agents, costs, dists))
+        for i, (a, c, (from_start, to_goal)) in enumerate(zip(instance.agents, costs, distances))
     ]

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from collections import deque
+from typing import TYPE_CHECKING
 
-from .instance import Graph, Instance
+if TYPE_CHECKING:
+    from .instance import Graph, Instance
 
 #: explicit sentinel, never mixed into horizon arithmetic
 UNREACHABLE = -1
@@ -34,7 +36,8 @@ def bfs_distances(graph: Graph, source: int) -> tuple[int, ...]:
 
 
 def agent_distances(instance: Instance) -> AgentDistances:
-    """Two BFS per agent; raises if any goal is unreachable."""
+    """Two BFS per agent; raises if any goal is unreachable. Read it as
+    `Instance.distances`, which computes it once per instance."""
     dists = []
     for a in instance.agents:
         from_start = bfs_distances(instance.graph, a.start)
@@ -45,10 +48,9 @@ def agent_distances(instance: Instance) -> AgentDistances:
     return dists
 
 
-def agent_path_costs(instance: Instance, dists: AgentDistances | None = None) -> list[int]:
-    """Per-agent shortest start-to-goal distance, read from `agent_distances`."""
-    dists = dists or agent_distances(instance)
-    return [from_start[a.goal] for a, (from_start, _) in zip(instance.agents, dists)]
+def agent_path_costs(instance: Instance) -> list[int]:
+    """Per-agent shortest start-to-goal distance, read from `Instance.distances`."""
+    return [from_start[a.goal] for a, (from_start, _) in zip(instance.agents, instance.distances)]
 
 
 def cost_lower_bound(instance: Instance) -> int:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from . import encoder, satcore
 from .instance import Instance, validate_instance
-from .pathcalc import UnsolvableInstanceError, agent_distances, agent_path_costs
+from .pathcalc import UnsolvableInstanceError, cost_lower_bound
 from .plans import CAPACITY, SWAP, Conflict, Plan
 
 SOLVED = "solved"
@@ -94,11 +94,10 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
         raise ValueError("no-follow is only supported with the eager solver")
     limits = limits or Limits()
     deadline = time.monotonic() + limits.time_limit_s
-    try:  # the distances serve every bound's diagrams
-        dists = agent_distances(instance)
+    try:
+        xi0 = cost_lower_bound(instance)
     except UnsolvableInstanceError:
         return SolveReport(UNSOLVABLE)
-    xi0 = sum(agent_path_costs(instance, dists))
     report = SolveReport(EXHAUSTED)
     conflicts: list[Conflict] = []
     ceiling = limits.xi_ceiling
@@ -109,9 +108,11 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
         if started >= deadline:
             return report
         if solver == EAGER:
-            artifacts = encoder.encode_complete(instance, xi, no_follow, dists)
+            artifacts = encoder.encode_complete(instance, xi, no_follow)
         else:
-            artifacts = encoder.encode_basic(instance, xi, conflicts, dists)
+            artifacts = encoder.encode_basic(instance, xi, conflicts)
+        if time.monotonic() >= deadline:  # do not load a bound encoded past the deadline
+            return report
         sat = satcore.CdclSolver(artifacts.formula.variable_count)
         for clause in artifacts.formula.clauses:
             sat.add_clause(clause)

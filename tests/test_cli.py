@@ -17,6 +17,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 TINY_MAP = str(FIXTURES / "tiny.map")
 TINY_SCEN = str(FIXTURES / "tiny.scen")
 SWAP_SCEN = str(FIXTURES / "swap.scen")
+UNIT_CNF = str(FIXTURES / "unit.cnf")
 
 
 def run(capsys, *argv):
@@ -135,6 +136,12 @@ def test_validate_rejects_out_of_sequence_labels(capsys, tmp_path):
     ["bench", "--grid", "8by8"],
     ["solve", "--solver", "magic"],
     ["no-such-command"],
+    ["solve", "--map", TINY_MAP, "--scen", TINY_SCEN, "--timeout", "nan"],
+    ["solve", "--map", TINY_MAP, "--scen", TINY_SCEN, "--timeout", "-1"],
+    ["bench", "--grid", "3x3", "--agent-counts", "2", "--capacities", "1", "--timeout", "0"],
+    ["bench", "--count", "-1"],
+    ["bench", "--count", "0"],
+    ["sat", UNIT_CNF, "--timeout", "nan"],
 ])
 def test_malformed_flag_exits_error(capsys, argv):
     code, _, err = run(capsys, *argv)

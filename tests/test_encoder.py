@@ -14,7 +14,7 @@ from capmapf import brute_force_optimal, cnf, encoder
 from capmapf.cnf import AUX, VERTEX, CnfFormula, to_dimacs
 from capmapf.encoder import EncodingSoundnessError
 from capmapf.mdd import build_all_mdds, compute_horizon
-from capmapf.pathcalc import UnsolvableInstanceError, agent_distances, agent_path_costs
+from capmapf.pathcalc import UnsolvableInstanceError, agent_path_costs
 from capmapf.plans import CAPACITY, Conflict
 from capmapf.satcore import SAT, UNSAT, CdclSolver
 from capmapf.solvers import LAZY, Limits
@@ -192,7 +192,7 @@ def test_route_models_are_exactly_the_diagram_walks(graph, start, goal, slack):
     exactly the diagram's mu-step walks."""
     inst = make_instance(graph, 1, [(start, goal)])
     mu = compute_horizon(inst, cost_lower_bound(inst) + slack)
-    m = build_all_mdds(inst, slack, agent_distances(inst))[0]
+    m = build_all_mdds(inst, slack)[0]
     formula = CnfFormula()
     route_vars = encoder._allocate_route_vars(formula, [m])
     encoder._encode_routes(formula, inst, [m], route_vars)

@@ -123,6 +123,8 @@ def test_load_capacities_rejects_nonpositive():
         load_capacities("1 0\n", g)
     with pytest.raises(CapacityError, match="unknown vertex"):
         load_capacities("9 2\n", g)
+    with pytest.raises(CapacityError, match="line 2: vertex 0 already listed on line 1"):
+        load_capacities("0 5\n0 2\n", g)
 
 
 def test_generate_random_basic():

@@ -41,14 +41,14 @@ def test_horizon_below_bound_rejected():
 
 def test_mdd_tight_horizon():
     inst = make_instance(path_graph(3), 1, [(0, 2)])
-    m = build_all_mdds(inst, 0, agent_distances(inst))[0]
+    m = build_all_mdds(inst, 0)[0]
     assert m.levels == ((0,), (1,), (2,))
     assert m.arcs == (((0, 1),), ((1, 2),))
 
 
 def test_mdd_one_slack():
     inst = make_instance(path_graph(3), 1, [(0, 2)])
-    m = build_all_mdds(inst, 1, agent_distances(inst))[0]
+    m = build_all_mdds(inst, 1)[0]
     assert m.levels[0] == (0,)
     assert m.levels[1] == (0, 1)
     assert m.levels[2] == (1, 2)
@@ -57,7 +57,7 @@ def test_mdd_one_slack():
 
 def test_mdd_stationary_agent():
     inst = make_instance(path_graph(3), 2, [(1, 1)])
-    m = build_all_mdds(inst, 2, agent_distances(inst))[0]
+    m = build_all_mdds(inst, 2)[0]
     for t, level in enumerate(m.levels):
         assert 1 in level
     for t in range(2):
@@ -67,14 +67,14 @@ def test_mdd_stationary_agent():
 def test_mdd_unreachable_within_horizon():
     inst = make_instance(path_graph(4), 1, [(0, 3)])
     with pytest.raises(EmptyMddError):
-        build_all_mdds(inst, -1, agent_distances(inst))[0]
+        build_all_mdds(inst, -1)[0]
     with pytest.raises(EmptyMddError):  # arrival step below the path length
         mdd._diagram(0, 3, 5, 2, *agent_distances(inst)[0], inst.graph.closed_neighbourhoods)
 
 
 def test_mdd_arc_endpoints_present():
     inst = make_instance(cycle_graph(5), 1, [(0, 2)])
-    m = build_all_mdds(inst, 2, agent_distances(inst))[0]
+    m = build_all_mdds(inst, 2)[0]
     for t, arcs in enumerate(m.arcs):
         for (u, v) in arcs:
             assert u in m.levels[t]
@@ -124,8 +124,7 @@ def _walks(graph, start, goal, length):
 def test_mdd_paths_are_exactly_length_mu_walks(graph, start, goal, mu):
     inst = make_instance(graph, 1, [(start, goal)])
     walks = _walks(graph, start, goal, mu)
-    assert _mdd_paths(build_all_mdds(inst, mu - cost_lower_bound(inst),
-                                     agent_distances(inst))[0]) == walks
+    assert _mdd_paths(build_all_mdds(inst, mu - cost_lower_bound(inst))[0]) == walks
     # cut at an arrival step: exactly the walks that stay at the goal from then on
     for arrival in range(min(_last_arrival(w, goal) for w in walks), mu + 1):
         m = mdd._diagram(0, goal, mu, arrival, *agent_distances(inst)[0],
@@ -136,13 +135,13 @@ def test_mdd_paths_are_exactly_length_mu_walks(graph, start, goal, mu):
 def test_short_agent_waits_at_goal_after_its_arrival_step():
     # path lengths 1 and 5: at slack 0 the short agent must be home by step 1
     inst = make_instance(path_graph(8), 1, [(7, 6), (0, 5)])
-    short, long = build_all_mdds(inst, 0, agent_distances(inst))
+    short, long = build_all_mdds(inst, 0)
     assert short.horizon == long.horizon == 5
     assert short.levels == ((7,), (6,), (6,), (6,), (6,), (6,))
     assert short.arcs == (((7, 6),),) + (((6, 6),),) * 4
     assert long.levels == tuple((t,) for t in range(6))
     # one unit of slack lets the short agent arrive by step 2
-    short, _ = build_all_mdds(inst, 1, agent_distances(inst))
+    short, _ = build_all_mdds(inst, 1)
     assert short.levels == ((7,), (6, 7)) + ((6,),) * 5
 
 
@@ -155,7 +154,7 @@ def test_diagrams_follow_one_slack_rule(corpus):
         dists = agent_distances(inst)
         for delta in range(3):
             mu = compute_horizon(inst, cost_lower_bound(inst) + delta)
-            mdds = build_all_mdds(inst, delta, dists)
+            mdds = build_all_mdds(inst, delta)
             for a, m, (from_start, _) in zip(inst.agents, mdds, dists):
                 assert m.horizon == mu == len(m.levels) - 1, (name, delta, a.id)
                 arrival = from_start[a.goal] + delta
@@ -173,7 +172,7 @@ def test_optimal_plans_run_through_the_diagrams(corpus):
             continue
         mu = compute_horizon(inst, oracle.cost)
         delta = oracle.cost - cost_lower_bound(inst)
-        for m, path in zip(build_all_mdds(inst, delta, agent_distances(inst)), oracle.plan.paths):
+        for m, path in zip(build_all_mdds(inst, delta), oracle.plan.paths):
             assert len(path) <= mu + 1, name
             path = path + (path[-1],) * (mu + 1 - len(path))
             assert path[0] in m.levels[0], name
@@ -187,7 +186,7 @@ def test_level_sizes_monotone_in_horizon():
     inst = make_instance(cycle_graph(5), 1, [(0, 2)])
     prev = None
     for mu in range(2, 7):
-        m = build_all_mdds(inst, mu - cost_lower_bound(inst), agent_distances(inst))[0]
+        m = build_all_mdds(inst, mu - cost_lower_bound(inst))[0]
         sizes = [len(lvl) for lvl in m.levels]
         if prev is not None:
             for t in range(len(prev)):
@@ -210,7 +209,7 @@ def test_every_node_has_through_arcs(corpus):
     cases += [(inst, slack) for _, inst in corpus for slack in range(3)]
     cases += [(walled, slack) for slack in range(4)]
     for inst, slack in cases:
-        for m in build_all_mdds(inst, slack, agent_distances(inst)):
+        for m in build_all_mdds(inst, slack):
             for t, level in enumerate(m.levels):
                 for v in level:
                     if t < m.horizon:

@@ -7,13 +7,14 @@ from capmapf import (
     Plan,
     Instance,
     brute_force_optimal,
+    compute_horizon,
     cost_lower_bound,
     generate_random,
     solve,
     validate_candidate,
     validate_plan,
 )
-from capmapf import pathcalc
+from capmapf import encoder, pathcalc, satcore
 from capmapf.instance import InstanceError
 from capmapf.plans import CAPACITY, SWAP
 from capmapf.solvers import EAGER, EXHAUSTED, LAZY, SOLVED, UNSOLVABLE, Limits
@@ -192,9 +193,9 @@ def test_no_follow_optimal_costs(corpus):
 
 @pytest.mark.parametrize("solver", ["eager", "lazy"])
 def test_solve_runs_two_bfs_per_agent(solver, monkeypatch):
-    """The distances are computed once per solve and serve every bound: one
-    BFS from each agent's start and one from its goal, however many bounds
-    the solve tries."""
+    """The distances are computed once per instance and serve every bound of
+    every solve: one BFS from each agent's start and one from its goal,
+    however many bounds the solves try."""
     original = pathcalc.bfs_distances
     sources = []
 
@@ -212,6 +213,34 @@ def test_solve_runs_two_bfs_per_agent(solver, monkeypatch):
     assert report.status == SOLVED and len(report.iterations) >= 3
     assert len(sources) == 2 * inst.k
     assert sorted(sources) == sorted([a.start for a in inst.agents] + [a.goal for a in inst.agents])
+    other = LAZY if solver == EAGER else EAGER
+    assert solve(inst, other).optimal_cost == report.optimal_cost
+    xi = report.optimal_cost
+    encoder.encode_complete(inst, xi)
+    compute_horizon(inst, xi)
+    cost_lower_bound(inst)
+    assert len(sources) == 2 * inst.k
+    assert inst == generate_random(4, 4, 7, 1, 5)
+
+
+@pytest.mark.parametrize("solver", ["eager", "lazy"])
+def test_bound_encoded_past_the_deadline_is_not_loaded(solver, monkeypatch):
+    """A bound whose encoding ends after the deadline returns EXHAUSTED
+    before any clause reaches the SAT solver."""
+    limit_s = 0.2
+    for name in ("encode_complete", "encode_basic"):
+        original = getattr(encoder, name)
+
+        def slow(*args, original=original):
+            artifacts = original(*args)
+            time.sleep(limit_s + 0.1)
+            return artifacts
+
+        monkeypatch.setattr(encoder, name, slow)
+    loaded = []
+    monkeypatch.setattr(satcore.CdclSolver, "add_clause", lambda sat, clause: loaded.append(clause))
+    report = solve(generate_random(4, 4, 3, 1, 1), solver, Limits(time_limit_s=limit_s))
+    assert report.status == EXHAUSTED and loaded == []
 
 
 @pytest.mark.parametrize("solver", ["eager", "lazy"])
