@@ -239,7 +239,10 @@ def _positive(convert):
 
 
 def _int_list(value: str) -> list[int]:
-    return [int(tok) for tok in value.split(",") if tok]
+    numbers = [int(tok) for tok in value.split(",") if tok]
+    if not numbers:  # an empty list would make `bench` a silent no-op
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}")
+    return numbers
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,12 +4,15 @@ Two-watched-literal propagation, first-UIP clause learning, activity-based
 branching (false-first polarity), geometric restarts.  Clauses may be added
 between solve calls; learned clauses are kept, which stays sound because
 clauses are only ever added.  The trail, the decision heap and the variable
-activities persist across calls.  One routine, `_attach`, puts every clause
-on the trail, whether it is a loaded unit, a clause added between calls or a
-learned clause: it watches the clause against the live assignment and
-backtracks only as far as the watch invariant needs, so a re-solve resumes
-from the previous model instead of descending again from the empty
-assignment.
+activities persist across calls.  The decision heap (`heapq` over
+`(-activity, v)`) keeps one live entry per unassigned variable, as MiniSat's
+order heap does: a bump re-keys only a variable on the heap, a backtrack puts
+back only the variables that left it, and `_decide` drops the superseded keys
+it pops.  One routine, `_attach`, puts every clause on the trail, whether it
+is a loaded unit, a clause added between calls or a learned clause: it
+watches the clause against the live assignment and backtracks only as far as
+the watch invariant needs, so a re-solve resumes from the previous model
+instead of descending again from the empty assignment.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ class CdclSolver:
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.heap: list[tuple[float, int]] = []
+        self.in_heap: list[bool] = [False]   # heap holds (-activity[v], v)
         self.var_inc = 1.0
         self.conflicts_total = 0
         self._ensure_var(num_vars)
@@ -61,6 +65,7 @@ class CdclSolver:
         self.seen += [False] * len(new)
         self.watches.update((lit, []) for u in new for lit in (u, -u))
         self.heap += [(0.0, u) for u in new]
+        self.in_heap += [True] * len(new)
         self.num_vars = max(self.num_vars, v)
 
     def add_clause(self, lits: list[int]) -> None:
@@ -214,9 +219,12 @@ class CdclSolver:
                 activity[u] *= 1e-100
             self.var_inc *= 1e-100
             # keys pushed before the rescale would outrank every later one
-            self.heap = [(-activity[u], u) for u in range(1, self.num_vars + 1) if not self.assign[u]]
+            assign = self.assign
+            self.heap = [(-activity[u], u) for u in range(1, self.num_vars + 1) if not assign[u]]
             heapq.heapify(self.heap)
-        heapq.heappush(self.heap, (-activity[v], v))
+            self.in_heap = [not a for a in assign]
+        elif self.in_heap[v]:  # re-key; one off the heap gets its key when it is put back
+            heapq.heappush(self.heap, (-activity[v], v))
 
     def _analyze(self, conflict: list[int]) -> list[int]:
         """First-UIP learned clause, its asserting literal first."""
@@ -263,18 +271,25 @@ class CdclSolver:
         mark = self.trail_lim[target_level]
         del self.trail_lim[target_level:]
         assign, reason, activity, heap = self.assign, self.reason, self.activity, self.heap
+        in_heap = self.in_heap
         for lit in self.trail[mark:]:
             v = abs(lit)
             assign[v] = 0
             reason[v] = None
-            heapq.heappush(heap, (-activity[v], v))
+            if not in_heap[v]:
+                in_heap[v] = True
+                heapq.heappush(heap, (-activity[v], v))
         del self.trail[mark:]
         self.qhead = min(self.qhead, mark)
 
     def _decide(self) -> int:
-        while self.heap:
-            _, v = heapq.heappop(self.heap)
-            if self.assign[v] == 0:
+        heap, activity, assign, in_heap = self.heap, self.activity, self.assign, self.in_heap
+        while heap:
+            key, v = heapq.heappop(heap)
+            if key != -activity[v]:
+                continue  # superseded by a bump
+            in_heap[v] = False
+            if assign[v] == 0:
                 return -v  # false-first polarity keeps models free of spurious truths
         return 0
 

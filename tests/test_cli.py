@@ -142,6 +142,8 @@ def test_validate_rejects_out_of_sequence_labels(capsys, tmp_path):
     ["bench", "--count", "-1"],
     ["bench", "--count", "0"],
     ["sat", UNIT_CNF, "--timeout", "nan"],
+    ["bench", "--agent-counts", ","],
+    ["bench", "--capacities", ","],
 ])
 def test_malformed_flag_exits_error(capsys, argv):
     code, _, err = run(capsys, *argv)

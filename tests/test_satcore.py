@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
+from capmapf import cost_lower_bound, generate_random
 from capmapf.cnf import parse_dimacs
+from capmapf.encoder import encode_complete
 from capmapf.satcore import SAT, UNKNOWN, UNSAT, CdclSolver
 
 
@@ -324,3 +327,22 @@ def test_presized_and_grown_heap_stays_valid():
     assert result.outcome == SAT
     assert model_satisfies([[1, 2, 3], [-1, 4], [7, -8, 9], [-10, 12]], result.model)
     assert all(s.assign[v] != 0 for v in range(1, 13))  # 6 and 11 sit in no clause
+
+
+@pytest.mark.parametrize("seed", range(100, 110))
+def test_decision_heap_holds_one_live_entry_per_unassigned_variable(seed):
+    """After a solve of a crowded grid and a backtrack to level 0, every
+    unassigned variable has exactly one heap entry keyed by its current
+    activity, and `in_heap` is true exactly for the variables that have one."""
+    inst = generate_random(4, 4, 7, 1, seed)
+    formula = encode_complete(inst, cost_lower_bound(inst) + 2).formula
+    s = CdclSolver(formula.variable_count)
+    for clause in formula.clauses:
+        s.add_clause(clause)
+    assert s.solve().outcome in (SAT, UNSAT)
+    s._backtrack(0)
+    assert heap_ok(s.heap)
+    live = Counter(v for key, v in s.heap if key == -s.activity[v])
+    for v in range(1, s.num_vars + 1):
+        assert live[v] == (1 if s.in_heap[v] else 0), v
+        assert s.in_heap[v] or s.assign[v] != 0, v  # every unassigned variable is on the heap

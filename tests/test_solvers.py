@@ -252,3 +252,33 @@ def test_time_limit_bounds_a_large_solve(solver):
     report = solve(inst, solver, Limits(time_limit_s=1.0))
     assert time.monotonic() - started < 1.5
     assert report.status in (SOLVED, EXHAUSTED)
+
+
+# (optimal cost, conflicts summed over the solve's CdclSolvers, refinements, bounds)
+# for generate_random(4, 4, 7, 1, seed), seeds 100-104
+SEARCH_PIN = {
+    EAGER: [(24, 17, 0, 4), (17, 20, 0, 4), (13, 6, 0, 3), (22, 31, 0, 4), (14, 2, 0, 2)],
+    LAZY: [(24, 10, 27, 4), (17, 30, 37, 4), (13, 3, 6, 3), (22, 23, 48, 4), (14, 3, 13, 2)],
+}
+
+
+@pytest.mark.parametrize("solver", [EAGER, LAZY])
+def test_search_matches_pin(solver, monkeypatch):
+    """The SAT core's search path, pinned apart from the encoding: a change
+    to branching, learning or restarts moves these counts and must update
+    them on purpose."""
+    made = []
+
+    class Recording(satcore.CdclSolver):
+        def __init__(self, num_vars=0):
+            super().__init__(num_vars)
+            made.append(self)
+
+    monkeypatch.setattr(satcore, "CdclSolver", Recording)
+    seen = []
+    for seed in range(100, 105):
+        made.clear()
+        report = solve(generate_random(4, 4, 7, 1, seed), solver)
+        seen.append((report.optimal_cost, sum(s.conflicts_total for s in made),
+                     report.total_refinements, len(report.iterations)))
+    assert seen == SEARCH_PIN[solver]
