@@ -218,10 +218,12 @@ def cmd_sat(args) -> int:
 
 def _grid_arg(value: str) -> tuple[int, int]:
     try:
-        w, h = value.lower().split("x")
-        return int(w), int(h)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected WxH, got {value!r}") from exc
+        w, h = map(int, value.lower().split("x"))
+        if w >= 1 and h >= 1:
+            return w, h
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected WxH with sides >= 1, got {value!r}")
 
 
 def _positive(convert):

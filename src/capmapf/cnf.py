@@ -7,7 +7,8 @@ A label only names its variable in DIMACS `c var` comments; nothing finds a
 variable by its label (the encoder keeps its own map of the vertex variables).
 A move u->v between t and t+1 has no label of its own: it is the pair of
 vertex variables (agent, u, t) and (agent, v, t+1).
-Literals are nonzero signed ints in DIMACS convention.
+Literals are nonzero signed ints in DIMACS convention, taken as given by
+`CnfFormula`: `parse_dimacs` checks each literal of a file as it reads it.
 """
 
 from __future__ import annotations
@@ -45,16 +46,10 @@ class CnfFormula:
         return self.allocate((AUX, tag, self.variable_count + 1))
 
     def add(self, clause: list[int]) -> None:
-        if not clause:
-            raise ValueError("empty clause")
-        for lit in clause:
-            if lit == 0 or abs(lit) > self.variable_count:
-                raise ValueError(f"literal {lit} references an unallocated variable")
         self.clauses.append(clause)  # kept, not copied: the caller hands it over
 
     def add_all(self, clauses: list[list[int]]) -> None:
-        for c in clauses:
-            self.add(c)
+        self.clauses.extend(clauses)
 
 
 def at_most_one_pairwise(lits: list[int]) -> list[list[int]]:
@@ -140,6 +135,8 @@ def parse_dimacs(text: str) -> CnfFormula:
                 keyed[int(tokens[2])] = _comment_to_key(tokens[3:])
             continue
         if line.startswith("p"):
+            if n_vars is not None:
+                raise ValueError(f"line {ln}: second problem line {line!r}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"line {ln}: malformed problem line {line!r}")
@@ -152,8 +149,12 @@ def parse_dimacs(text: str) -> CnfFormula:
         for tok in line.split():
             lit = int(tok)
             if lit == 0:
+                if not lits:
+                    raise ValueError(f"line {ln}: empty clause")
                 pending.append(lits)
                 lits = []
+            elif abs(lit) > n_vars:
+                raise ValueError(f"line {ln}: literal {lit} beyond the {n_vars} declared variables")
             else:
                 lits.append(lit)
     if lits:
@@ -164,6 +165,5 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise ValueError(f"problem line declares {n_clauses} clauses, found {len(pending)}")
     for idx in range(1, n_vars + 1):
         formula.allocate(keyed.get(idx, (AUX, "dimacs", idx)))
-    for clause in pending:
-        formula.add(clause)
+    formula.add_all(pending)
     return formula

@@ -30,7 +30,7 @@ VertexVars = list[list[dict[int, int]]]
 
 
 class EncodingSoundnessError(AssertionError):
-    """A satisfying model did not decode to exactly one vertex per level."""
+    """A model decoded to other than one vertex per level, or to a conflict without a clause."""
 
 
 @dataclass
@@ -158,9 +158,9 @@ def _encode_cost_bound(
     most delta of them true.
     """
     slack_lits: list[int] = []
-    for a, c0, x in zip(instance.agents, agent_costs, xs):
+    for i, (a, c0, x) in enumerate(zip(instance.agents, agent_costs, xs)):
         arrival = c0 + delta
-        settled = [formula.allocate((cnf.AUX, f"settled_{a.id}", t))
+        settled = [formula.allocate((cnf.AUX, f"settled_{i}", t))
                    for t in range(c0, arrival + 1)]
         for t, s in enumerate(settled, start=c0):
             formula.add([-s, x[t][a.goal]])

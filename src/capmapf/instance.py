@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -39,7 +40,6 @@ class InstanceError(ValueError):
 class Graph:
     """Undirected graph; adjacency lists are sorted, symmetric, loop-free."""
 
-    vertex_count: int
     adjacency: tuple[tuple[int, ...], ...]
     # grid metadata, present only when built from a map
     width: int | None = None
@@ -51,11 +51,10 @@ class Graph:
     def __post_init__(self):
         if self.passable is not None:
             object.__setattr__(self, "_cells_before", tuple(accumulate(self.passable, initial=0)))
-        if len(self.adjacency) != self.vertex_count:
-            raise InstanceError("adjacency length != vertex_count")
+        n = len(self.adjacency)
         for u, nbrs in enumerate(self.adjacency):
             for v in nbrs:
-                if not 0 <= v < self.vertex_count:
+                if not 0 <= v < n:
                     raise InstanceError(f"neighbor {v} of {u} out of range")
                 if v == u:
                     raise InstanceError(f"self-loop at {u}")
@@ -63,6 +62,10 @@ class Graph:
                     raise InstanceError(f"asymmetric edge {u}-{v}")
             if len(set(nbrs)) != len(nbrs):
                 raise InstanceError(f"duplicate neighbor in list of {u}")
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.adjacency)
 
     @cached_property
     def closed_neighbourhoods(self) -> tuple[tuple[int, ...], ...]:
@@ -94,7 +97,7 @@ class Graph:
         for u, v in edges:
             adj[u].add(v)
             adj[v].add(u)
-        return Graph(vertex_count, tuple(tuple(sorted(s)) for s in adj))
+        return Graph(tuple(tuple(sorted(s)) for s in adj))
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,7 @@ class CapacityMap:
 
 @dataclass(frozen=True)
 class Agent:
-    id: int
+    """Identified by its position in `Instance.agents`."""
     start: int
     goal: int
 
@@ -166,7 +169,7 @@ def _grid_graph(width: int, height: int, passable: list[bool]) -> Graph:
                     if ids[j] >= 0:
                         adj[ids[i]].append(ids[j])
                         adj[ids[j]].append(ids[i])
-    return Graph(n, tuple(tuple(sorted(a)) for a in adj), width, height, tuple(passable))
+    return Graph(tuple(tuple(sorted(a)) for a in adj), width, height, tuple(passable))
 
 
 def parse_map(text: str) -> Graph:
@@ -259,7 +262,7 @@ def parse_scenario(text: str, graph: Graph) -> list[Agent]:
             raise ScenarioError(f"line {ln}: start ({sx},{sy}) blocked or out of bounds")
         if goal is None:
             raise ScenarioError(f"line {ln}: goal ({gx},{gy}) blocked or out of bounds")
-        agents.append(Agent(len(agents), start, goal))
+        agents.append(Agent(start, goal))
     return agents
 
 
@@ -322,7 +325,7 @@ def generate_random(width: int, height: int, k: int, capacity: int, seed: int) -
     rng = random.Random(seed)
     starts = _random_placement(rng, n, capacity, k)
     goals = _random_placement(rng, n, capacity, k)
-    agents = tuple(Agent(i, starts[i], goals[i]) for i in range(k))
+    agents = tuple(map(Agent, starts, goals))
     return Instance(graph, CapacityMap.uniform(graph, capacity), agents)
 
 
@@ -335,19 +338,13 @@ def validate_instance(instance: Instance) -> None:
         raise InstanceError("instance has no agents")
     if instance.k > g.vertex_count * max(caps.values, default=1):
         raise InstanceError("more agents than total capacity")
-    start_count: dict[int, int] = {}
-    goal_count: dict[int, int] = {}
     for i, a in enumerate(instance.agents):
-        if a.id != i:
-            raise InstanceError(f"agent at position {i} has id {a.id}; ids must be 0, 1, 2, ...")
         for v in (a.start, a.goal):
             if not 0 <= v < g.vertex_count:
-                raise InstanceError(f"agent {a.id}: vertex {v} out of range")
-        start_count[a.start] = start_count.get(a.start, 0) + 1
-        goal_count[a.goal] = goal_count.get(a.goal, 0) + 1
-    for v, cnt in start_count.items():
+                raise InstanceError(f"agent {i}: vertex {v} out of range")
+    for v, cnt in Counter(a.start for a in instance.agents).items():
         if cnt > caps[v]:
             raise InstanceError(f"initial configuration overfills vertex {v}: {cnt} > {caps[v]}")
-    for v, cnt in goal_count.items():
+    for v, cnt in Counter(a.goal for a in instance.agents).items():
         if cnt > caps[v]:
             raise InstanceError(f"goal configuration overfills vertex {v}: {cnt} > {caps[v]}")

@@ -39,10 +39,10 @@ def agent_distances(instance: Instance) -> AgentDistances:
     """Two BFS per agent; raises if any goal is unreachable. Read it as
     `Instance.distances`, which computes it once per instance."""
     dists = []
-    for a in instance.agents:
+    for i, a in enumerate(instance.agents):
         from_start = bfs_distances(instance.graph, a.start)
         if from_start[a.goal] == UNREACHABLE:
-            raise UnsolvableInstanceError(f"agent {a.id}: goal {a.goal} unreachable"
+            raise UnsolvableInstanceError(f"agent {i}: goal {a.goal} unreachable"
                                           f" from start {a.start}")
         dists.append((from_start, bfs_distances(instance.graph, a.goal)))
     return dists

@@ -129,9 +129,10 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
             for conflict in found:
                 conflicts.append(conflict)
                 clause = encoder.conflict_clause(artifacts.xs, conflict)
-                if clause is not None:
-                    sat.add_clause(clause)
-                    refinements += 1
+                if clause is None:  # decoded from this model, so its nodes are in the diagrams
+                    raise encoder.EncodingSoundnessError(f"no clause for fresh conflict {conflict}")
+                sat.add_clause(clause)
+                refinements += 1
         report.iterations.append(IterationStat(
             xi, result.outcome, refinements,
             artifacts.formula.variable_count, len(artifacts.formula.clauses) + refinements,

@@ -69,11 +69,11 @@ def validate_plan(instance: Instance, plan: Plan) -> list[Violation]:
     if outside:
         return outside
 
-    for a in instance.agents:
-        if paths[a.id][0] != a.start:
-            violations.append(Violation(WRONG_START, 0, (a.id,), paths[a.id][0]))
-        if paths[a.id][-1] != a.goal:
-            violations.append(Violation(WRONG_GOAL, horizon, (a.id,), paths[a.id][-1]))
+    for i, (a, path) in enumerate(zip(instance.agents, paths)):
+        if path[0] != a.start:
+            violations.append(Violation(WRONG_START, 0, (i,), path[0]))
+        if path[-1] != a.goal:
+            violations.append(Violation(WRONG_GOAL, horizon, (i,), path[-1]))
 
     for t in range(horizon):
         for i, path in enumerate(paths):

@@ -26,7 +26,7 @@ def make_instance(graph: Graph, caps, pairs) -> Instance:
         capacities = CapacityMap.uniform(graph, caps)
     else:
         capacities = CapacityMap(tuple(caps))
-    agents = tuple(Agent(i, s, g) for i, (s, g) in enumerate(pairs))
+    agents = tuple(Agent(s, g) for s, g in pairs)
     return Instance(graph, capacities, agents)
 
 

@@ -144,6 +144,8 @@ def test_validate_rejects_out_of_sequence_labels(capsys, tmp_path):
     ["sat", UNIT_CNF, "--timeout", "nan"],
     ["bench", "--agent-counts", ","],
     ["bench", "--capacities", ","],
+    ["bench", "--grid", "-3x3"],
+    ["bench", "--grid", "0x3"],
 ])
 def test_malformed_flag_exits_error(capsys, argv):
     code, _, err = run(capsys, *argv)

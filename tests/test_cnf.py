@@ -21,15 +21,6 @@ def test_key_map_round_trip():
         assert f.key_of(idx) == key
 
 
-def test_add_rejects_empty_and_unallocated():
-    f = CnfFormula()
-    f.allocate(("aux", "t", 1))
-    with pytest.raises(ValueError):
-        f.add([])
-    with pytest.raises(ValueError):
-        f.add([2])
-
-
 def test_pairwise_counts():
     assert len(at_most_one_pairwise([1, 2, 3])) == 3
     assert at_most_one_pairwise([1]) == []
@@ -176,3 +167,11 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 2 5\n1 0\n")
     with pytest.raises(ValueError, match="declares 1 clauses, found 2"):
         parse_dimacs("p cnf 2 1\n1 0\n-2 0\n")
+    with pytest.raises(ValueError, match="line 3: empty clause"):
+        parse_dimacs("p cnf 1 2\n1 0\n0\n")
+    with pytest.raises(ValueError, match="line 2: literal 2 beyond the 1 declared"):
+        parse_dimacs("p cnf 1 1\n2 0\n")
+    with pytest.raises(ValueError, match="line 2: literal -3 beyond the 2 declared"):
+        parse_dimacs("p cnf 2 1\n1 -3 0\n")
+    with pytest.raises(ValueError, match="line 3: second problem line"):
+        parse_dimacs("p cnf 1 1\n1 0\np cnf 3 1\n")

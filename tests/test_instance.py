@@ -9,7 +9,9 @@ from capmapf import (
     parse_map,
     parse_scenario,
     serialize_map,
+    solve,
     validate_instance,
+    validate_plan,
 )
 from capmapf.instance import (
     CapacityError,
@@ -17,6 +19,7 @@ from capmapf.instance import (
     MapFormatError,
     ScenarioError,
 )
+from capmapf.solvers import EAGER, LAZY, SOLVED
 
 from conftest import make_instance, path_graph
 
@@ -152,11 +155,14 @@ def test_generate_random_infeasible():
         generate_random(2, 2, 5, 1, seed=0)
 
 
-def test_validate_instance_rejects_ids_out_of_position():
+def test_a_slice_of_agents_is_an_instance():
     inst = generate_random(4, 4, 4, 1, 3)
-    dropped = Instance(inst.graph, inst.capacities, inst.agents[1:])  # ids 1, 2, 3
-    with pytest.raises(InstanceError, match="position 0 has id 1"):
-        validate_instance(dropped)
+    dropped = Instance(inst.graph, inst.capacities, inst.agents[1:])
+    validate_instance(dropped)
+    eager, lazy = solve(dropped, EAGER), solve(dropped, LAZY)
+    assert eager.status == lazy.status == SOLVED
+    assert eager.optimal_cost == lazy.optimal_cost
+    assert validate_plan(dropped, eager.plan) == validate_plan(dropped, lazy.plan) == []
 
 
 def test_validate_instance_overfull_start():
@@ -172,6 +178,6 @@ def test_capacity_map_rejects_zero():
 
 def test_graph_invariants_checked():
     with pytest.raises(InstanceError):
-        Graph(2, ((1,), ()))  # asymmetric
+        Graph(((1,), ()))  # asymmetric
     with pytest.raises(InstanceError):
-        Graph(1, ((0,),))  # self-loop
+        Graph(((0,),))  # self-loop

@@ -5,7 +5,6 @@ import pytest
 
 from capmapf import (
     Plan,
-    Instance,
     brute_force_optimal,
     compute_horizon,
     cost_lower_bound,
@@ -164,10 +163,17 @@ def test_cross_solver_agreement_sample(corpus):
 
 @pytest.mark.parametrize("solver", ["eager", "lazy"])
 def test_solve_validates_instance(solver):
-    g = generate_random(4, 4, 4, 1, 3)
-    dropped_first = Instance(g.graph, g.capacities, g.agents[1:])  # ids 1..3 at positions 0..2
-    with pytest.raises(InstanceError, match="ids must be"):
-        solve(dropped_first, solver)
+    overfull_start = make_instance(path_graph(3), 1, [(0, 2), (0, 1)])
+    with pytest.raises(InstanceError, match="overfills"):
+        solve(overfull_start, solver)
+
+
+def test_lazy_fresh_conflict_without_a_clause_is_an_error(monkeypatch):
+    # a conflict of the model just decoded names only diagram nodes, so a
+    # missing clause is a fault; skipping it would find the same model again
+    monkeypatch.setattr(encoder, "conflict_clause", lambda xs, conflict: None)
+    with pytest.raises(encoder.EncodingSoundnessError, match="fresh conflict"):
+        solve(generate_random(4, 4, 7, 1, 100), LAZY, Limits(time_limit_s=2))
 
 
 # eager optimal costs with vacate-before-enter (no-follow) semantics; each is
