@@ -167,11 +167,15 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 2 5\n1 0\n")
     with pytest.raises(ValueError, match="declares 1 clauses, found 2"):
         parse_dimacs("p cnf 2 1\n1 0\n-2 0\n")
+    with pytest.raises(ValueError, match="line 3: second problem line"):
+        parse_dimacs("p cnf 1 1\n1 0\np cnf 3 1\n")
+
+
+def test_parse_dimacs_rejects_empty_and_unallocated():
+    # CnfFormula.add takes literals as given; DIMACS text is checked as read.
     with pytest.raises(ValueError, match="line 3: empty clause"):
         parse_dimacs("p cnf 1 2\n1 0\n0\n")
     with pytest.raises(ValueError, match="line 2: literal 2 beyond the 1 declared"):
         parse_dimacs("p cnf 1 1\n2 0\n")
     with pytest.raises(ValueError, match="line 2: literal -3 beyond the 2 declared"):
         parse_dimacs("p cnf 2 1\n1 -3 0\n")
-    with pytest.raises(ValueError, match="line 3: second problem line"):
-        parse_dimacs("p cnf 1 1\n1 0\np cnf 3 1\n")
