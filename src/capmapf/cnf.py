@@ -115,6 +115,13 @@ def to_dimacs(formula: CnfFormula) -> str:
     return "\n".join(out) + "\n"
 
 
+def _ints(tokens: list[str], ln: int) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ValueError(f"line {ln}: {exc}") from None
+
+
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF, restoring the labels from `c var` comments.
 
@@ -140,14 +147,13 @@ def parse_dimacs(text: str) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"line {ln}: malformed problem line {line!r}")
-            n_vars, n_clauses = int(parts[2]), int(parts[3])
+            n_vars, n_clauses = _ints(parts[2:], ln)
             if n_vars < 0 or n_clauses < 0:
                 raise ValueError(f"line {ln}: negative count in problem line {line!r}")
             continue
         if n_vars is None:
             raise ValueError(f"line {ln}: clause before problem line")
-        for tok in line.split():
-            lit = int(tok)
+        for lit in _ints(line.split(), ln):
             if lit == 0:
                 if not lits:
                     raise ValueError(f"line {ln}: empty clause")

@@ -12,7 +12,8 @@ it pops.  One routine, `_attach`, puts every clause on the trail, whether it
 is a loaded unit, a clause added between calls or a learned clause: it
 watches the clause against the live assignment and backtracks only as far as
 the watch invariant needs, so a re-solve resumes from the previous model
-instead of descending again from the empty assignment.
+instead of descending again from the empty assignment.  Clauses are loaded
+as given: nonzero literals, repeats and complementary pairs kept, no clean-up.
 """
 
 from __future__ import annotations
@@ -69,30 +70,19 @@ class CdclSolver:
         self.num_vars = max(self.num_vars, v)
 
     def add_clause(self, lits: list[int]) -> None:
-        """Permanently conjoin a clause; callable between solve() calls."""
-        lit_set = set(lits)
-        if 0 in lit_set:
-            raise ValueError("0 is not a literal")
-        if not lit_set:
+        """Permanently conjoin a clause as given, callable between solve() calls: nonzero
+        literals, repeated and complementary ones kept, the empty clause sets `contradiction`."""
+        if not lits:
             self.contradiction = True
             return
-        clause = list(lits) if len(lit_set) == len(lits) else list(dict.fromkeys(lits))
-        top = 0
-        for lit in clause:
-            if -lit in lit_set:
-                return  # tautology
-            if lit > top:
-                top = lit
-            elif -lit > top:
-                top = -lit
-        if top > self.num_vars:
+        clause = list(lits)  # _attach and _propagate reorder their own copy
+        if (top := max(map(abs, clause))) > self.num_vars:
             self._ensure_var(top)
         self.clauses.append(clause)
         if self.qhead or len(clause) == 1:
             self._attach(clause)
         else:  # nothing propagated yet: every assigned literal will still be visited
-            self.watches[clause[0]].append(clause)
-            self.watches[clause[1]].append(clause)
+            self._watch(clause)
 
     def _watch(self, clause: list[int]) -> None:
         self.watches[clause[0]].append(clause)
@@ -333,8 +323,7 @@ class CdclSolver:
                 lit = self._decide()
                 if lit == 0:
                     model = [a == 1 for a in self.assign]
-                    if __debug__:
-                        assert self._model_ok(model), "model fails clause replay"
+                    assert self._model_ok(model), "model fails clause replay"  # off under -O
                     return SatResult(SAT, model)
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(lit, None)

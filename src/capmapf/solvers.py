@@ -167,11 +167,11 @@ def parse_plan(text: str) -> tuple[Plan, str | None]:
     """Inverse of format_plan: the plan and its summary line (None if absent),
     whitespace-normalised so it compares equal to `summary_line(plan)`.
 
-    Raises ValueError on a malformed row, including a step label that is not
-    the row's index (labels run 0, 1, 2, ...)."""
+    Raises ValueError naming the line on a malformed row: a token that is not
+    an integer, or a step label that is not the row's index (labels run 0, 1, 2, ...)."""
     rows: list[list[int]] = []
     summary = None
-    for line in text.splitlines():
+    for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -179,9 +179,13 @@ def parse_plan(text: str) -> tuple[Plan, str | None]:
             summary = " ".join(line.split())
             continue
         label, _, rest = line.partition(":")
-        if int(label) != len(rows):
-            raise ValueError(f"step label {label.strip()} out of sequence, expected {len(rows)}")
-        rows.append([int(tok) for tok in rest.split()])
+        try:
+            step, row = int(label), [int(tok) for tok in rest.split()]
+        except ValueError as exc:
+            raise ValueError(f"line {ln}: {exc}") from None
+        if step != len(rows):
+            raise ValueError(f"line {ln}: step label {step} out of sequence, expected {len(rows)}")
+        rows.append(row)
     if not rows:
         raise ValueError("empty plan")
     k = len(rows[0])

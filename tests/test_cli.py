@@ -131,6 +131,18 @@ def test_validate_rejects_out_of_sequence_labels(capsys, tmp_path):
     assert code == EXIT_ERROR and "step label 5 out of sequence" in err and "valid" not in out
 
 
+@pytest.mark.parametrize("rows, line, token", [
+    ("0: 0 x\n1: 2 1\n", 1, "x"),
+    ("0: 0 1\na: 0\n", 2, "a"),
+])
+def test_validate_names_the_line_of_a_non_integer_token(capsys, tmp_path, rows, line, token):
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text(rows)
+    code, out, err = run(capsys, "validate", "--map", TINY_MAP, "--scen", TINY_SCEN,
+                         "--plan", str(plan_file))
+    assert code == EXIT_ERROR and f"line {line}: " in err and repr(token) in err and out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--map", TINY_MAP, "--scen", TINY_SCEN, "--capacity", "two"],
     ["bench", "--grid", "8by8"],

@@ -169,6 +169,14 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 2 1\n1 0\n-2 0\n")
     with pytest.raises(ValueError, match="line 3: second problem line"):
         parse_dimacs("p cnf 1 1\n1 0\np cnf 3 1\n")
+    with pytest.raises(ValueError, match="line 2: .*'x'"):
+        parse_dimacs("p cnf 2 1\n1 x 0\n")
+    with pytest.raises(ValueError, match="line 2: .*'extra'"):
+        parse_dimacs("p cnf 2 1\n1 2 0 extra\n")
+    with pytest.raises(ValueError, match="line 1: .*'x'"):
+        parse_dimacs("p cnf x 1\n")
+    with pytest.raises(ValueError, match="line 3: .*'2.0'"):
+        parse_dimacs("c two floats\np cnf 2 1\n1 2.0 0\n")
 
 
 def test_parse_dimacs_rejects_empty_and_unallocated():

@@ -181,12 +181,26 @@ def _random_clause(rng, n):
     return [v if rng.random() < 0.5 else -v for v in vs]
 
 
-def test_incremental_batches_against_truth_table():
+def _messy(rng, clause):
+    """`clause` plus a second copy or the negation of one of its literals, shuffled."""
+    lit = rng.choice(clause)
+    messy = clause + [lit if rng.random() < 0.5 else -lit]
+    rng.shuffle(messy)
+    return messy
+
+
+def _check_incremental_batches(messy: bool) -> None:
     """Clause batches between solve() calls, posted the way lazy refinement posts
     them: units and clauses the previous model falsifies, among random ones.
-    Every answer must agree with the truth table of the clauses so far."""
+    Every answer must agree with the truth table of the clauses so far.
+
+    A messy run repeats a literal of, or adds a complementary pair to, about half
+    of the clauses, with draws from a second generator; the core loads such
+    clauses as given, so they must reach it unchanged and be answered soundly."""
     rng = random.Random(4321)
+    mess = random.Random(8765)
     outcomes = {SAT: 0, UNSAT: 0}
+    repeated = complementary = 0
     for _ in range(150):
         n = rng.randint(4, 14)
         s = CdclSolver()
@@ -205,6 +219,8 @@ def test_incremental_batches_against_truth_table():
                     batch.append([-v if model[v] else v for v in vs])  # false in the model
                 else:
                     batch.append(_random_clause(rng, n))
+            if messy:
+                batch = [_messy(mess, c) if mess.random() < 0.5 else c for c in batch]
             for c in batch:
                 s.add_clause(c)
             clauses.extend(batch)
@@ -220,7 +236,21 @@ def test_incremental_batches_against_truth_table():
                 model = result.model
             else:
                 unsat = True
+        repeated += sum(len(set(c)) < len(c) for c in s.clauses)
+        complementary += sum(any(-lit in c for lit in c) for c in s.clauses)
     assert outcomes[SAT] > 100 and outcomes[UNSAT] > 50
+    if messy:
+        assert repeated > 100 and complementary > 100
+    else:
+        assert repeated == complementary == 0
+
+
+def test_incremental_batches_against_truth_table():
+    _check_incremental_batches(messy=False)
+
+
+def test_incremental_messy_batches_against_truth_table():
+    _check_incremental_batches(messy=True)
 
 
 def test_clause_false_at_level_zero_after_sat_stays_unsat():
