@@ -36,14 +36,13 @@ class EncodingSoundnessError(AssertionError):
 @dataclass
 class EncodingArtifacts:
     formula: CnfFormula
-    mdds: list[Mdd]
     xs: VertexVars
 
 
 def _allocate_route_vars(formula: CnfFormula, mdds: list[Mdd]) -> VertexVars:
     """One vertex variable per diagram node, allocated level by level."""
-    return [[{v: formula.allocate(cnf.var_key_vertex(m.agent, v, t)) for v in level}
-             for t, level in enumerate(m.levels)] for m in mdds]
+    return [[{v: formula.allocate(cnf.var_key_vertex(i, v, t)) for v in level}
+             for t, level in enumerate(m.levels)] for i, m in enumerate(mdds)]
 
 
 def _encode_routes(formula: CnfFormula, instance: Instance, mdds: list[Mdd],
@@ -61,7 +60,7 @@ def _encode_routes(formula: CnfFormula, instance: Instance, mdds: list[Mdd],
     """
     for a, m, x in zip(instance.agents, mdds, xs):
         formula.add([x[0][a.start]])
-        formula.add([x[m.horizon][a.goal]])
+        formula.add([x[-1][a.goal]])
         for t, arcs in enumerate(m.arcs):
             here, there = x[t], x[t + 1]
             successors: dict[int, list[int]] = {}
@@ -83,12 +82,12 @@ def _encode_swaps(formula: CnfFormula, mdds: list[Mdd], xs: VertexVars) -> None:
     opposite diagram arcs of two agents.
     """
     moves: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-    for m, x in zip(mdds, xs):
+    for i, (m, x) in enumerate(zip(mdds, xs)):
         for t, arcs in enumerate(m.arcs):
             here, there = x[t], x[t + 1]
             for (u, v) in arcs:
                 if u != v:
-                    moves.setdefault((u, v, t), []).append((m.agent, -here[u], -there[v]))
+                    moves.setdefault((u, v, t), []).append((i, -here[u], -there[v]))
     for (u, v, t), forward in moves.items():
         backward = moves.get((v, u, t))
         if u > v or backward is None:
@@ -99,10 +98,10 @@ def _encode_swaps(formula: CnfFormula, mdds: list[Mdd], xs: VertexVars) -> None:
                     formula.add([leave_i, enter_i, leave_j, enter_j])
 
 
-def _occupants(xs: VertexVars, mu: int) -> list[dict[int, list[int]]]:
+def _occupants(xs: VertexVars) -> list[dict[int, list[int]]]:
     """occupants[t][v]: the vertex variables of every agent whose diagram
     holds v at step t, in agent id order."""
-    occupants: list[dict[int, list[int]]] = [{} for _ in range(mu + 1)]
+    occupants: list[dict[int, list[int]]] = [{} for _ in xs[0]]
     for x in xs:
         for at_t, level in zip(occupants, x):
             for v, var in level.items():
@@ -181,7 +180,7 @@ def _encode(instance: Instance, xi: int, mode: str, conflicts: list[Conflict] | 
     _encode_routes(formula, instance, mdds, xs)
     if mode == COMPLETE:
         _encode_swaps(formula, mdds, xs)
-        occupants = _occupants(xs, mdds[0].horizon)
+        occupants = _occupants(xs)
         _encode_capacities(formula, instance, occupants)
         if no_follow:
             _encode_no_follow(formula, instance, mdds, xs, occupants)
@@ -191,7 +190,7 @@ def _encode(instance: Instance, xi: int, mode: str, conflicts: list[Conflict] | 
             if clause is not None:
                 formula.add(clause)
     _encode_cost_bound(formula, instance, agent_costs, delta, xs)
-    return EncodingArtifacts(formula, mdds, xs)
+    return EncodingArtifacts(formula, xs)
 
 
 def conflict_clause(xs: VertexVars, conflict: Conflict) -> list[int] | None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -45,12 +45,8 @@ class Graph:
     width: int | None = None
     height: int | None = None
     passable: tuple[bool, ...] | None = None  # row-major, len == width*height
-    # passable cells before each cell, so a passable cell's vertex id; built once
-    _cells_before: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.passable is not None:
-            object.__setattr__(self, "_cells_before", tuple(accumulate(self.passable, initial=0)))
         n = len(self.adjacency)
         for u, nbrs in enumerate(self.adjacency):
             for v in nbrs:
@@ -72,6 +68,13 @@ class Graph:
         """Per vertex, itself and its neighbours in ascending order: the
         targets of a wait or a move. Computed on first use."""
         return tuple(tuple(sorted((u, *nbrs))) for u, nbrs in enumerate(self.adjacency))
+
+    @cached_property
+    def _cells_before(self) -> tuple[int, ...]:
+        """Per grid cell, the passable cells before it in row-major order: a
+        passable cell's vertex id, as `_grid_graph` numbers it. Computed on
+        first use."""
+        return tuple(accumulate(self.passable, initial=0))
 
     @property
     def has_grid(self) -> bool:
@@ -150,23 +153,18 @@ class Instance:
 
 
 def _grid_graph(width: int, height: int, passable: list[bool]) -> Graph:
-    ids = [-1] * (width * height)
-    n = 0
-    for i, p in enumerate(passable):
-        if p:
-            ids[i] = n
-            n += 1
-    adj: list[list[int]] = [[] for _ in range(n)]
+    ids = tuple(accumulate(passable, initial=0))  # as Graph._cells_before
+    adj: list[list[int]] = [[] for _ in range(ids[-1])]
     for y in range(height):
         for x in range(width):
             i = y * width + x
-            if ids[i] < 0:
+            if not passable[i]:
                 continue
             for dx, dy in ((1, 0), (0, 1)):
                 nx, ny = x + dx, y + dy
                 if nx < width and ny < height:
                     j = ny * width + nx
-                    if ids[j] >= 0:
+                    if passable[j]:
                         adj[ids[i]].append(ids[j])
                         adj[ids[j]].append(ids[i])
     return Graph(tuple(tuple(sorted(a)) for a in adj), width, height, tuple(passable))

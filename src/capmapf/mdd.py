@@ -28,8 +28,7 @@ class HorizonContractError(ValueError):
 
 @dataclass(frozen=True)
 class Mdd:
-    agent: int
-    horizon: int
+    """One agent's diagram over the horizon mu = len(arcs) = len(levels) - 1."""
     levels: tuple[tuple[int, ...], ...]          # levels[t] = sorted vertex ids
     arcs: tuple[tuple[tuple[int, int], ...], ...]  # arcs[t] = (u at t, v at t+1) pairs
 
@@ -79,7 +78,7 @@ def _diagram(agent: int, goal: int, mu: int, arrival: int, from_start: tuple[int
         tuple((u, v) for u in levels[t] for v in closed[u] if first[v] <= t + 1 <= last[v])
         for t in range(mu)
     ]
-    return Mdd(agent, mu, tuple(map(tuple, levels)), tuple(arcs))
+    return Mdd(tuple(map(tuple, levels)), tuple(arcs))
 
 
 def build_all_mdds(instance: Instance, delta: int) -> list[Mdd]:

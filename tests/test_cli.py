@@ -1,5 +1,7 @@
 import csv
 import io
+import random
+import string
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ TINY_MAP = str(FIXTURES / "tiny.map")
 TINY_SCEN = str(FIXTURES / "tiny.scen")
 SWAP_SCEN = str(FIXTURES / "swap.scen")
 UNIT_CNF = str(FIXTURES / "unit.cnf")
+TINY_CAPS = str(FIXTURES / "tiny.caps")
 
 
 def run(capsys, *argv):
@@ -70,6 +73,19 @@ def test_solve_capacity_file(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", "--map", TINY_MAP, "--scen", SWAP_SCEN,
                        "--capacity-file", str(caps))
     assert code == EXIT_OK and "cost=4" in out
+
+
+def test_agents_takes_the_first_agents_of_the_scenario(capsys):
+    # both agents of swap.scen cannot pass each other at capacity 1; the first alone can
+    code, out, _ = run(capsys, "solve", "--map", TINY_MAP, "--scen", SWAP_SCEN, "--agents", "1")
+    assert code == EXIT_OK and out == "0: 0\n1: 1\n2: 2\ncost=2 makespan=2\n"
+
+
+def test_solve_unreachable_goal_is_unsolvable(capsys, tmp_path):
+    walled = tmp_path / "walled.map"
+    walled.write_text("type octile\nheight 1\nwidth 3\nmap\n.@.\n")
+    code, out, err = run(capsys, "solve", "--map", str(walled), "--scen", TINY_SCEN)
+    assert code == EXIT_ERROR and "unsolvable" in err and out == ""
 
 
 @pytest.mark.parametrize("count", ["-1", "0"])
@@ -158,6 +174,9 @@ def test_validate_names_the_line_of_a_non_integer_token(capsys, tmp_path, rows, 
     ["bench", "--capacities", ","],
     ["bench", "--grid", "-3x3"],
     ["bench", "--grid", "0x3"],
+    ["solve", "--map", TINY_MAP, "--scen", SWAP_SCEN, "--agents", "3"],
+    ["solve", "--map", TINY_MAP, "--scen", TINY_SCEN, "--capacity", "2",
+     "--capacity-file", TINY_CAPS],
 ])
 def test_malformed_flag_exits_error(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -300,6 +319,19 @@ def test_sat_comments_never_change_the_cnf(capsys, tmp_path, comments):
     assert code == EXIT_OK and "s SATISFIABLE" in out
 
 
+def test_sat_out_of_time_is_unknown(capsys, tmp_path):
+    # six pigeons, five holes: UNSAT, and far beyond a microsecond of search
+    pigeons, holes = 6, 5
+    hole = [[p * holes + h + 1 for h in range(holes)] for p in range(pigeons)]
+    clauses = hole + [[-hole[p][h], -hole[q][h]] for h in range(holes)
+                      for p in range(pigeons) for q in range(p + 1, pigeons)]
+    f = tmp_path / "php.cnf"
+    f.write_text(f"p cnf {pigeons * holes} {len(clauses)}\n"
+                 + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses))
+    code, out, _ = run(capsys, "sat", str(f), "--timeout", "0.000001")
+    assert code == EXIT_EXHAUSTED and out == "s UNKNOWN\n"
+
+
 def test_sat_rejects_truncated_dimacs(capsys, tmp_path):
     f = tmp_path / "t.cnf"
     f.write_text("p cnf 2 5\n1 0\n")
@@ -311,3 +343,49 @@ def test_missing_file_reports_error(capsys):
     code, _, err = run(capsys, "solve", "--map", "/nonexistent.map",
                        "--scen", TINY_SCEN)
     assert code == EXIT_ERROR and "error" in err
+
+
+FUZZ_ALPHABET = string.ascii_letters + string.digits + " \t\n.-#@():\u00e9\x00"
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """1-4 random characters inserted, deleted or replaced."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        op = rng.choice("idr")
+        if op == "i":
+            chars.insert(rng.randrange(len(chars) + 1), rng.choice(FUZZ_ALPHABET))
+        elif chars and op == "d":
+            del chars[rng.randrange(len(chars))]
+        elif chars:
+            chars[rng.randrange(len(chars))] = rng.choice(FUZZ_ALPHABET)
+    return "".join(chars)
+
+
+# the command that reads each fixture, given the path of its mutated copy
+FUZZ_COMMANDS = {
+    "tiny.map": lambda f: ["solve", "--map", f, "--scen", TINY_SCEN, "--timeout", "5"],
+    "tiny.scen": lambda f: ["solve", "--map", TINY_MAP, "--scen", f, "--timeout", "5"],
+    "tiny.caps": lambda f: ["solve", "--map", TINY_MAP, "--scen", TINY_SCEN,
+                            "--capacity-file", f, "--timeout", "5"],
+    "unit.cnf": lambda f: ["sat", f, "--timeout", "5"],
+    "tiny.plan": lambda f: ["validate", "--map", TINY_MAP, "--scen", TINY_SCEN, "--plan", f],
+}
+
+
+@pytest.mark.parametrize("fixture", FUZZ_COMMANDS)
+def test_mutated_inputs_exit_with_a_documented_code(capsys, tmp_path, fixture):
+    """Seeded mutations of each input format end in an exit code, never a
+    traceback, and mostly in exit 1, so they do reach the parser's checks."""
+    argv = FUZZ_COMMANDS[fixture]
+    rng = random.Random(fixture)
+    text = (FIXTURES / fixture).read_text(encoding="utf-8")
+    mutated = tmp_path / fixture
+    codes = []
+    for _ in range(100):
+        mutated.write_text(_mutate(rng, text), encoding="utf-8")
+        code, out, err = run(capsys, *argv(str(mutated)))
+        assert code in (EXIT_OK, EXIT_ERROR, EXIT_EXHAUSTED)
+        assert code != EXIT_ERROR or out or err  # an error is never silent
+        codes.append(code)
+    assert codes.count(EXIT_ERROR) > len(codes) // 2, codes

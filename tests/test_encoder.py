@@ -110,7 +110,7 @@ def test_uniform_one_capacity_emits_pairwise():
     artifacts = encode_complete(inst, 4)
     f = artifacts.formula
     expected = set()
-    for t in range(artifacts.mdds[0].horizon + 1):
+    for t in range(len(build_all_mdds(inst, 0)[0].levels)):
         for v in range(3):
             x0 = artifacts.xs[0][t].get(v)
             x1 = artifacts.xs[1][t].get(v)
@@ -132,21 +132,22 @@ def test_uniform_one_capacity_emits_pairwise():
 def test_swap_clauses_are_opposite_arc_pairs(inst, slack):
     artifacts = encode_complete(inst, cost_lower_bound(inst) + slack)
     f = artifacts.formula
+    mdds = build_all_mdds(inst, slack)
 
     def x(agent, v, t):
         return artifacts.xs[agent][t].get(v)
 
     expected = set()
-    for mi in artifacts.mdds:
-        for mj in artifacts.mdds:
-            if mi.agent == mj.agent:
+    for i, mi in enumerate(mdds):
+        for j, mj in enumerate(mdds):
+            if i == j:
                 continue
-            for t in range(artifacts.mdds[0].horizon):
+            for t in range(len(mdds[0].arcs)):
                 for (u, v) in mi.arcs[t]:
                     if u != v and (v, u) in mj.arcs[t]:
                         expected.add(frozenset((
-                            -x(mi.agent, u, t), -x(mi.agent, v, t + 1),
-                            -x(mj.agent, v, t), -x(mj.agent, u, t + 1),
+                            -x(i, u, t), -x(i, v, t + 1),
+                            -x(j, v, t), -x(j, u, t + 1),
                         )))
 
     def crosses(clause):  # one agent at u then v, another at v then u
@@ -226,7 +227,8 @@ def test_cost_bound_counts_slack_inside_the_arrival_windows(corpus):
         delta = oracle.cost - sum(costs)
         artifacts = encode_complete(inst, oracle.cost)
         f = artifacts.formula
-        mu = artifacts.mdds[0].horizon
+        mdds = build_all_mdds(inst, delta)
+        mu = len(mdds[0].levels) - 1
         settled = [k for k in map(f.key_of, range(1, f.variable_count + 1))
                    if k[0] == AUX and k[1].startswith("settled_")]
         assert len(settled) == inst.k * (delta + 1), name
@@ -239,8 +241,8 @@ def test_cost_bound_counts_slack_inside_the_arrival_windows(corpus):
         assert solve_clauses(f.clauses + plan_units(artifacts.xs)).outcome == SAT, name
         if delta > 0:  # the same diagrams under the bound xi* - 1
             g = CnfFormula()
-            route_vars = encoder._allocate_route_vars(g, artifacts.mdds)
-            encoder._encode_routes(g, inst, artifacts.mdds, route_vars)
+            route_vars = encoder._allocate_route_vars(g, mdds)
+            encoder._encode_routes(g, inst, mdds, route_vars)
             encoder._encode_cost_bound(g, inst, costs, delta - 1, route_vars)
             assert solve_clauses(g.clauses + plan_units(route_vars)).outcome == UNSAT, name
             tight += 1
@@ -297,7 +299,7 @@ def _scanned_encoding(inst, mdds, xi, no_follow):
     route_vars = encoder._allocate_route_vars(formula, mdds)
     encoder._encode_routes(formula, inst, mdds, route_vars)
     encoder._encode_swaps(formula, mdds, route_vars)
-    mu, caps = mdds[0].horizon, inst.capacities
+    mu, caps = len(mdds[0].levels) - 1, inst.capacities
 
     def occupants(v, t, skip=None):
         return [x for i in range(inst.k) if i != skip
@@ -312,13 +314,13 @@ def _scanned_encoding(inst, mdds, xi, no_follow):
                 else:
                     formula.add_all(cnf.at_most_k(formula, xs, caps[v]))
     if no_follow:
-        for m in mdds:
+        for i, m in enumerate(mdds):
             for t, arcs in enumerate(m.arcs):
                 for (u, v) in arcs:
                     if u != v:
-                        move = [-route_vars[m.agent][t][u],
-                                -route_vars[m.agent][t + 1][v]]
-                        for clause in cnf.at_most_k(formula, occupants(v, t, m.agent), caps[v] - 1):
+                        move = [-route_vars[i][t][u],
+                                -route_vars[i][t + 1][v]]
+                        for clause in cnf.at_most_k(formula, occupants(v, t, i), caps[v] - 1):
                             formula.add(clause + move)
     costs = agent_path_costs(inst)
     encoder._encode_cost_bound(formula, inst, costs, xi - sum(costs), route_vars)
@@ -332,7 +334,8 @@ def test_occupant_index_matches_full_scan(corpus, no_follow):
         xi0 = cost_lower_bound(inst)
         for xi in (xi0, xi0 + 2):
             artifacts = encode_complete(inst, xi, no_follow=no_follow)
-            expected = _scanned_encoding(inst, artifacts.mdds, xi, no_follow)
+            mdds = build_all_mdds(inst, xi - xi0)
+            expected = _scanned_encoding(inst, mdds, xi, no_follow)
             assert to_dimacs(artifacts.formula) == to_dimacs(expected), (name, xi)
             checked += 1
     assert checked >= 100

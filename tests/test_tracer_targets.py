@@ -2,7 +2,8 @@ import importlib
 from collections.abc import Sized
 from pathlib import Path
 
-from capmapf import CdclSolver, encode_complete, generate_random, solve
+from capmapf import CdclSolver, cost_lower_bound, encode_complete, generate_random, solve
+from capmapf.mdd import build_all_mdds
 from capmapf.satcore import SAT
 from capmapf.solvers import SOLVED
 
@@ -25,7 +26,7 @@ def test_benchmark_tracer_finds_every_attribute():
     report = solve(inst)
     artifacts = encode_complete(inst, report.optimal_cost)
     assert artifacts.formula.variable_count > 0 and artifacts.formula.clauses
-    for m in artifacts.mdds:
+    for m in build_all_mdds(inst, report.optimal_cost - cost_lower_bound(inst)):
         assert m.levels and m.arcs
     sat = CdclSolver(artifacts.formula.variable_count)
     for clause in artifacts.formula.clauses:
