@@ -247,6 +247,14 @@ def _int_list(value: str) -> list[int]:
     return numbers
 
 
+def _solver_list(value: str) -> list[str]:
+    names = [tok for tok in value.split(",") if tok]
+    if not names or any(name not in (solvers.EAGER, solvers.LAZY) for name in names):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated {solvers.EAGER}/{solvers.LAZY}, got {value!r}")
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capmapf",
@@ -269,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacities", type=_int_list, default=[1, 2, 3])
     p.add_argument("--count", type=_positive(int), default=25, help="instances per cell")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--solvers", type=lambda s: s.split(","),
-                   default=[solvers.EAGER, solvers.LAZY])
+    p.add_argument("--solvers", type=_solver_list, default=[solvers.EAGER, solvers.LAZY])
     p.add_argument("--timeout", type=_positive(float), default=10.0, help="seconds per run")
     p.add_argument("--sorted", action="store_true",
                    help="emit the sorted-runtime table instead of per-run rows")

@@ -14,6 +14,14 @@ watches the clause against the live assignment and backtracks only as far as
 the watch invariant needs, so a re-solve resumes from the previous model
 instead of descending again from the empty assignment.  Clauses are loaded
 as given: nonzero literals, repeats and complementary pairs kept, no clean-up.
+The solver adopts each clause list it is handed and reorders it in place, so
+a clause exists once, shared with the caller (`CnfFormula` keeps the same
+lists).  Before anything is propagated, loading a clause of two or more
+literals only watches its first two, as MiniSat does; the variables its other
+literals name are range-checked, and the solver grown to them, once per
+solve() call over the clauses added since the previous call.  Units and
+clauses added after a search go straight onto the trail through `_attach`,
+with their own check.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ class CdclSolver:
     def __init__(self, num_vars: int = 0):  # presized; larger clauses still grow it
         self.num_vars = 0
         self.clauses: list[list[int]] = []   # original, units included
+        self.checked = 0                     # clauses[:checked] are within num_vars
         self.learned: list[list[int]] = []   # len >= 2
         self.contradiction = False
         self.watches: dict[int, list[list[int]]] = {}
@@ -64,25 +73,35 @@ class CdclSolver:
         self.reason += [None] * len(new)
         self.activity += [0.0] * len(new)
         self.seen += [False] * len(new)
-        self.watches.update((lit, []) for u in new for lit in (u, -u))
+        self.watches |= {u: [] for u in new}
+        self.watches |= {-u: [] for u in new}
         self.heap += [(0.0, u) for u in new]
         self.in_heap += [True] * len(new)
         self.num_vars = max(self.num_vars, v)
 
     def add_clause(self, lits: list[int]) -> None:
         """Permanently conjoin a clause as given, callable between solve() calls: nonzero
-        literals, repeated and complementary ones kept, the empty clause sets `contradiction`."""
+        literals, repeated and complementary ones kept, the empty clause sets `contradiction`.
+        The solver keeps `lits` itself and reorders it; the caller must not rely on its order."""
         if not lits:
             self.contradiction = True
             return
-        clause = list(lits)  # _attach and _propagate reorder their own copy
-        if (top := max(map(abs, clause))) > self.num_vars:
-            self._ensure_var(top)
-        self.clauses.append(clause)
-        if self.qhead or len(clause) == 1:
-            self._attach(clause)
-        else:  # nothing propagated yet: every assigned literal will still be visited
-            self._watch(clause)
+        self.clauses.append(lits)
+        if self.qhead or len(lits) == 1:
+            if (top := max(map(abs, lits))) > self.num_vars:
+                self._ensure_var(top)
+            self._attach(lits)
+            return
+        # nothing propagated yet: every assigned literal will still be visited, so two
+        # watches suffice; solve() range-checks the other literals
+        watches = self.watches
+        try:
+            first, second = watches[lits[0]], watches[lits[1]]
+        except KeyError:  # a watched literal names a new variable
+            self._ensure_var(max(map(abs, lits)))
+            first, second = watches[lits[0]], watches[lits[1]]
+        first.append(lits)
+        second.append(lits)
 
     def _watch(self, clause: list[int]) -> None:
         self.watches[clause[0]].append(clause)
@@ -294,6 +313,10 @@ class CdclSolver:
         """
         if self.contradiction:
             return SatResult(UNSAT)
+        if len(self.clauses) > self.checked:  # grow to the clauses loaded since the last call
+            new = self.clauses[self.checked:] if self.checked else self.clauses  # first call: no copy
+            self._ensure_var(max(max(map(max, new)), -min(map(min, new))))
+            self.checked = len(self.clauses)
         deadline = None if time_limit is None else time.monotonic() + time_limit
         conflicts = 0
         restart_limit = 100

@@ -104,6 +104,7 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
     if ceiling is None:
         ceiling = xi0 + instance.graph.vertex_count * instance.k
     for xi in range(xi0, ceiling + 1):
+        sat = artifacts = result = candidate = None  # free the last bound before encoding this one
         started = time.monotonic()
         if started >= deadline:
             return report

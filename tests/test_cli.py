@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from capmapf import solvers
 from capmapf.cli import (
     BENCH_HEADER,
     EXIT_ERROR,
@@ -177,10 +178,22 @@ def test_validate_names_the_line_of_a_non_integer_token(capsys, tmp_path, rows, 
     ["solve", "--map", TINY_MAP, "--scen", SWAP_SCEN, "--agents", "3"],
     ["solve", "--map", TINY_MAP, "--scen", TINY_SCEN, "--capacity", "2",
      "--capacity-file", TINY_CAPS],
+    ["bench", "--grid", "3x3", "--agent-counts", "2", "--solvers", "eager,lazyy"],
+    ["bench", "--grid", "3x3", "--agent-counts", "2", "--solvers", "magic"],
+    ["bench", "--grid", "3x3", "--agent-counts", "2", "--solvers", ""],
+    ["bench", "--grid", "3x3", "--agent-counts", "2", "--solvers", ","],
 ])
-def test_malformed_flag_exits_error(capsys, argv):
+def test_malformed_flag_exits_error(capsys, monkeypatch, argv):
+    """Rejected before any solving starts."""
+    solved = []
+
+    def solve(*args, **kwargs):
+        solved.append(args)
+        return solvers.SolveReport(solvers.EXHAUSTED)
+
+    monkeypatch.setattr(solvers, "solve", solve)
     code, _, err = run(capsys, *argv)
-    assert code == EXIT_ERROR and "error" in err
+    assert code == EXIT_ERROR and "error" in err and solved == []
 
 
 def test_help_exits_ok(capsys):

@@ -136,7 +136,7 @@ def test_determinism():
     for _ in range(2):
         s = CdclSolver()
         for c in clauses:
-            s.add_clause(c)
+            s.add_clause(list(c))  # the solver reorders the lists it is handed
         result = s.solve()
         assert result.outcome == SAT
         models.append(result.model)
@@ -357,6 +357,23 @@ def test_presized_and_grown_heap_stays_valid():
     assert result.outcome == SAT
     assert model_satisfies([[1, 2, 3], [-1, 4], [7, -8, 9], [-10, 12]], result.model)
     assert all(s.assign[v] != 0 for v in range(1, 13))  # 6 and 11 sit in no clause
+
+
+def test_growth_covers_literals_outside_the_watches():
+    """A clause loaded before the first search is only watched, so a new
+    variable past its first two literals is allocated when solve() starts.
+    A clause added after a search goes on the trail at once and grows the
+    solver at once, wherever its new variable sits."""
+    s = CdclSolver(2)
+    for clause in ([1, 2, 5], [-1], [-2]):
+        s.add_clause(clause)
+    assert s.num_vars == 2
+    result = s.solve()
+    assert result.outcome == SAT and result.model[5] is True and s.num_vars == 5
+    s.add_clause([1, 2, -5, 8])  # 1, 2 and -5 are false at level 0
+    assert s.num_vars == 8 and s.assign[8] == 1
+    result = s.solve()
+    assert result.outcome == SAT and result.model[8] is True and len(result.model) == 9
 
 
 @pytest.mark.parametrize("seed", range(100, 110))

@@ -1,5 +1,6 @@
 import sys
 import time
+import weakref
 
 import pytest
 
@@ -288,3 +289,37 @@ def test_search_matches_pin(solver, monkeypatch):
         seen.append((report.optimal_cost, sum(s.conflicts_total for s in made),
                      report.total_refinements, len(report.iterations)))
     assert seen == SEARCH_PIN[solver]
+
+
+@pytest.mark.parametrize("solver", [EAGER, LAZY])
+def test_one_bound_alive_at_a_time(solver, monkeypatch):
+    """Every earlier bound's SAT solver, encoding and SAT answer are garbage
+    by the time the next bound is encoded."""
+    earlier = []
+
+    class Recording(satcore.CdclSolver):
+        def __init__(self, num_vars=0):
+            super().__init__(num_vars)
+            earlier.append(weakref.ref(self))
+
+        def solve(self, *args, **kwargs):
+            result = super().solve(*args, **kwargs)
+            earlier.append(weakref.ref(result))
+            return result
+
+    monkeypatch.setattr(satcore, "CdclSolver", Recording)
+    bounds = []
+    for name in ("encode_complete", "encode_basic"):
+        original = getattr(encoder, name)
+
+        def checked(*args, original=original, **kwargs):
+            alive = [ref() for ref in earlier if ref() is not None]
+            assert alive == [], f"encoding bound {args[1]}: alive {alive}"
+            bounds.append(args[1])
+            artifacts = original(*args, **kwargs)
+            earlier.append(weakref.ref(artifacts))
+            return artifacts
+
+        monkeypatch.setattr(encoder, name, checked)
+    report = solve(generate_random(4, 4, 7, 1, 5), solver)
+    assert report.status == SOLVED and len(report.iterations) == len(bounds) == 5
