@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -315,7 +316,7 @@ class CdclSolver:
             return SatResult(UNSAT)
         if len(self.clauses) > self.checked:  # grow to the clauses loaded since the last call
             new = self.clauses[self.checked:] if self.checked else self.clauses  # first call: no copy
-            self._ensure_var(max(max(map(max, new)), -min(map(min, new))))
+            self._ensure_var(max(map(abs, chain.from_iterable(new))))
             self.checked = len(self.clauses)
         deadline = None if time_limit is None else time.monotonic() + time_limit
         conflicts = 0
