@@ -82,8 +82,8 @@ def cmd_solve(args) -> int:
     return EXIT_EXHAUSTED
 
 
-BENCH_HEADER = ["instance", "solver", "capacity", "k", "outcome",
-                "cost", "time_s", "vars", "clauses", "refinements"]
+BENCH_HEADER = ["instance", "solver", "capacity", "k", "outcome", "cost", "time_s",
+                "vars", "clauses", "vars_total", "clauses_total", "refinements"]
 
 
 def _bench_cells(args):
@@ -91,6 +91,33 @@ def _bench_cells(args):
         for k in args.agent_counts:
             for rep in range(args.count):
                 yield capacity, k, rep
+
+
+def bench_row(name: str, solver: str, capacity: int, k: int,
+              report: solvers.SolveReport, elapsed: float) -> dict:
+    """One `bench` CSV row: `vars` and `clauses` are the last bound's, the
+    `_total` columns sum them over every bound the solve encoded."""
+    last = report.iterations[-1] if report.iterations else None
+    if report.status == solvers.SOLVED:
+        outcome = "solved"
+    elif report.status == solvers.UNSOLVABLE:
+        outcome = "unsolvable"
+    else:
+        outcome = "timeout"
+    return {
+        "instance": name,
+        "solver": solver,
+        "capacity": capacity,
+        "k": k,
+        "outcome": outcome,
+        "cost": report.optimal_cost if report.optimal_cost is not None else "",
+        "time_s": f"{elapsed:.3f}",
+        "vars": last.variables if last else 0,
+        "clauses": last.clauses if last else 0,
+        "vars_total": sum(s.variables for s in report.iterations),
+        "clauses_total": sum(s.clauses for s in report.iterations),
+        "refinements": report.total_refinements,
+    }
 
 
 def run_bench(args) -> list[dict]:
@@ -105,25 +132,7 @@ def run_bench(args) -> list[dict]:
             started = time.monotonic()
             report = solvers.solve(instance, solver_name, limits)
             elapsed = time.monotonic() - started
-            last = report.iterations[-1] if report.iterations else None
-            if report.status == solvers.SOLVED:
-                outcome = "solved"
-            elif report.status == solvers.UNSOLVABLE:
-                outcome = "unsolvable"
-            else:
-                outcome = "timeout"
-            rows.append({
-                "instance": name,
-                "solver": solver_name,
-                "capacity": capacity,
-                "k": k,
-                "outcome": outcome,
-                "cost": report.optimal_cost if report.optimal_cost is not None else "",
-                "time_s": f"{elapsed:.3f}",
-                "vars": last.variables if last else 0,
-                "clauses": last.clauses if last else 0,
-                "refinements": report.total_refinements,
-            })
+            rows.append(bench_row(name, solver_name, capacity, k, report, elapsed))
     rows.sort(key=lambda r: (r["instance"], r["solver"], r["capacity"]))
     return rows
 

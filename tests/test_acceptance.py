@@ -26,7 +26,7 @@ from capmapf import (
     to_dimacs,
     validate_plan,
 )
-from capmapf.cli import BENCH_HEADER
+from capmapf.cli import BENCH_HEADER, bench_row
 from capmapf.mdd import HorizonContractError, compute_horizon
 from capmapf.pathcalc import UnsolvableInstanceError, agent_path_costs
 from capmapf.satcore import SAT, UNSAT, CdclSolver
@@ -174,22 +174,10 @@ def test_criterion_7_congestion_trend():
             t0 = time.monotonic()
             report = solve(inst, LAZY, Limits(time_limit_s=30))
             elapsed = time.monotonic() - t0
-            last = report.iterations[-1] if report.iterations else None
-            rows.append({
-                "instance": f"g8x8-k12-s{seed}",
-                "solver": "lazy",
-                "capacity": c,
-                "k": 12,
-                "outcome": "solved" if report.status == SOLVED else "timeout",
-                "cost": report.optimal_cost if report.optimal_cost is not None else "",
-                "time_s": f"{elapsed:.3f}",
-                "vars": last.variables if last else 0,
-                "clauses": last.clauses if last else 0,
-                "refinements": report.total_refinements,
-            })
+            rows.append(bench_row(f"g8x8-k12-s{seed}", LAZY, c, 12, report, elapsed))
             if report.status == SOLVED:
                 refinements[c].append(report.total_refinements)
-                clauses[c].append(last.clauses)
+                clauses[c].append(report.iterations[-1].clauses)
     out = ARTIFACTS / "congestion.csv"
     with out.open("w", encoding="utf-8", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=BENCH_HEADER, lineterminator="\n")

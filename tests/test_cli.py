@@ -269,8 +269,18 @@ def bench_args(**overrides):
     return argv
 
 
-def test_bench_csv_shape(capsys):
-    code, out, _ = run(capsys, *bench_args())
+def test_bench_csv_shape(capsys, monkeypatch):
+    reports = []
+    solve = solvers.solve
+
+    def recording(instance, solver, *args, **kwargs):
+        report = solve(instance, solver, *args, **kwargs)
+        reports.append((str(instance.capacities[0]), solver, report.iterations))
+        return report
+
+    monkeypatch.setattr(solvers, "solve", recording)
+    # k=5 so that one cell (c=1, seed 7) runs four cost bounds
+    code, out, _ = run(capsys, *bench_args(**{"--agent-counts": "5"}))
     assert code == EXIT_OK
     rows = list(csv.DictReader(io.StringIO(out)))
     assert list(rows[0]) == BENCH_HEADER
@@ -281,6 +291,16 @@ def test_bench_csv_shape(capsys):
         assert r["outcome"] in ("solved", "unsolvable", "timeout")
         if r["outcome"] == "solved":
             assert int(r["cost"]) >= 0 and float(r["time_s"]) >= 0
+    # the last bound's size, and its sums over every bound, as each report gives them
+    expected = sorted(
+        (c, solver, str(its[-1].variables), str(its[-1].clauses),
+         str(sum(s.variables for s in its)), str(sum(s.clauses for s in its)))
+        for c, solver, its in reports
+    )
+    got = sorted((r["capacity"], r["solver"], r["vars"], r["clauses"],
+                  r["vars_total"], r["clauses_total"]) for r in rows)
+    assert got == expected
+    assert any(int(r["clauses_total"]) > int(r["clauses"]) for r in rows)
 
 
 def test_bench_deterministic_modulo_time(capsys):
