@@ -9,6 +9,15 @@ Two modes: the complete model posts every movement rule eagerly (swap
 prohibition and per-vertex capacity cardinality at every step); the basic
 model omits inter-agent rules and instead posts one elimination clause per
 previously recorded conflict.
+
+No clause keeps an agent to one vertex per step, so a model may set more of
+an agent's nodes true than one walk uses. `extract_plan` decodes one walk
+per agent through true nodes, back from its goal. The swap, capacity,
+no-follow and conflict clauses hold vertex variables only negatively, so
+they hold for any such walk; the walk waits at its goal wherever that node is
+true, so it costs no more than the cost bound charged. Every valid plan, its
+nodes set true and all others false, is still a model, so an UNSAT bound
+still proves that no plan fits it.
 """
 
 from __future__ import annotations
@@ -30,7 +39,8 @@ VertexVars = list[list[dict[int, int]]]
 
 
 class EncodingSoundnessError(AssertionError):
-    """A model decoded to other than one vertex per level, or to a conflict without a clause."""
+    """A model with a true node that no true node leads into, a conflict
+    without a clause, or an eager plan that breaks a rule."""
 
 
 @dataclass
@@ -47,16 +57,15 @@ def _allocate_route_vars(formula: CnfFormula, mdds: list[Mdd]) -> VertexVars:
 
 def _encode_routes(formula: CnfFormula, instance: Instance, mdds: list[Mdd],
                    xs: VertexVars) -> None:
-    """Groups (a)-(c) over vertex variables: endpoint units, a successor and
-    a predecessor clause per diagram node, and at most one vertex per level.
+    """Groups (a)-(b) over vertex variables: endpoint units, and a successor
+    and a predecessor clause per diagram node.
 
-    The start unit, the successor clauses x(u,t) -> OR x(w,t+1) over u's
-    diagram arcs and the per-level at-most-one pin each agent to exactly one
-    vertex per level along diagram arcs, so decoding and the settled-flag
-    cost accounting stay sound. The mirror predecessor clauses
-    x(v,t+1) -> OR x(u,t) are implied; they are kept because they propagate
-    (without them, eager search on 4x4 grids with 7 agents meets about 1.8
-    times the conflicts).
+    The predecessor clauses x(v,t+1) -> OR x(u,t) over v's diagram arcs give
+    every true node past level 0 a true node leading into it, so
+    `extract_plan` can walk back from the goal unit to the start unit. The
+    successor clauses x(u,t) -> OR x(w,t+1) are not needed for that; they are
+    kept because they propagate (without them, eager solves per second on
+    16x16 grids with 4 agents fall by about 40%).
     """
     for a, m, x in zip(instance.agents, mdds, xs):
         formula.add([x[0][a.start]])
@@ -70,9 +79,6 @@ def _encode_routes(formula: CnfFormula, instance: Instance, mdds: list[Mdd],
                 predecessors.setdefault(v, [-there[v]]).append(here[u])
             formula.add_all(successors.values())
             formula.add_all(predecessors.values())
-        for level in x:
-            if len(level) > 1:
-                formula.add_all(cnf.at_most_k(formula, list(level.values()), 1))
 
 
 def _encode_swaps(formula: CnfFormula, mdds: list[Mdd], xs: VertexVars) -> None:
@@ -228,17 +234,30 @@ def encode_basic(instance: Instance, xi: int,
     return _encode(instance, xi, BASIC, conflicts, False)
 
 
-def extract_plan(artifacts: EncodingArtifacts, model: list[bool]) -> Plan:
-    """Decode each agent's occupied vertex per level out of a satisfying model."""
+def extract_plan(instance: Instance, artifacts: EncodingArtifacts, model: list[bool]) -> Plan:
+    """Each agent's path through true nodes, walked back from its goal at the
+    horizon: at step t the agent stays on its vertex v if (v, t) is true, and
+    otherwise takes the first true (u, t) with u in v's closed neighbourhood,
+    which are the diagram arcs into (v, t+1). Level 0 holds only the start.
+
+    Staying first keeps the agent at its goal from its first settled step on,
+    so it costs no more than the cost bound charged it. Raises
+    EncodingSoundnessError when no true node leads into the current one.
+    """
+    closed = instance.graph.closed_neighbourhoods
     paths = []
-    for i, x in enumerate(artifacts.xs):
-        path = []
-        for t, level in enumerate(x):
-            occupied = [v for v, var in level.items() if model[var]]
-            if len(occupied) != 1:
-                raise EncodingSoundnessError(
-                    f"agent {i} occupies {len(occupied)} vertices at step {t}"
-                )
-            path.append(occupied[0])
-        paths.append(tuple(path))
+    for i, (a, x) in enumerate(zip(instance.agents, artifacts.xs)):
+        v, path = a.goal, []
+        for t in range(len(x) - 1, -1, -1):
+            level = x[t]
+            var = level.get(v)
+            if var is None or not model[var]:
+                u = next((u for u in closed[v]
+                          if (var := level.get(u)) is not None and model[var]), None)
+                if u is None:
+                    raise EncodingSoundnessError(
+                        f"agent {i}: no true node at step {t} leads on to vertex {v}")
+                v = u
+            path.append(v)
+        paths.append(tuple(reversed(path)))
     return Plan(tuple(paths))

@@ -81,7 +81,7 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
     clean plan is the optimum.
 
     Eager posts every capacity and swap constraint up front, so its first
-    satisfying model is clean.  Lazy posts one elimination clause per
+    satisfying model decodes to a clean plan; it checks that plan once.  Lazy posts one elimination clause per
     conflict a candidate plan shows and re-solves; the recorded conflicts
     carry over to every later bound.
 
@@ -123,8 +123,10 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
             result = sat.solve(time_limit=deadline - time.monotonic())
             if result.outcome != satcore.SAT:
                 break
-            candidate = encoder.extract_plan(artifacts, result.model)
-            found = [] if solver == EAGER else validate_candidate(instance, candidate)
+            candidate = encoder.extract_plan(instance, artifacts, result.model)
+            found = validate_candidate(instance, candidate)
+            if found and solver == EAGER:  # every rule was posted, so a model cannot break one
+                raise encoder.EncodingSoundnessError(f"eager plan breaks {found[0]}")
             if not found:
                 plan = candidate
             for conflict in found:

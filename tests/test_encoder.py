@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -39,7 +40,7 @@ def test_single_agent_shortest_path():
     artifacts = encode_complete(inst, 2)
     result = solve_formula(artifacts)
     assert result.outcome == SAT
-    assert extract_plan(artifacts, result.model).paths == ((0, 1, 2),)
+    assert extract_plan(inst, artifacts, result.model).paths == ((0, 1, 2),)
 
 
 def test_swap_unsat_at_every_bound():
@@ -53,7 +54,7 @@ def test_swap_with_wide_middle_sat():
     artifacts = encode_complete(inst, 4)
     result = solve_formula(artifacts)
     assert result.outcome == SAT
-    plan = extract_plan(artifacts, result.model)
+    plan = extract_plan(inst, artifacts, result.model)
     assert validate_plan(inst, plan) == []
     assert plan.sum_of_costs <= 4
     # both agents cross through the middle at once
@@ -65,7 +66,7 @@ def test_basic_model_is_a_relaxation():
     artifacts = encode_basic(inst, 4)
     result = solve_formula(artifacts)
     assert result.outcome == SAT
-    plan = extract_plan(artifacts, result.model)
+    plan = extract_plan(inst, artifacts, result.model)
     assert validate_plan(inst, plan) != []
 
 
@@ -75,7 +76,7 @@ def test_basic_model_honors_recorded_conflicts():
     artifacts = encode_basic(inst, 6, [conflict])  # slack so agents can dodge
     result = solve_formula(artifacts)
     assert result.outcome == SAT
-    plan = extract_plan(artifacts, result.model)
+    plan = extract_plan(inst, artifacts, result.model)
     assert not (plan.paths[0][1] == 1 and plan.paths[1][1] == 1)
 
 
@@ -189,34 +190,36 @@ def _diagram_walks(m):
 ])
 @pytest.mark.parametrize("slack", [0, 1, 2])
 def test_route_models_are_exactly_the_diagram_walks(graph, start, goal, slack):
-    """Projected onto the vertex variables, the route group's models are
-    exactly the diagram's mu-step walks."""
+    """Every model of the route group decodes to a diagram walk whose nodes
+    are all true; blocking each decoded walk's node set enumerates exactly
+    the diagram's mu-step walks; and each walk, set exactly, is a model."""
     inst = make_instance(graph, 1, [(start, goal)])
-    mu = compute_horizon(inst, cost_lower_bound(inst) + slack)
     m = build_all_mdds(inst, slack)[0]
     formula = CnfFormula()
     route_vars = encoder._allocate_route_vars(formula, [m])
     encoder._encode_routes(formula, inst, [m], route_vars)
-    xs = {(t, v): route_vars[0][t][v]
-          for t, level in enumerate(m.levels) for v in level}
+    artifacts = encoder.EncodingArtifacts(formula, route_vars)
+    x = route_vars[0]
     solver = CdclSolver()
     for clause in formula.clauses:
         solver.add_clause(clause)
     walks = set()
     while (result := solver.solve()).outcome == SAT:
-        true = sorted((t, v) for (t, v), x in xs.items() if result.model[x])
-        walk = tuple(v for _, v in true)
-        assert [t for t, _ in true] == list(range(mu + 1)), walk
+        walk = extract_plan(inst, artifacts, result.model).paths[0]
+        assert walk not in walks and all(result.model[x[t][v]] for t, v in enumerate(walk))
         walks.add(walk)
-        # block this projection only, so a model that differs in any vertex can follow
-        solver.add_clause([-x if result.model[x] else x for x in xs.values()])
+        solver.add_clause([-x[t][v] for t, v in enumerate(walk)])
     assert result.outcome == UNSAT
     assert walks == _diagram_walks(m)
+    for walk in walks:
+        true = {x[t][v] for t, v in enumerate(walk)}
+        assert all(any((l > 0) == (abs(l) in true) for l in clause)
+                   for clause in formula.clauses), walk
 
 
 def test_cost_bound_counts_slack_inside_the_arrival_windows(corpus):
-    """With the vertex variables fixed to an oracle-optimal plan, the cost
-    bound admits it at its cost xi* and rejects it at xi* - 1, and each
+    """With every vertex variable fixed to an oracle-optimal plan (its nodes
+    true, all others false), the cost bound admits it at its cost xi* and rejects it at xi* - 1, and each
     agent has delta + 1 settled flags."""
     checked = tight = 0
     for name, inst in corpus:
@@ -234,9 +237,10 @@ def test_cost_bound_counts_slack_inside_the_arrival_windows(corpus):
         assert len(settled) == inst.k * (delta + 1), name
         padded = [p + (p[-1],) * (mu + 1 - len(p)) for p in oracle.plan.paths]
 
-        def plan_units(xs):
-            return [[xs[i][t][v]]
-                    for i, p in enumerate(padded) for t, v in enumerate(p)]
+        def plan_units(xs):  # every vertex variable fixed: plan nodes true, all others false
+            return [[var if p[t] == v else -var]
+                    for p, x in zip(padded, xs) for t, level in enumerate(x)
+                    for v, var in level.items()]
 
         assert solve_clauses(f.clauses + plan_units(artifacts.xs)).outcome == SAT, name
         if delta > 0:  # the same diagrams under the bound xi* - 1
@@ -250,15 +254,68 @@ def test_cost_bound_counts_slack_inside_the_arrival_windows(corpus):
     assert checked >= 200 and tight >= 25
 
 
-def test_extract_rejects_ambiguous_model():
+def test_extract_walks_back_through_true_nodes_waiting_at_the_goal():
     inst = make_instance(path_graph(3), 1, [(0, 2)])
-    artifacts = encode_complete(inst, 3)
+    artifacts = encode_complete(inst, 3)  # slack 1: horizon 3
     result = solve_formula(artifacts)
     model = list(result.model)
-    for v in (0, 1):  # force two occupied vertices at level 1
-        model[artifacts.xs[0][1][v]] = True
+    for level in artifacts.xs[0]:  # every diagram node true
+        for var in level.values():
+            model[var] = True
+    assert extract_plan(inst, artifacts, model).paths == ((0, 1, 2, 2),)
+
+
+def test_extract_rejects_a_true_node_without_a_true_predecessor():
+    inst = make_instance(path_graph(3), 1, [(0, 2)])
+    artifacts = encode_complete(inst, 3)
+    model = list(solve_formula(artifacts).model)
+    for var in artifacts.xs[0][2].values():  # nothing true leads into the goal at step 3
+        model[var] = False
     with pytest.raises(EncodingSoundnessError):
-        extract_plan(artifacts, model)
+        extract_plan(inst, artifacts, model)
+
+
+@pytest.mark.parametrize("no_follow", [False, True])
+def test_decoding_stays_sound_with_extra_true_nodes(corpus, no_follow):
+    """Forcing a few diagram nodes off the decoded plan true, wherever the
+    formula stays satisfiable, still decodes to a valid plan within the
+    bound that uses only true nodes."""
+    forced = 0
+    for name, inst in corpus:
+        try:
+            xi0 = cost_lower_bound(inst)
+        except UnsolvableInstanceError:
+            continue
+        rng = random.Random(name)
+        for xi in range(xi0, xi0 + 3):
+            artifacts = encode_complete(inst, xi, no_follow=no_follow)
+            solver = CdclSolver()
+            for clause in artifacts.formula.clauses:
+                solver.add_clause(clause)
+            result = solver.solve()
+            if result.outcome != SAT:
+                continue
+            paths = extract_plan(inst, artifacts, result.model).paths
+            off_plan = [var for p, x in zip(paths, artifacts.xs)
+                        for t, level in enumerate(x) for v, var in level.items() if p[t] != v]
+            for var in rng.sample(off_plan, min(3, len(off_plan))):
+                solver.add_clause([var])
+            result = solver.solve()
+            if result.outcome != SAT:
+                continue
+            plan = extract_plan(inst, artifacts, result.model)
+            assert validate_plan(inst, plan) == [], (name, xi)
+            assert plan.sum_of_costs <= xi, (name, xi)
+            assert all(result.model[x[t][v]]
+                       for p, x in zip(plan.paths, artifacts.xs) for t, v in enumerate(p))
+            if no_follow:  # an agent enters only a vertex with room before the move
+                for i, p in enumerate(plan.paths):
+                    for t in range(plan.makespan):
+                        if p[t] != p[t + 1]:
+                            there = sum(q[t] == p[t + 1] for q in plan.paths)
+                            assert there < inst.capacities[p[t + 1]], (name, xi)
+            forced += 1
+    assert forced >= 400
 
 
 def test_decoded_plans_always_validate(corpus):
@@ -268,7 +325,7 @@ def test_decoded_plans_always_validate(corpus):
             artifacts = encode_complete(inst, xi)
             result = solve_formula(artifacts)
             if result.outcome == SAT:
-                plan = extract_plan(artifacts, result.model)
+                plan = extract_plan(inst, artifacts, result.model)
                 assert validate_plan(inst, plan) == [], name
                 assert plan.sum_of_costs <= xi, name
 
@@ -345,7 +402,7 @@ def test_occupant_index_matches_full_scan(corpus, no_follow):
 # variable numbering, the clauses or their order changes it, so a change
 # meant to keep the encoding must reproduce it. No search runs to build its
 # input, so a change confined to the SAT core leaves it alone.
-ENCODING_DIGEST = "620b99be4bc791ce4ab2e039b4aeecbbf4e1bc830b44773734090a46a741114f"
+ENCODING_DIGEST = "129a79d8feed59599d4905c8cc7eea4725c874e81885e6133c2c05ce7e2106e4"
 
 
 def _shortest_path_plan(inst):
