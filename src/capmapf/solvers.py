@@ -81,9 +81,9 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
     clean plan is the optimum.
 
     Eager posts every capacity and swap constraint up front, so its first
-    satisfying model decodes to a clean plan; it checks that plan once.  Lazy posts one elimination clause per
-    conflict a candidate plan shows and re-solves; the recorded conflicts
-    carry over to every later bound.
+    satisfying model decodes to a clean plan, which it checks once.  Lazy
+    posts one elimination clause per conflict a candidate plan shows and
+    re-solves; the recorded conflicts carry over to every later bound.
 
     Raises InstanceError for an instance that `validate_instance` rejects.
     """

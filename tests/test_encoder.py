@@ -14,7 +14,7 @@ from capmapf import (
 from capmapf import brute_force_optimal, cnf, encoder
 from capmapf.cnf import AUX, VERTEX, CnfFormula, to_dimacs
 from capmapf.encoder import EncodingSoundnessError
-from capmapf.mdd import build_all_mdds, compute_horizon
+from capmapf.mdd import build_all_mdds
 from capmapf.pathcalc import UnsolvableInstanceError, agent_path_costs
 from capmapf.plans import CAPACITY, Conflict, Plan
 from capmapf.satcore import SAT, UNSAT, CdclSolver
