@@ -177,6 +177,14 @@ def test_lazy_fresh_conflict_without_a_clause_is_an_error(monkeypatch):
         solve(generate_random(4, 4, 7, 1, 100), LAZY, Limits(time_limit_s=2))
 
 
+def test_eager_plan_that_breaks_a_rule_is_an_error(monkeypatch):
+    # eager posts every rule, so a conflict in its plan means a rule is missing
+    monkeypatch.setattr(encoder, "encode_complete",
+                        lambda instance, xi, no_follow=False: encoder.encode_basic(instance, xi))
+    with pytest.raises(encoder.EncodingSoundnessError, match="eager plan breaks"):
+        solve(p3_swap(), EAGER, Limits(time_limit_s=2))
+
+
 # eager optimal costs with vacate-before-enter (no-follow) semantics; each is
 # above the plain optimum, so the no-follow clauses decide them
 NO_FOLLOW_COSTS = {
