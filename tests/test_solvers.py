@@ -206,6 +206,19 @@ def test_no_follow_optimal_costs(corpus):
         assert solve(inst, EAGER, limits).optimal_cost < cost, name
 
 
+# eager no-follow optimal costs of generate_random(4, 4, 5, 1, seed), seeds
+# 0-7: crowded 4x4 grids where movers meet agents that are already home
+NO_FOLLOW_RANDOM_COSTS = [16, 12, 19, 11, 14, 12, 15, 22]
+
+
+@pytest.mark.parametrize("seed", range(len(NO_FOLLOW_RANDOM_COSTS)))
+def test_no_follow_optimal_costs_on_crowded_grids(seed):
+    inst = generate_random(4, 4, 5, 1, seed)
+    report = solve(inst, EAGER, Limits(time_limit_s=30), no_follow=True)
+    assert report.status == SOLVED and report.optimal_cost == NO_FOLLOW_RANDOM_COSTS[seed]
+    assert validate_plan(inst, report.plan) == []
+
+
 @pytest.mark.parametrize("solver", ["eager", "lazy"])
 def test_solve_runs_two_bfs_per_agent(solver, monkeypatch):
     """The distances are computed once per instance and serve every bound of
@@ -259,14 +272,16 @@ def test_bound_encoded_past_the_deadline_is_not_loaded(solver, monkeypatch):
 
 
 @pytest.mark.parametrize("solver", ["eager", "lazy"])
-def test_time_limit_bounds_a_large_solve(solver):
-    """24x24 grid, 40 agents: the solve returns within half a second of its
-    one-second limit, diagram build, encoding and loading included."""
-    inst = generate_random(24, 24, 40, 1, 1)
+@pytest.mark.parametrize("k,statuses", [(40, (SOLVED, EXHAUSTED)), (60, (EXHAUSTED,))])
+def test_time_limit_bounds_a_large_solve(solver, k, statuses):
+    """24x24 grid, 40 or 60 agents: the solve returns within half a second of
+    its one-second limit, diagram build, encoding and loading included. The
+    60-agent solve needs longer than the limit, so it reaches the deadline."""
+    inst = generate_random(24, 24, k, 1, 1)
     started = time.monotonic()
     report = solve(inst, solver, Limits(time_limit_s=1.0))
     assert time.monotonic() - started < 1.5
-    assert report.status in (SOLVED, EXHAUSTED)
+    assert report.status in statuses
 
 
 # (optimal cost, conflicts summed over the solve's CdclSolvers, refinements, bounds)
