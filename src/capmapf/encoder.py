@@ -3,7 +3,9 @@
 Every variable is a vertex variable x_i(v,t), agent i at v at step t, for a
 node of agent i's diagram, or an auxiliary one (settled flags, counters).
 A move u->v between t and t+1 is the pair x_i(u,t), x_i(v,t+1), so no
-diagram arc has a variable of its own.
+diagram arc has a variable of its own. Agent i's diagram ends at its arrival
+step; after it the agent is settled: at its goal for good, a fixed occupant
+that the capacity, no-follow and conflict clauses count without a variable.
 
 Two modes: the complete model posts every movement rule eagerly (swap
 prohibition and per-vertex capacity cardinality at every step); the basic
@@ -15,9 +17,10 @@ an agent's nodes true than one walk uses. `extract_plan` decodes one walk
 per agent through true nodes, back from its goal. The swap, capacity,
 no-follow and conflict clauses hold vertex variables only negatively, so
 they hold for any such walk; the walk waits at its goal wherever that node is
-true, so it costs no more than the cost bound charged. Every valid plan, its
-nodes set true and all others false, is still a model, so an UNSAT bound
-still proves that no plan fits it.
+true, so it costs no more than the cost bound charged. Every valid plan of
+cost <= xi has each agent home for good by its arrival step, so its nodes
+set true and all others false are still a model, and an UNSAT bound still
+proves that no plan fits it.
 """
 
 from __future__ import annotations
@@ -106,8 +109,9 @@ def _encode_swaps(formula: CnfFormula, mdds: list[Mdd], xs: VertexVars) -> None:
 
 def _occupants(xs: VertexVars) -> list[dict[int, list[int]]]:
     """occupants[t][v]: the vertex variables of every agent whose diagram
-    holds v at step t, in agent id order."""
-    occupants: list[dict[int, list[int]]] = [{} for _ in xs[0]]
+    holds v at step t, in agent id order, for t up to the longest diagram's
+    horizon."""
+    occupants: list[dict[int, list[int]]] = [{} for _ in range(max(map(len, xs)))]
     for x in xs:
         for at_t, level in zip(occupants, x):
             for v, var in level.items():
@@ -115,28 +119,48 @@ def _occupants(xs: VertexVars) -> list[dict[int, list[int]]]:
     return occupants
 
 
+def _settled(instance: Instance, xs: VertexVars) -> list[dict[int, int]]:
+    """settled[t][v]: how many agents are settled at v at step t, that is,
+    have v as their goal and a diagram that ended before t."""
+    settled: list[dict[int, int]] = [{} for _ in range(max(map(len, xs)))]
+    for a, x in zip(instance.agents, xs):
+        for at_t in settled[len(x):]:
+            at_t[a.goal] = at_t.get(a.goal, 0) + 1
+    return settled
+
+
 def _encode_capacities(
-    formula: CnfFormula, instance: Instance, occupants: list[dict[int, list[int]]]
+    formula: CnfFormula, instance: Instance, occupants: list[dict[int, list[int]]],
+    settled: list[dict[int, int]],
 ) -> None:
-    """Group (e): per vertex and step, at most c(v) occupants."""
+    """Group (e): per vertex and step, at most c(v) occupants. The settled
+    agents there are fixed occupants, so they leave room for at most c(v)
+    minus their number of the variable ones; with no room left, each of
+    those is a unit."""
     caps = instance.capacities
-    for at_t in occupants:
+    for at_t, fixed in zip(occupants, settled):
         for v in sorted(at_t):
             xs = at_t[v]
-            if len(xs) <= caps[v]:
+            room = caps[v] - fixed.get(v, 0)
+            if len(xs) <= room:
                 continue
-            if caps[v] == 1:
+            if room <= 0:
+                formula.add_all([[-x] for x in xs])
+            elif room == 1:
                 formula.add_all(cnf.at_most_one_pairwise(xs))
             else:
-                formula.add_all(cnf.at_most_k(formula, xs, caps[v]))
+                formula.add_all(cnf.at_most_k(formula, xs, room))
 
 
 def _encode_no_follow(
     formula: CnfFormula, instance: Instance, mdds: list[Mdd], xs: VertexVars,
-    occupants: list[dict[int, list[int]]],
+    occupants: list[dict[int, list[int]]], settled: list[dict[int, int]],
 ) -> None:
     """Vacate-before-enter semantics: moving u->v between t and t+1 requires
-    at most c(v)-1 other agents at v at departure time."""
+    at most c(v)-1 other agents at v at departure time. The agents settled
+    at v count among them, so they leave room for c(v)-1 minus their number
+    of the others with a variable there; with none left, the move is
+    forbidden outright."""
     caps = instance.capacities
     for m, x in zip(mdds, xs):
         for t, arcs in enumerate(m.arcs):
@@ -144,10 +168,15 @@ def _encode_no_follow(
             for (u, v) in arcs:
                 if u == v:
                     continue
+                move = [-here[u], -there[v]]
+                room = caps[v] - 1 - settled[t].get(v, 0)
+                if room < 0:
+                    formula.add(move)
+                    continue
                 own = here.get(v)
                 others = [y for y in occupants[t].get(v, ()) if y != own]
-                for clause in cnf.at_most_k(formula, others, caps[v] - 1):
-                    formula.add(clause + [-here[u], -there[v]])
+                for clause in cnf.at_most_k(formula, others, room):
+                    formula.add(clause + move)
 
 
 def _encode_cost_bound(
@@ -157,10 +186,10 @@ def _encode_cost_bound(
     global bound on extra cost.
 
     settled_i[t], for c_i <= t <= c_i + delta, means agent i is at its goal
-    from step t on. Past its arrival step c_i + delta agent i's diagram holds
-    only the goal, so settled_i[c_i + delta] is a unit. Each unsettled step
-    of a window spends one unit of the slack: k*delta slack literals, at
-    most delta of them true.
+    from step t on. Agent i's diagram ends at its arrival step c_i + delta,
+    after which it stays at its goal, so settled_i[c_i + delta] is a unit.
+    Each unsettled step of a window spends one unit of the slack: k*delta
+    slack literals, at most delta of them true.
     """
     slack_lits: list[int] = []
     for i, (a, c0, x) in enumerate(zip(instance.agents, agent_costs, xs)):
@@ -186,23 +215,25 @@ def _encode(instance: Instance, xi: int, mode: str, conflicts: list[Conflict] | 
     _encode_routes(formula, instance, mdds, xs)
     if mode == COMPLETE:
         _encode_swaps(formula, mdds, xs)
-        occupants = _occupants(xs)
-        _encode_capacities(formula, instance, occupants)
+        occupants, settled = _occupants(xs), _settled(instance, xs)
+        _encode_capacities(formula, instance, occupants, settled)
         if no_follow:
-            _encode_no_follow(formula, instance, mdds, xs, occupants)
+            _encode_no_follow(formula, instance, mdds, xs, occupants, settled)
     else:
         for conflict in conflicts or []:
-            clause = conflict_clause(xs, conflict)
+            clause = conflict_clause(instance, xs, conflict)
             if clause is not None:
                 formula.add(clause)
     _encode_cost_bound(formula, instance, agent_costs, delta, xs)
     return EncodingArtifacts(formula, xs)
 
 
-def conflict_clause(xs: VertexVars, conflict: Conflict) -> list[int] | None:
+def conflict_clause(instance: Instance, xs: VertexVars, conflict: Conflict) -> list[int] | None:
     """Elimination clause for a recorded conflict over the vertex variables
     `xs`; None when a node it names is absent from the current diagrams
-    (vacuously satisfied), including a step past an agent's horizon.
+    (vacuously satisfied), including an agent away from its goal past its
+    arrival step. An agent settled at its goal there has no literal: it is
+    certainly at that node, so the clause leaves it out.
 
     A capacity conflict forbids its agents together at (vertex, time); a
     swap conflict forbids i at u then v while j is at v then u.
@@ -216,7 +247,11 @@ def conflict_clause(xs: VertexVars, conflict: Conflict) -> list[int] | None:
         nodes = [(i, u, t), (i, v, t + 1), (j, v, t), (j, u, t + 1)]
     lits = []
     for agent, vertex, step in nodes:
-        x = xs[agent][step].get(vertex) if step < len(xs[agent]) else None
+        if step >= len(xs[agent]):  # settled at its goal
+            if vertex != instance.agents[agent].goal:
+                return None
+            continue
+        x = xs[agent][step].get(vertex)
         if x is None:
             return None
         lits.append(-x)
@@ -235,16 +270,19 @@ def encode_basic(instance: Instance, xi: int,
 
 
 def extract_plan(instance: Instance, artifacts: EncodingArtifacts, model: list[bool]) -> Plan:
-    """Each agent's path through true nodes, walked back from its goal at the
-    horizon: at step t the agent stays on its vertex v if (v, t) is true, and
-    otherwise takes the first true (u, t) with u in v's closed neighbourhood,
-    which are the diagram arcs into (v, t+1). Level 0 holds only the start.
+    """Each agent's path through true nodes, walked back from its goal at its
+    arrival step: at step t the agent stays on its vertex v if (v, t) is
+    true, and otherwise takes the first true (u, t) with u in v's closed
+    neighbourhood, which are the diagram arcs into (v, t+1). Level 0 holds
+    only the start. Each path is then padded at its goal up to the longest
+    diagram's horizon.
 
     Staying first keeps the agent at its goal from its first settled step on,
     so it costs no more than the cost bound charged it. Raises
     EncodingSoundnessError when no true node leads into the current one.
     """
     closed = instance.graph.closed_neighbourhoods
+    mu = max(map(len, artifacts.xs)) - 1
     paths = []
     for i, (a, x) in enumerate(zip(instance.agents, artifacts.xs)):
         v, path = a.goal, []
@@ -259,5 +297,5 @@ def extract_plan(instance: Instance, artifacts: EncodingArtifacts, model: list[b
                         f"agent {i}: no true node at step {t} leads on to vertex {v}")
                 v = u
             path.append(v)
-        paths.append(tuple(reversed(path)))
+        paths.append(tuple(reversed(path)) + (a.goal,) * (mu + 1 - len(x)))
     return Plan(tuple(paths))

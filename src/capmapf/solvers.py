@@ -131,8 +131,8 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
                 plan = candidate
             for conflict in found:
                 conflicts.append(conflict)
-                clause = encoder.conflict_clause(artifacts.xs, conflict)
-                if clause is None:  # decoded from this model, so its nodes are in the diagrams
+                clause = encoder.conflict_clause(instance, artifacts.xs, conflict)
+                if clause is None:  # decoded from this model: its agents are on nodes or settled
                     raise encoder.EncodingSoundnessError(f"no clause for fresh conflict {conflict}")
                 sat.add_clause(clause)
                 refinements += 1

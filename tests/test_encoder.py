@@ -87,6 +87,22 @@ def test_conflict_on_absent_variable_skipped():
     assert solve_formula(artifacts).outcome == SAT
 
 
+def test_conflict_past_an_arrival_names_only_the_agents_still_moving():
+    # at slack 1 agent 0 is home at vertex 1 by step 2, its arrival step;
+    # agent 1 can pass vertex 1 at step 2 or 3
+    inst = make_instance(path_graph(4), 1, [(0, 1), (3, 0)])
+    xs = encode_basic(inst, cost_lower_bound(inst) + 1).xs
+    assert len(xs[0]) == 3 and len(xs[1]) == 5
+    # at its arrival step agent 0 still has a literal
+    at_arrival = Conflict(CAPACITY, (0, 1), 1, 2)
+    assert encoder.conflict_clause(inst, xs, at_arrival) == [-xs[0][2][1], -xs[1][2][1]]
+    # after it, agent 0 is settled at its goal and leaves its literal out
+    settled_there = Conflict(CAPACITY, (0, 1), 1, 3)
+    assert encoder.conflict_clause(inst, xs, settled_there) == [-xs[1][3][1]]
+    # and it is nowhere else, so a conflict elsewhere is vacuous
+    assert encoder.conflict_clause(inst, xs, Conflict(CAPACITY, (0, 1), 2, 3)) is None
+
+
 def test_complete_sat_implies_basic_sat(corpus):
     for name, inst in corpus[::9]:
         xi = cost_lower_bound(inst) + 1
@@ -143,7 +159,7 @@ def test_swap_clauses_are_opposite_arc_pairs(inst, slack):
         for j, mj in enumerate(mdds):
             if i == j:
                 continue
-            for t in range(len(mdds[0].arcs)):
+            for t in range(min(len(mi.arcs), len(mj.arcs))):  # a settled agent never moves
                 for (u, v) in mi.arcs[t]:
                     if u != v and (v, u) in mj.arcs[t]:
                         expected.add(frozenset((
@@ -231,7 +247,7 @@ def test_cost_bound_counts_slack_inside_the_arrival_windows(corpus):
         artifacts = encode_complete(inst, oracle.cost)
         f = artifacts.formula
         mdds = build_all_mdds(inst, delta)
-        mu = len(mdds[0].levels) - 1
+        mu = max(len(m.levels) for m in mdds) - 1
         settled = [k for k in map(f.key_of, range(1, f.variable_count + 1))
                    if k[0] == AUX and k[1].startswith("settled_")]
         assert len(settled) == inst.k * (delta + 1), name
@@ -306,8 +322,11 @@ def test_decoding_stays_sound_with_extra_true_nodes(corpus, no_follow):
             plan = extract_plan(inst, artifacts, result.model)
             assert validate_plan(inst, plan) == [], (name, xi)
             assert plan.sum_of_costs <= xi, (name, xi)
-            assert all(result.model[x[t][v]]
-                       for p, x in zip(plan.paths, artifacts.xs) for t, v in enumerate(p))
+            # true nodes up to each arrival step, the goal after it
+            assert all(result.model[x[t][v]] for p, x in zip(plan.paths, artifacts.xs)
+                       for t, v in enumerate(p[:len(x)]))
+            assert all(set(p[len(x) - 1:]) == {a.goal}
+                       for a, p, x in zip(inst.agents, plan.paths, artifacts.xs))
             if no_follow:  # an agent enters only a vertex with room before the move
                 for i, p in enumerate(plan.paths):
                     for t in range(plan.makespan):
@@ -351,25 +370,32 @@ def test_no_follow_generalizes_with_capacity():
 
 def _scanned_encoding(inst, mdds, xi, no_follow):
     """The complete encoding of the same diagrams with the capacity and
-    no-follow groups found by probing every (step, vertex, agent) node."""
+    no-follow groups found by probing every (step, vertex, agent) node: an
+    agent whose diagram ended before the step is a fixed occupant of its goal."""
     formula = CnfFormula()
     route_vars = encoder._allocate_route_vars(formula, mdds)
     encoder._encode_routes(formula, inst, mdds, route_vars)
     encoder._encode_swaps(formula, mdds, route_vars)
-    mu, caps = len(mdds[0].levels) - 1, inst.capacities
+    mu, caps = max(len(m.levels) for m in mdds) - 1, inst.capacities
 
     def occupants(v, t, skip=None):
-        return [x for i in range(inst.k) if i != skip
+        return [x for i in range(inst.k) if i != skip and t < len(route_vars[i])
                 if (x := route_vars[i][t].get(v)) is not None]
+
+    def settled(v, t):
+        return sum(t >= len(x) and a.goal == v for a, x in zip(inst.agents, route_vars))
 
     for t in range(mu + 1):
         for v in range(inst.graph.vertex_count):
             xs = occupants(v, t)
-            if len(xs) > caps[v]:
-                if caps[v] == 1:
+            room = caps[v] - settled(v, t)
+            if len(xs) > room:
+                if room == 0:
+                    formula.add_all([[-x] for x in xs])
+                elif room == 1:
                     formula.add_all(cnf.at_most_one_pairwise(xs))
                 else:
-                    formula.add_all(cnf.at_most_k(formula, xs, caps[v]))
+                    formula.add_all(cnf.at_most_k(formula, xs, room))
     if no_follow:
         for i, m in enumerate(mdds):
             for t, arcs in enumerate(m.arcs):
@@ -377,7 +403,11 @@ def _scanned_encoding(inst, mdds, xi, no_follow):
                     if u != v:
                         move = [-route_vars[i][t][u],
                                 -route_vars[i][t + 1][v]]
-                        for clause in cnf.at_most_k(formula, occupants(v, t, i), caps[v] - 1):
+                        room = caps[v] - 1 - settled(v, t)
+                        if room < 0:
+                            formula.add(move)
+                            continue
+                        for clause in cnf.at_most_k(formula, occupants(v, t, i), room):
                             formula.add(clause + move)
     costs = agent_path_costs(inst)
     encoder._encode_cost_bound(formula, inst, costs, xi - sum(costs), route_vars)
@@ -402,7 +432,7 @@ def test_occupant_index_matches_full_scan(corpus, no_follow):
 # variable numbering, the clauses or their order changes it, so a change
 # meant to keep the encoding must reproduce it. No search runs to build its
 # input, so a change confined to the SAT core leaves it alone.
-ENCODING_DIGEST = "129a79d8feed59599d4905c8cc7eea4725c874e81885e6133c2c05ce7e2106e4"
+ENCODING_DIGEST = "5d8dc35b992df2b9355b0c2919cd4a212393c8e061a9e0114a9ee3db7f877a03"
 
 
 def _shortest_path_plan(inst):

@@ -6,6 +6,8 @@ from capmapf import (
     brute_force_optimal,
     compute_horizon,
     cost_lower_bound,
+    encode_complete,
+    extract_plan,
     Graph,
     parse_map,
 )
@@ -69,7 +71,7 @@ def test_mdd_unreachable_within_horizon():
     with pytest.raises(EmptyMddError):
         build_all_mdds(inst, -1)[0]
     with pytest.raises(EmptyMddError):  # arrival step below the path length
-        mdd._diagram(0, 3, 5, 2, *agent_distances(inst)[0], inst.graph.closed_neighbourhoods)
+        mdd._diagram(0, 3, 2, *agent_distances(inst)[0], inst.graph.closed_neighbourhoods)
 
 
 def test_mdd_arc_endpoints_present():
@@ -125,46 +127,52 @@ def test_mdd_paths_are_exactly_length_mu_walks(graph, start, goal, mu):
     inst = make_instance(graph, 1, [(start, goal)])
     walks = _walks(graph, start, goal, mu)
     assert _mdd_paths(build_all_mdds(inst, mu - cost_lower_bound(inst))[0]) == walks
-    # cut at an arrival step: exactly the walks that stay at the goal from then on
+    # ended at an arrival step and padded at the goal up to mu: exactly the
+    # walks that stay at the goal from then on
     for arrival in range(min(_last_arrival(w, goal) for w in walks), mu + 1):
-        m = mdd._diagram(0, goal, mu, arrival, *agent_distances(inst)[0],
+        m = mdd._diagram(0, goal, arrival, *agent_distances(inst)[0],
                          inst.graph.closed_neighbourhoods)
-        assert _mdd_paths(m) == {w for w in walks if _last_arrival(w, goal) <= arrival}
+        padded = {p + (goal,) * (mu - arrival) for p in _mdd_paths(m)}
+        assert padded == {w for w in walks if _last_arrival(w, goal) <= arrival}
 
 
 def test_short_agent_waits_at_goal_after_its_arrival_step():
-    # path lengths 1 and 5: at slack 0 the short agent must be home by step 1
+    # path lengths 1 and 5: at slack 0 the short agent must be home by step 1,
+    # where its diagram ends; the decoded plan waits at its goal up to step 5
     inst = make_instance(path_graph(8), 1, [(7, 6), (0, 5)])
     short, long = build_all_mdds(inst, 0)
-    assert len(short.arcs) == len(long.arcs) == 5
-    assert short.levels == ((7,), (6,), (6,), (6,), (6,), (6,))
-    assert short.arcs == (((7, 6),),) + (((6, 6),),) * 4
+    assert short.levels == ((7,), (6,))
+    assert short.arcs == (((7, 6),),)
+    assert len(long.arcs) == 5 == compute_horizon(inst, cost_lower_bound(inst))
     assert long.levels == tuple((t,) for t in range(6))
+    artifacts = encode_complete(inst, cost_lower_bound(inst))
+    model = [False] + [True] * artifacts.formula.variable_count
+    assert extract_plan(inst, artifacts, model).paths == ((7,) + (6,) * 5, tuple(range(6)))
     # one unit of slack lets the short agent arrive by step 2
     short, _ = build_all_mdds(inst, 1)
-    assert short.levels == ((7,), (6, 7)) + ((6,),) * 5
+    assert short.levels == ((7,), (6, 7), (6,))
 
 
 def test_diagrams_follow_one_slack_rule(corpus):
-    """At slack delta every diagram spans the horizon of cost bound
-    xi0 + delta, and agent i's levels from its arrival step c_i + delta on
-    hold only its goal. (Past that step alone would not catch an arrival one
-    step late: the goal's neighbours would reach level c_i + delta only.)"""
+    """At slack delta agent i's diagram ends at its arrival step
+    c_i + delta with the level (goal,), and the longest diagram spans the
+    horizon of cost bound xi0 + delta."""
     for name, inst in corpus:
         dists = agent_distances(inst)
         for delta in range(3):
             mu = compute_horizon(inst, cost_lower_bound(inst) + delta)
             mdds = build_all_mdds(inst, delta)
             for i, (a, m, (from_start, _)) in enumerate(zip(inst.agents, mdds, dists)):
-                assert len(m.arcs) == mu == len(m.levels) - 1, (name, delta, i)
                 arrival = from_start[a.goal] + delta
-                assert m.levels[arrival:] == ((a.goal,),) * (mu - arrival + 1), \
-                    (name, delta, i)
+                assert len(m.arcs) == arrival == len(m.levels) - 1, (name, delta, i)
+                assert m.levels[arrival] == (a.goal,), (name, delta, i)
+            assert max(len(m.arcs) for m in mdds) == mu, (name, delta)
 
 
 def test_optimal_plans_run_through_the_diagrams(corpus):
     """Every oracle-optimal plan, padded with goal waits to the horizon of
-    its cost, is a path through each agent's diagram for that horizon."""
+    its cost, runs through each agent's diagram for that cost up to the
+    agent's arrival step and waits at its goal after it."""
     checked = 0
     for name, inst in corpus:
         oracle = brute_force_optimal(inst, 8)
@@ -176,8 +184,9 @@ def test_optimal_plans_run_through_the_diagrams(corpus):
             assert len(path) <= mu + 1, name
             path = path + (path[-1],) * (mu + 1 - len(path))
             assert path[0] in m.levels[0], name
-            for t in range(mu):
-                assert (path[t], path[t + 1]) in m.arcs[t], (name, i, t)
+            for t, arcs in enumerate(m.arcs):
+                assert (path[t], path[t + 1]) in arcs, (name, i, t)
+            assert set(path[len(m.arcs):]) == {m.levels[-1][0]}, (name, i)
         checked += 1
     assert checked >= 150
 

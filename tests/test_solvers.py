@@ -172,7 +172,7 @@ def test_solve_validates_instance(solver):
 def test_lazy_fresh_conflict_without_a_clause_is_an_error(monkeypatch):
     # a conflict of the model just decoded names only diagram nodes, so a
     # missing clause is a fault; skipping it would find the same model again
-    monkeypatch.setattr(encoder, "conflict_clause", lambda xs, conflict: None)
+    monkeypatch.setattr(encoder, "conflict_clause", lambda instance, xs, conflict: None)
     with pytest.raises(encoder.EncodingSoundnessError, match="fresh conflict"):
         solve(generate_random(4, 4, 7, 1, 100), LAZY, Limits(time_limit_s=2))
 
@@ -183,6 +183,26 @@ def test_eager_plan_that_breaks_a_rule_is_an_error(monkeypatch):
                         lambda instance, xi, no_follow=False: encoder.encode_basic(instance, xi))
     with pytest.raises(encoder.EncodingSoundnessError, match="eager plan breaks"):
         solve(p3_swap(), EAGER, Limits(time_limit_s=2))
+
+
+@pytest.mark.parametrize("solver", [EAGER, LAZY])
+def test_settled_agent_leaves_room_for_one_more(solver):
+    """Star with centre 0 of capacity 2: agent 0 starts and ends at the
+    centre, so below slack 2 it is settled there from its arrival step on.
+    Agents 1 and 2 swap leaves 1 and 2 through the centre. Beside the
+    settled agent there is room for one of them at a time, so they cannot
+    pass at once (cost 4): agent 0 steps aside to leaf 3 instead (cost 6).
+    At capacity 3 the centre holds all three."""
+    costs = {}
+    for centre in (2, 3):
+        inst = make_instance(star_graph(3), (centre, 1, 1, 1), [(0, 0), (1, 2), (2, 1)])
+        oracle = brute_force_optimal(inst, 6)
+        assert oracle.status == OPTIMAL
+        report = solve(inst, solver)
+        assert report.status == SOLVED and report.optimal_cost == oracle.cost
+        assert validate_plan(inst, report.plan) == []
+        costs[centre] = report.optimal_cost
+    assert costs == {2: 6, 3: 4}
 
 
 # eager optimal costs with vacate-before-enter (no-follow) semantics; each is
