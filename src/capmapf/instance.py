@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
-from .pathcalc import AgentDistances, agent_distances
+from .pathcalc import AgentDistances, agent_distances, shortest_path_plan
+from .plans import Plan
 
 PASSABLE_CHARS = frozenset(".G")
 BLOCKED_CHARS = frozenset("@OTW")
@@ -150,6 +151,14 @@ class Instance:
         per instance; raises UnsolvableInstanceError, and caches nothing,
         while some goal is unreachable."""
         return agent_distances(self)
+
+    @cached_property
+    def root_plan(self) -> Plan:
+        """Each agent's BFS shortest path, padded at its goal: the plan that
+        attains the sum-of-costs lower bound when nothing collides. Computed
+        on first use, once per instance, so the reports of repeated solves
+        share it."""
+        return shortest_path_plan(self)
 
 
 def _grid_graph(width: int, height: int, passable: list[bool]) -> Graph:

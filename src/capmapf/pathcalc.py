@@ -1,9 +1,12 @@
-"""Unweighted shortest-path distances and the sum-of-costs lower bound."""
+"""Unweighted shortest-path distances, the sum-of-costs lower bound and the
+root plan of independent shortest paths that attains it when nothing collides."""
 
 from __future__ import annotations
 
 from collections import deque
 from typing import TYPE_CHECKING
+
+from .plans import Plan
 
 if TYPE_CHECKING:
     from .instance import Graph, Instance
@@ -56,3 +59,21 @@ def agent_path_costs(instance: Instance) -> list[int]:
 def cost_lower_bound(instance: Instance) -> int:
     """Sum of per-agent shortest-path lengths; no valid plan can cost less."""
     return sum(agent_path_costs(instance))
+
+
+def shortest_path_plan(instance: Instance) -> Plan:
+    """The root plan: each agent's BFS shortest path, taking the lowest-id
+    vertex one step nearer its goal at every step, padded at its goal to a
+    common length. Its sum of costs is `cost_lower_bound`."""
+    adjacency = instance.graph.adjacency
+    paths = []
+    for a, (_, to_goal) in zip(instance.agents, instance.distances):
+        path = [a.start]
+        here = a.start
+        while here != a.goal:
+            nearer = to_goal[here] - 1
+            here = min(u for u in adjacency[here] if to_goal[u] == nearer)
+            path.append(here)
+        paths.append(path)
+    mu = max(map(len, paths))
+    return Plan(tuple(tuple(p + [p[-1]] * (mu - len(p))) for p in paths))

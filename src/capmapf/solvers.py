@@ -5,6 +5,7 @@ posts an elimination clause only for each conflict a candidate plan shows."""
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import encoder, satcore
@@ -38,6 +39,9 @@ class IterationStat:
 
 @dataclass(slots=True)
 class SolveReport:
+    """How a solve ended, with one IterationStat per cost bound it encoded;
+    `iterations` is empty when the root plan settled the instance."""
+
     status: str
     plan: Plan | None = None
     optimal_cost: int | None = None
@@ -50,35 +54,46 @@ class SolveReport:
 
 def validate_candidate(instance: Instance, plan: Plan) -> list[Conflict]:
     """All capacity and swap conflicts in a candidate plan."""
-    conflicts: list[Conflict] = []
-    paths = plan.paths
+    return list(_conflicts(instance, plan))
+
+
+def _conflicts(instance: Instance, plan: Plan) -> Iterator[Conflict]:
+    """A plan's capacity conflicts step by step, then its swap conflicts."""
     caps = instance.capacities
-    horizon = plan.makespan
-    for t in range(horizon + 1):
+    k = len(plan.paths)
+    steps = list(zip(*plan.paths))  # steps[t][i]: agent i's vertex at step t
+    for t, here in enumerate(steps):
+        if len(set(here)) == k:  # every agent alone on its vertex; capacities are >= 1
+            continue
         occupancy: dict[int, list[int]] = {}
-        for i, path in enumerate(paths):
-            occupancy.setdefault(path[t], []).append(i)
+        for i, v in enumerate(here):
+            occupancy.setdefault(v, []).append(i)
         for v, occupants in sorted(occupancy.items()):
             if len(occupants) > caps[v]:
-                conflicts.append(Conflict(CAPACITY, tuple(occupants), v, t))
-    for t in range(horizon):
+                yield Conflict(CAPACITY, tuple(occupants), v, t)
+    for t in range(len(steps) - 1):
         moves: dict[tuple[int, int], list[int]] = {}
-        for i, path in enumerate(paths):
-            u, v = path[t], path[t + 1]
-            if u != v:
-                moves.setdefault((u, v), []).append(i)
+        for i, move in enumerate(zip(steps[t], steps[t + 1])):
+            if move[0] != move[1]:
+                moves.setdefault(move, []).append(i)
         for (u, v), movers in moves.items():
             if u < v and (v, u) in moves:
                 for i in movers:
                     for j in moves[(v, u)]:
-                        conflicts.append(Conflict(SWAP, (i, j), (u, v), t))
-    return conflicts
+                        yield Conflict(SWAP, (i, j), (u, v), t)
 
 
 def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
           no_follow: bool = False) -> SolveReport:
     """Iterate cost bounds from the lower bound up; the first bound with a
     clean plan is the optimum.
+
+    Before the first bound, the root plan of independent shortest paths
+    (`Instance.root_plan`) is checked: when it has no capacity or
+    swap conflict it costs the lower bound and is returned as SOLVED without
+    encoding anything, so `iterations` stays empty. The root is skipped
+    under no-follow, which `validate_candidate` does not check, and wherever
+    the first bound would not run (past the ceiling or the deadline).
 
     Eager posts every capacity and swap constraint up front, so its first
     satisfying model decodes to a clean plan, which it checks once.  Lazy
@@ -98,11 +113,15 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
         xi0 = cost_lower_bound(instance)
     except UnsolvableInstanceError:
         return SolveReport(UNSOLVABLE)
-    report = SolveReport(EXHAUSTED)
-    conflicts: list[Conflict] = []
     ceiling = limits.xi_ceiling
     if ceiling is None:
         ceiling = xi0 + instance.graph.vertex_count * instance.k
+    if not no_follow and xi0 <= ceiling and time.monotonic() < deadline:
+        root = instance.root_plan
+        if next(_conflicts(instance, root), None) is None:  # the lower bound is attained
+            return SolveReport(SOLVED, root, xi0)
+    report = SolveReport(EXHAUSTED)
+    conflicts: list[Conflict] = []
     for xi in range(xi0, ceiling + 1):
         sat = artifacts = result = candidate = None  # free the last bound before encoding this one
         started = time.monotonic()

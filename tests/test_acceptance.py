@@ -177,7 +177,8 @@ def test_criterion_7_congestion_trend():
             rows.append(bench_row(f"g8x8-k12-s{seed}", LAZY, c, 12, report, elapsed))
             if report.status == SOLVED:
                 refinements[c].append(report.total_refinements)
-                clauses[c].append(report.iterations[-1].clauses)
+                if report.iterations:  # a root-settled report encoded no bound
+                    clauses[c].append(report.iterations[-1].clauses)
     out = ARTIFACTS / "congestion.csv"
     with out.open("w", encoding="utf-8", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=BENCH_HEADER, lineterminator="\n")

@@ -15,8 +15,8 @@ from capmapf import brute_force_optimal, cnf, encoder
 from capmapf.cnf import AUX, VERTEX, CnfFormula, to_dimacs
 from capmapf.encoder import EncodingSoundnessError
 from capmapf.mdd import build_all_mdds
-from capmapf.pathcalc import UnsolvableInstanceError, agent_path_costs
-from capmapf.plans import CAPACITY, Conflict, Plan
+from capmapf.pathcalc import UnsolvableInstanceError, agent_path_costs, shortest_path_plan
+from capmapf.plans import CAPACITY, Conflict
 from capmapf.satcore import SAT, UNSAT, CdclSolver
 from capmapf.solvers import validate_candidate
 from capmapf.verify import OPTIMAL
@@ -435,21 +435,6 @@ def test_occupant_index_matches_full_scan(corpus, no_follow):
 ENCODING_DIGEST = "5d8dc35b992df2b9355b0c2919cd4a212393c8e061a9e0114a9ee3db7f877a03"
 
 
-def _shortest_path_plan(inst):
-    """Each agent's BFS shortest path, taking the lowest-id vertex one step
-    nearer its goal at every step, padded at its goal to a common length."""
-    paths = []
-    for a, (_, to_goal) in zip(inst.agents, inst.distances):
-        path = [a.start]
-        while path[-1] != a.goal:
-            here = path[-1]
-            path.append(min(u for u in inst.graph.adjacency[here]
-                            if to_goal[u] == to_goal[here] - 1))
-        paths.append(path)
-    mu = max(map(len, paths))
-    return Plan(tuple(tuple(p + [p[-1]] * (mu - len(p))) for p in paths))
-
-
 def test_encodings_match_pinned_digest(corpus):
     """The complete model with and without no-follow and the basic model
     with the conflicts of a fixed shortest-path plan, over the corpus at
@@ -461,7 +446,7 @@ def test_encodings_match_pinned_digest(corpus):
             xi0 = cost_lower_bound(inst)
         except UnsolvableInstanceError:
             continue
-        conflicts = validate_candidate(inst, _shortest_path_plan(inst))
+        conflicts = validate_candidate(inst, shortest_path_plan(inst))
         with_conflicts += bool(conflicts)
         for xi in range(xi0, xi0 + 3):
             for artifacts in (encode_complete(inst, xi),

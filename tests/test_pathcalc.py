@@ -4,7 +4,7 @@ import random
 import pytest
 
 from capmapf import UNREACHABLE, bfs_distances, cost_lower_bound, Graph
-from capmapf.pathcalc import UnsolvableInstanceError
+from capmapf.pathcalc import UnsolvableInstanceError, shortest_path_plan
 
 from conftest import make_instance, path_graph
 
@@ -78,3 +78,25 @@ def test_lower_bound_unreachable():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(UnsolvableInstanceError):
         cost_lower_bound(make_instance(g, 1, [(0, 3)]))
+
+
+def test_root_plan_attains_the_lower_bound(corpus):
+    """Each root path is a shortest path that steps to the lowest-id vertex
+    one step nearer its goal and waits there, so the plan costs exactly the
+    lower bound; the instance builds it once."""
+    checked = 0
+    for _, inst in corpus:
+        try:
+            xi0 = cost_lower_bound(inst)
+        except UnsolvableInstanceError:
+            continue
+        plan = inst.root_plan
+        assert plan is inst.root_plan and plan == shortest_path_plan(inst)
+        assert plan.sum_of_costs == xi0
+        for a, (_, to_goal), path in zip(inst.agents, inst.distances, plan.paths):
+            arrival = to_goal[a.start]
+            assert path[0] == a.start and set(path[arrival:]) == {a.goal}
+            for u, v in zip(path[:arrival], path[1:arrival + 1]):
+                assert v == min(w for w in inst.graph.adjacency[u] if to_goal[w] == to_goal[u] - 1)
+        checked += 1
+    assert checked >= 50

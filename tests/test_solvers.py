@@ -14,7 +14,7 @@ from capmapf import (
     validate_candidate,
     validate_plan,
 )
-from capmapf import encoder, pathcalc, satcore
+from capmapf import encoder, mdd, pathcalc, satcore
 from capmapf.instance import InstanceError
 from capmapf.plans import CAPACITY, SWAP
 from capmapf.solvers import EAGER, EXHAUSTED, LAZY, SOLVED, UNSOLVABLE, Limits
@@ -24,18 +24,59 @@ from conftest import cycle_graph, make_instance, p3_swap, path_graph, star_graph
 
 
 def test_eager_single_agent():
+    """A lone agent's shortest path never collides: the root settles it."""
     report = solve(make_instance(path_graph(3), 1, [(0, 2)]), EAGER)
     assert report.status == SOLVED
     assert report.optimal_cost == 2
-    assert len(report.iterations) == 1 and report.iterations[0].outcome == "sat"
+    assert report.plan == Plan(((0, 1, 2),)) and report.iterations == []
+
+
+def _disjoint_paths():
+    """path_graph(4) with agents 0->1 and 3->2: a root without conflicts."""
+    return make_instance(path_graph(4), 1, [(0, 1), (3, 2)])
 
 
 def test_eager_disjoint_paths_tight_bound():
-    inst = make_instance(path_graph(4), 1, [(0, 1), (3, 2)])
+    inst = _disjoint_paths()
     report = solve(inst, EAGER)
     assert report.status == SOLVED
     assert report.optimal_cost == cost_lower_bound(inst) == 2
-    assert len(report.iterations) == 1
+    assert report.iterations == []
+
+
+@pytest.mark.parametrize("solver", [EAGER, LAZY])
+def test_clean_root_settles_without_encoding(solver, monkeypatch):
+    """A root plan without conflicts is returned at the lower bound before
+    any diagram is built or any bound encoded."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a clean root needs no encoding")
+
+    for module, name in ((encoder, "encode_complete"), (encoder, "encode_basic"),
+                         (encoder, "build_all_mdds"), (mdd, "build_all_mdds")):
+        monkeypatch.setattr(module, name, unreachable)
+    inst = _disjoint_paths()
+    report = solve(inst, solver)
+    assert report.status == SOLVED and report.iterations == []
+    assert report.optimal_cost == report.plan.sum_of_costs == cost_lower_bound(inst)
+    assert report.plan == Plan(((0, 1), (3, 2))) and report.plan is inst.root_plan
+    assert validate_plan(inst, report.plan) == []
+
+
+@pytest.mark.parametrize("solver", [EAGER, LAZY])
+def test_clean_root_is_not_taken_below_the_lower_bound(solver):
+    """A ceiling under the lower bound runs no bound, so the root is not
+    taken either."""
+    inst = _disjoint_paths()
+    report = solve(inst, solver, Limits(xi_ceiling=cost_lower_bound(inst) - 1))
+    assert report.status == EXHAUSTED and report.plan is None
+
+
+@pytest.mark.parametrize("solver", [EAGER, LAZY])
+def test_clean_root_is_not_taken_past_the_deadline(solver):
+    """A solve whose deadline has already passed runs no bound, so the root
+    is not taken either."""
+    report = solve(_disjoint_paths(), solver, Limits(time_limit_s=0.0))
+    assert report.status == EXHAUSTED and report.plan is None
 
 
 def test_eager_swap_with_wide_middle():
@@ -287,7 +328,8 @@ def test_bound_encoded_past_the_deadline_is_not_loaded(solver, monkeypatch):
         monkeypatch.setattr(encoder, name, slow)
     loaded = []
     monkeypatch.setattr(satcore.CdclSolver, "add_clause", lambda sat, clause: loaded.append(clause))
-    report = solve(generate_random(4, 4, 3, 1, 1), solver, Limits(time_limit_s=limit_s))
+    # seed 0: the root collides, so a bound is encoded
+    report = solve(generate_random(4, 4, 3, 1, 0), solver, Limits(time_limit_s=limit_s))
     assert report.status == EXHAUSTED and loaded == []
 
 
