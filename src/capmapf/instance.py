@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
-from .pathcalc import AgentDistances, agent_distances, shortest_path_plan
+from .pathcalc import AgentDistances, agent_distances, prioritized_root_plan
 from .plans import Plan
 
 PASSABLE_CHARS = frozenset(".G")
@@ -154,11 +154,13 @@ class Instance:
 
     @cached_property
     def root_plan(self) -> Plan:
-        """Each agent's BFS shortest path, padded at its goal: the plan that
-        attains the sum-of-costs lower bound when nothing collides. Computed
-        on first use, once per instance, so the reports of repeated solves
-        share it."""
-        return shortest_path_plan(self)
+        """Each agent's shortest path, padded at its goal, planned in
+        priority order to keep clear of the capacities and swaps of the
+        agents before it (`prioritized_root_plan`): a plan that costs the
+        sum-of-costs lower bound and, when it has no conflict, is optimal.
+        Computed on first use, once per instance, so the reports of repeated
+        solves share it."""
+        return prioritized_root_plan(self)
 
 
 def _grid_graph(width: int, height: int, passable: list[bool]) -> Graph:

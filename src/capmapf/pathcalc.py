@@ -1,5 +1,6 @@
-"""Unweighted shortest-path distances, the sum-of-costs lower bound and the
-root plan of independent shortest paths that attains it when nothing collides."""
+"""Unweighted shortest-path distances, the sum-of-costs lower bound, and the
+root plans of shortest paths that attain it: independent BFS paths, and
+prioritized paths that keep clear of each other's capacities and swaps."""
 
 from __future__ import annotations
 
@@ -77,3 +78,80 @@ def shortest_path_plan(instance: Instance) -> Plan:
         paths.append(path)
     mu = max(map(len, paths))
     return Plan(tuple(tuple(p + [p[-1]] * (mu - len(p))) for p in paths))
+
+
+def prioritized_root_plan(instance: Instance) -> Plan:
+    """The root plan: shortest paths planned one agent at a time against a
+    reservation table, so that the plan attains the sum-of-costs lower bound
+    without breaking a capacity or swap rule whenever this finds one.
+
+    Agents go in priority order, at first by id. Each takes the lowest-id
+    shortest-path continuation that keeps every (vertex, step) it occupies,
+    its goal up to the common length max_j c_j included, below the vertex's
+    capacity among the agents already placed, and that never moves against
+    one of their moves on the same edge at the same step. An agent with no
+    such path moves to the front of the order and the build restarts; an
+    agent that moved once and fails again ends the search, and the result is
+    `shortest_path_plan`, whose conflicts send the solve to its first bound.
+    Where the paths of `shortest_path_plan` are clean, the first order
+    returns them."""
+    order = list(range(instance.k))
+    moved = set()
+    while True:
+        paths = _reserve_in_order(instance, order)
+        if isinstance(paths, list):
+            return Plan(tuple(paths))
+        if paths in moved:
+            return shortest_path_plan(instance)
+        moved.add(paths)
+        order.remove(paths)
+        order.insert(0, paths)
+
+
+def _reserve_in_order(instance: Instance, order: list[int]) -> list[tuple[int, ...]] | int:
+    """Each agent's clear shortest path, padded at its goal to the common
+    length, planned in `order`; or the first agent that has none.
+
+    An agent's path is a depth-first search over its shortest paths that
+    tries successors lowest id first and remembers each (vertex, step) with
+    no clear way on, so it visits each of them once at most. It finds the
+    path that a backward pass keeping the vertices with a clear way to the
+    goal, then a forward walk to the lowest-id clear successor, would find,
+    and when nothing blocks the lowest-id path it takes one step per step."""
+    adjacency = instance.graph.adjacency
+    caps = instance.capacities.values
+    n = instance.graph.vertex_count
+    costs = agent_path_costs(instance)
+    mu = max(costs)
+    occupants = [0] * ((mu + 1) * n)  # t * n + v: agents placed at v at step t
+    moves: set[int] = set()  # (t * n + u) * n + v: a placed agent moves u -> v at step t
+    paths: list[tuple[int, ...]] = [()] * instance.k
+    for i in order:
+        a, (_, to_goal), c = instance.agents[i], instance.distances[i], costs[i]
+        goal = a.goal
+        if any(occupants[t * n + goal] >= caps[goal] for t in range(c, mu + 1)):
+            return i
+        path = [a.start]  # step 0 is clear: the instance's starts fit their capacities
+        successors = [iter(adjacency[a.start])]
+        dead = set()  # t * n + v: no clear way on from v at step t
+        while len(path) <= c:
+            t = len(path) - 1
+            base, here, nearer = (t + 1) * n, path[-1], c - t - 1
+            for u in successors[-1]:
+                if (to_goal[u] == nearer and occupants[base + u] < caps[u] and base + u not in dead
+                        and (t * n + u) * n + here not in moves):
+                    path.append(u)
+                    successors.append(iter(adjacency[u]))
+                    break
+            else:
+                dead.add(t * n + path.pop())
+                successors.pop()
+                if not path:
+                    return i
+        path += [goal] * (mu - c)
+        for t, v in enumerate(path):
+            occupants[t * n + v] += 1
+        for t in range(c):
+            moves.add((t * n + path[t]) * n + path[t + 1])
+        paths[i] = tuple(path)
+    return paths

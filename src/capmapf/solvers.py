@@ -88,10 +88,11 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
     """Iterate cost bounds from the lower bound up; the first bound with a
     clean plan is the optimum.
 
-    Before the first bound, the root plan of independent shortest paths
-    (`Instance.root_plan`) is checked: when it has no capacity or
-    swap conflict it costs the lower bound and is returned as SOLVED without
-    encoding anything, so `iterations` stays empty. The root is skipped
+    Before the first bound, the root plan (`Instance.root_plan`) is checked:
+    each agent's shortest path, planned in priority order to keep clear of
+    the capacities and swaps of the agents before it. When it has no
+    capacity or swap conflict it costs the lower bound and is returned as
+    SOLVED without encoding anything, so `iterations` stays empty. The root is skipped
     under no-follow, which `validate_candidate` does not check, and wherever
     the first bound would not run (past the ceiling or the deadline).
 

@@ -428,6 +428,27 @@ def test_occupant_index_matches_full_scan(corpus, no_follow):
     assert checked >= 100
 
 
+def test_complete_model_attains_a_clean_root_at_the_lower_bound(corpus):
+    """Wherever the root plan is clean, so that a solve encodes no bound,
+    the complete model at the lower bound is satisfiable and decodes to a
+    valid plan at that cost: the encoder keeps its coverage at xi_0."""
+    checked = 0
+    for name, inst in corpus:
+        try:
+            xi0 = cost_lower_bound(inst)
+        except UnsolvableInstanceError:
+            continue
+        if validate_candidate(inst, inst.root_plan):
+            continue
+        artifacts = encode_complete(inst, xi0)
+        result = solve_formula(artifacts)
+        assert result.outcome == SAT, name
+        plan = extract_plan(inst, artifacts, result.model)
+        assert validate_plan(inst, plan) == [] and plan.sum_of_costs == xi0, name
+        checked += 1
+    assert checked >= 150
+
+
 # sha256 over the DIMACS text of every encoding below. Any change to the
 # variable numbering, the clauses or their order changes it, so a change
 # meant to keep the encoding must reproduce it. No search runs to build its

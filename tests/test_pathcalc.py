@@ -3,10 +3,22 @@ import random
 
 import pytest
 
-from capmapf import UNREACHABLE, bfs_distances, cost_lower_bound, Graph
+from capmapf import (
+    UNREACHABLE,
+    Conflict,
+    Graph,
+    Instance,
+    Plan,
+    bfs_distances,
+    cost_lower_bound,
+    generate_random,
+    validate_candidate,
+    validate_plan,
+)
 from capmapf.pathcalc import UnsolvableInstanceError, shortest_path_plan
+from capmapf.plans import CAPACITY, SWAP
 
-from conftest import make_instance, path_graph
+from conftest import cycle_graph, grid3x3, make_instance, path_graph
 
 
 def dijkstra_unit(graph: Graph, source: int) -> list[int]:
@@ -81,17 +93,41 @@ def test_lower_bound_unreachable():
 
 
 def test_root_plan_attains_the_lower_bound(corpus):
-    """Each root path is a shortest path that steps to the lowest-id vertex
-    one step nearer its goal and waits there, so the plan costs exactly the
-    lower bound; the instance builds it once."""
-    checked = 0
+    """Each root path is a shortest path that waits at its goal, so the plan
+    costs exactly the lower bound; the instance builds it once, and wherever
+    the independent BFS paths are clean the root is those paths."""
+    checked = bfs_clean = 0
     for _, inst in corpus:
         try:
             xi0 = cost_lower_bound(inst)
         except UnsolvableInstanceError:
             continue
         plan = inst.root_plan
-        assert plan is inst.root_plan and plan == shortest_path_plan(inst)
+        assert plan is inst.root_plan
+        assert plan.sum_of_costs == xi0
+        for a, (_, to_goal), path in zip(inst.agents, inst.distances, plan.paths):
+            arrival = to_goal[a.start]
+            assert path[0] == a.start and set(path[arrival:]) == {a.goal}
+            for u, v in zip(path[:arrival], path[1:arrival + 1]):
+                assert v in inst.graph.adjacency[u] and to_goal[v] == to_goal[u] - 1
+        bfs = shortest_path_plan(inst)
+        if validate_candidate(inst, bfs) == []:
+            assert plan == bfs
+            bfs_clean += 1
+        checked += 1
+    assert checked >= 50 and bfs_clean >= 50
+
+
+def test_shortest_path_plan_steps_to_the_lowest_id_vertex(corpus):
+    """Each BFS path steps to the lowest-id vertex one step nearer its goal
+    and waits there, so the plan costs exactly the lower bound."""
+    checked = 0
+    for _, inst in corpus:
+        try:
+            xi0 = cost_lower_bound(inst)
+        except UnsolvableInstanceError:
+            continue
+        plan = shortest_path_plan(inst)
         assert plan.sum_of_costs == xi0
         for a, (_, to_goal), path in zip(inst.agents, inst.distances, plan.paths):
             arrival = to_goal[a.start]
@@ -100,3 +136,88 @@ def test_root_plan_attains_the_lower_bound(corpus):
                 assert v == min(w for w in inst.graph.adjacency[u] if to_goal[w] == to_goal[u] - 1)
         checked += 1
     assert checked >= 50
+
+
+def _shortest_paths(inst, i):
+    """Every shortest path of agent i, in ascending lexicographic order."""
+    adjacency, (_, to_goal), goal = inst.graph.adjacency, inst.distances[i], inst.agents[i].goal
+    stack = [(inst.agents[i].start,)]
+    while stack:
+        path = stack.pop()
+        if path[-1] == goal:
+            yield path
+            continue
+        nearer = to_goal[path[-1]] - 1
+        stack.extend(path + (u,) for u in reversed(adjacency[path[-1]]) if to_goal[u] == nearer)
+
+
+def _enumerated_root(inst):
+    """Prioritized planning by enumeration, judged by the independent plan
+    validator: in each order every agent takes its least shortest path that
+    is valid alongside the agents already placed, all padded to max_j c_j."""
+    mu = max(len(next(_shortest_paths(inst, i))) for i in range(inst.k))
+    order, moved = list(range(inst.k)), set()
+    while True:
+        placed = {}
+        for i in order:
+            ids = [*placed, i]
+            sub = Instance(inst.graph, inst.capacities, tuple(inst.agents[j] for j in ids))
+            for path in _shortest_paths(inst, i):
+                paths = [*placed.values(), path + (path[-1],) * (mu - len(path))]
+                if validate_plan(sub, Plan(tuple(paths))) == []:
+                    placed[i] = paths[-1]
+                    break
+            else:
+                break
+        else:
+            return Plan(tuple(placed[i] for i in range(inst.k)))
+        if i in moved:
+            return shortest_path_plan(inst)
+        moved.add(i)
+        order.remove(i)
+        order.insert(0, i)
+
+
+def test_root_plan_matches_enumerated_prioritized_planning(corpus):
+    """The root plan's search returns what enumerating every shortest path
+    and checking it with the plan validator returns, restarts included."""
+    instances = [inst for _, inst in corpus]
+    instances += [generate_random(4, 4, k, c, seed) for k in (4, 6, 8) for c in (1, 2) for seed in range(10)]
+    checked = 0
+    for inst in instances:
+        try:
+            cost_lower_bound(inst)
+        except UnsolvableInstanceError:
+            continue
+        assert inst.root_plan == _enumerated_root(inst)
+        checked += 1
+    assert checked >= 250
+
+
+def test_root_plan_routes_around_a_full_vertex():
+    """grid3x3 at c=2, two agents 0->8 and one 8->0: all three BFS paths
+    reach vertex 2 at step 2, one over its capacity. The third agent takes
+    the other shortest path, through the centre, and the root is clean."""
+    inst = make_instance(grid3x3(), 2, [(0, 8), (0, 8), (8, 0)])
+    assert validate_candidate(inst, shortest_path_plan(inst)) == [Conflict(CAPACITY, (0, 1, 2), 2, 2)]
+    assert inst.root_plan == Plan(((0, 1, 2, 5, 8), (0, 1, 2, 5, 8), (8, 5, 4, 1, 0)))
+    assert validate_candidate(inst, inst.root_plan) == []
+
+
+def test_root_plan_restarts_with_a_blocked_agent_first():
+    """cycle_graph(4) at c=1, agent 0 from 0 to 2 and agent 1 settled at 1:
+    in id order agent 0 takes 0-1-2 and leaves agent 1 no room at step 1,
+    so agent 1 goes first and agent 0 takes the other way round."""
+    inst = make_instance(cycle_graph(4), 1, [(0, 2), (1, 1)])
+    assert shortest_path_plan(inst) == Plan(((0, 1, 2), (1, 1, 1)))
+    assert inst.root_plan == Plan(((0, 3, 2), (1, 1, 1)))
+    assert validate_candidate(inst, inst.root_plan) == []
+
+
+def test_root_plan_keeps_clear_of_a_swap():
+    """cycle_graph(4) at c=1, two agents exchanging the adjacent vertices 0
+    and 1: each one's only shortest path crosses the edge against the
+    other's, in either order, so the root falls back to the BFS paths."""
+    inst = make_instance(cycle_graph(4), 1, [(0, 1), (1, 0)])
+    assert inst.root_plan == shortest_path_plan(inst) == Plan(((0, 1), (1, 0)))
+    assert validate_candidate(inst, inst.root_plan) == [Conflict(SWAP, (0, 1), (0, 1), 0)]

@@ -20,7 +20,7 @@ from capmapf.plans import CAPACITY, SWAP
 from capmapf.solvers import EAGER, EXHAUSTED, LAZY, SOLVED, UNSOLVABLE, Limits
 from capmapf.verify import OPTIMAL
 
-from conftest import cycle_graph, make_instance, p3_swap, path_graph, star_graph
+from conftest import cycle_graph, grid3x3, make_instance, p3_swap, path_graph, star_graph
 
 
 def test_eager_single_agent():
@@ -60,6 +60,20 @@ def test_clean_root_settles_without_encoding(solver, monkeypatch):
     assert report.optimal_cost == report.plan.sum_of_costs == cost_lower_bound(inst)
     assert report.plan == Plan(((0, 1), (3, 2))) and report.plan is inst.root_plan
     assert validate_plan(inst, report.plan) == []
+
+
+@pytest.mark.parametrize("solver", [EAGER, LAZY])
+def test_capacity_aware_root_settles_a_colliding_bfs_root(solver):
+    """grid3x3 at c=2, two agents 0->8 and one 8->0: the BFS paths put all
+    three on vertex 2 at step 2, but the root sends the third through the
+    centre, so the solve returns it at the oracle's cost without a bound."""
+    inst = make_instance(grid3x3(), 2, [(0, 8), (0, 8), (8, 0)])
+    assert validate_candidate(inst, pathcalc.shortest_path_plan(inst)) != []
+    report = solve(inst, solver)
+    assert report.status == SOLVED and report.iterations == []
+    assert report.plan is inst.root_plan and validate_plan(inst, report.plan) == []
+    oracle = brute_force_optimal(inst, 6)
+    assert oracle.status == OPTIMAL and report.optimal_cost == oracle.cost == cost_lower_bound(inst)
 
 
 @pytest.mark.parametrize("solver", [EAGER, LAZY])
@@ -124,11 +138,18 @@ def test_lazy_swap_unsolvable_never_returns_invalid():
 
 
 def test_lazy_matches_eager_with_swap_refinement():
-    inst = p3_swap(middle_capacity=2)
+    """Two agents exchanging adjacent vertices of a 4-cycle: the root swaps
+    them on the shared edge, so lazy posts a swap refinement, and one agent
+    goes the long way round at the optimum, above the lower bound."""
+    inst = make_instance(cycle_graph(4), 1, [(0, 1), (1, 0)])
+    assert [c.kind for c in validate_candidate(inst, inst.root_plan)] == [SWAP]
     lazy = solve(inst, LAZY)
     eager = solve(inst, EAGER)
-    assert lazy.optimal_cost == eager.optimal_cost == 4
-    assert validate_plan(inst, lazy.plan) == []
+    assert lazy.total_refinements >= 1
+    oracle = brute_force_optimal(inst, 6)
+    assert oracle.status == OPTIMAL
+    assert lazy.optimal_cost == eager.optimal_cost == oracle.cost == 4 > cost_lower_bound(inst)
+    assert validate_plan(inst, lazy.plan) == [] and validate_plan(inst, eager.plan) == []
 
 
 def test_timeout_reports_exhausted():
@@ -328,8 +349,9 @@ def test_bound_encoded_past_the_deadline_is_not_loaded(solver, monkeypatch):
         monkeypatch.setattr(encoder, name, slow)
     loaded = []
     monkeypatch.setattr(satcore.CdclSolver, "add_clause", lambda sat, clause: loaded.append(clause))
-    # seed 0: the root collides, so a bound is encoded
-    report = solve(generate_random(4, 4, 3, 1, 0), solver, Limits(time_limit_s=limit_s))
+    inst = generate_random(4, 4, 7, 1, 100)  # optimum 3 above the lower bound
+    assert validate_candidate(inst, inst.root_plan) != []  # so the root cannot settle it
+    report = solve(inst, solver, Limits(time_limit_s=limit_s))
     assert report.status == EXHAUSTED and loaded == []
 
 
