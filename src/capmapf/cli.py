@@ -86,13 +86,6 @@ BENCH_HEADER = ["instance", "solver", "capacity", "k", "outcome", "cost", "time_
                 "vars", "clauses", "vars_total", "clauses_total", "refinements"]
 
 
-def _bench_cells(args):
-    for capacity in args.capacities:
-        for k in args.agent_counts:
-            for rep in range(args.count):
-                yield capacity, k, rep
-
-
 def bench_row(name: str, solver: str, capacity: int, k: int,
               report: solvers.SolveReport, elapsed: float) -> dict:
     """One `bench` CSV row: `vars` and `clauses` are the last bound's, the
@@ -121,11 +114,14 @@ def bench_row(name: str, solver: str, capacity: int, k: int,
 
 
 def run_bench(args) -> list[dict]:
+    """Every cell's instance is generated before the first solve, so a bad
+    cell fails the run before any solving starts."""
     width, height = args.grid
+    cells = [(capacity, k, seed, generate_random(width, height, k, capacity, seed))
+             for capacity in args.capacities for k in args.agent_counts
+             for seed in range(args.seed, args.seed + args.count)]
     rows = []
-    for capacity, k, rep in _bench_cells(args):
-        seed = args.seed + rep
-        instance = generate_random(width, height, k, capacity, seed)
+    for capacity, k, seed, instance in cells:
         name = f"g{width}x{height}-k{k}-s{seed}"
         for solver_name in args.solvers:
             limits = solvers.Limits(time_limit_s=args.timeout)

@@ -2,7 +2,7 @@
 
 Each variable carries a label, a plain tuple:
     ("X", agent, vertex, t)        agent occupies vertex at step t
-    ("aux", tag, n)                auxiliary (cardinality counters, settled flags, ...)
+    ("aux", tag, n)                auxiliary (settled flags, running sums, cardinality counters)
 A label only names its variable in DIMACS `c var` comments; nothing finds a
 variable by its label (the encoder keeps its own map of the vertex variables).
 A move u->v between t and t+1 has no label of its own: it is the pair of
@@ -89,6 +89,30 @@ def at_most_k(formula: CnfFormula, lits: list[int], k: int) -> list[list[int]]:
         clauses.append([-lits[i], -s[i - 1][k - 1]])
     clauses.append([-lits[n - 1], -s[n - 2][k - 1]])
     return clauses
+
+
+def unary_sum(formula: CnfFormula, left: list[int], right: list[int], tag: str) -> list[int]:
+    """The running-sum step of a totalizer (Bailleux & Boufkhad 2003): a
+    register r of the sum of two sorted unary counts of one length n, with
+    the sum kept to at most n.
+
+    left[p-1] and right[q-1] read "at least p" and "at least q". The n new
+    variables r[j-1], labelled (AUX, tag, j), get the clauses
+    left[j-1] -> r[j-1], right[j-1] -> r[j-1] and
+    left[p-1] & right[q-1] -> r[p+q-1] for p + q <= n; for p + q = n + 1,
+    left[p-1] & right[q-1] is forbidden. r is only a lower bound of the sum:
+    a spurious true r[j-1] can only forbid more.
+    """
+    n = len(left)
+    r = [formula.allocate((AUX, tag, j)) for j in range(1, n + 1)]
+    for j in range(n):
+        formula.add([-left[j], r[j]])
+        formula.add([-right[j], r[j]])
+    for p in range(1, n + 1):
+        for q in range(1, n + 2 - p):
+            over = [-left[p - 1], -right[q - 1]]
+            formula.add(over + [r[p + q - 1]] if p + q <= n else over)
+    return r
 
 
 def _key_to_comment(idx: int, key: VarKey) -> str:

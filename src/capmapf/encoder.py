@@ -1,7 +1,8 @@
 """Translate instances and cost bounds into CNF, and decode models into plans.
 
 Every variable is a vertex variable x_i(v,t), agent i at v at step t, for a
-node of agent i's diagram, or an auxiliary one (settled flags, counters).
+node of agent i's diagram, or an auxiliary one (settled flags, the cost
+bound's running-sum registers, the capacity and no-follow counters).
 A move u->v between t and t+1 is the pair x_i(u,t), x_i(v,t+1), so no
 diagram arc has a variable of its own. Agent i's diagram ends at its arrival
 step; after it the agent is settled: at its goal for good, a fixed occupant
@@ -188,10 +189,12 @@ def _encode_cost_bound(
     settled_i[t], for c_i <= t <= c_i + delta, means agent i is at its goal
     from step t on. Agent i's diagram ends at its arrival step c_i + delta,
     after which it stays at its goal, so settled_i[c_i + delta] is a unit.
-    Each unsettled step of a window spends one unit of the slack: k*delta
-    slack literals, at most delta of them true.
+    The settled chain makes agent i's delay a sorted unary count:
+    d_i >= j reads -settled_i[c_i + j - 1], for j = 1..delta. A running sum
+    of these counts, one register of delta variables per agent after the
+    first, bounds the total delay by delta.
     """
-    slack_lits: list[int] = []
+    total: list[int] = []
     for i, (a, c0, x) in enumerate(zip(instance.agents, agent_costs, xs)):
         arrival = c0 + delta
         settled = [formula.allocate((cnf.AUX, f"settled_{i}", t))
@@ -200,9 +203,9 @@ def _encode_cost_bound(
             formula.add([-s, x[t][a.goal]])
             if t < arrival:
                 formula.add([-s, settled[t - c0 + 1]])
-                slack_lits.append(-s)
         formula.add([settled[-1]])
-    formula.add_all(cnf.at_most_k(formula, slack_lits, delta))
+        delay = [-s for s in settled[:-1]]
+        total = cnf.unary_sum(formula, total, delay, f"sum_{i}") if i else delay
 
 
 def _encode(instance: Instance, xi: int, mode: str, conflicts: list[Conflict] | None,

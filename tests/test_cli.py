@@ -182,6 +182,10 @@ def test_validate_names_the_line_of_a_non_integer_token(capsys, tmp_path, rows, 
     ["bench", "--grid", "3x3", "--agent-counts", "2", "--solvers", "magic"],
     ["bench", "--grid", "3x3", "--agent-counts", "2", "--solvers", ""],
     ["bench", "--grid", "3x3", "--agent-counts", "2", "--solvers", ","],
+    # a bad cell after good ones fails before the good ones are solved
+    ["bench", "--grid", "8x8", "--count", "3", "--agent-counts", "20", "--capacities", "1,0"],
+    ["bench", "--grid", "3x3", "--count", "1", "--agent-counts", "2,0", "--capacities", "1"],
+    ["bench", "--grid", "3x3", "--count", "1", "--agent-counts", "2,10", "--capacities", "1"],
 ])
 def test_malformed_flag_exits_error(capsys, monkeypatch, argv):
     """Rejected before any solving starts."""

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -270,6 +271,32 @@ def test_cost_bound_counts_slack_inside_the_arrival_windows(corpus):
     assert checked >= 200 and tight >= 25
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("delta", [0, 1, 2, 3])
+def test_cost_bound_admits_exactly_the_delays_within_the_slack(k, delta):
+    """With each agent's settled flags fixed to every delay vector in
+    {0..delta}^k, the cost bound is SAT exactly when the delays sum to at
+    most delta. The group allocates delta + 1 settled flags per agent and a
+    register of delta running-sum variables per agent after the first."""
+    inst = make_instance(path_graph(6), 5, [(0, i + 1) for i in range(k)])  # c_i = i + 1
+    costs = agent_path_costs(inst)
+    formula = CnfFormula()
+    xs = encoder._allocate_route_vars(formula, build_all_mdds(inst, delta))
+    before = formula.variable_count
+    encoder._encode_cost_bound(formula, inst, costs, delta, xs)
+    labels = [formula.key_of(v) for v in range(before + 1, formula.variable_count + 1)]
+    settled = [[v for v, key in enumerate(labels, start=before + 1) if key[1] == f"settled_{i}"]
+               for i in range(k)]
+    assert all(len(flags) == delta + 1 for flags in settled)
+    assert sum(key[1].startswith("sum_") for key in labels) == (k - 1) * delta
+    assert len(labels) == k * (delta + 1) + (k - 1) * delta
+    for delays in itertools.product(range(delta + 1), repeat=k):
+        units = [[flag if t >= d else -flag]  # flags[t] is step c_i + t: home for good from c_i + d
+                 for flags, d in zip(settled, delays) for t, flag in enumerate(flags)]
+        outcome = solve_clauses(formula.clauses + units).outcome
+        assert outcome == (SAT if sum(delays) <= delta else UNSAT), delays
+
+
 def test_extract_walks_back_through_true_nodes_waiting_at_the_goal():
     inst = make_instance(path_graph(3), 1, [(0, 2)])
     artifacts = encode_complete(inst, 3)  # slack 1: horizon 3
@@ -453,7 +480,7 @@ def test_complete_model_attains_a_clean_root_at_the_lower_bound(corpus):
 # variable numbering, the clauses or their order changes it, so a change
 # meant to keep the encoding must reproduce it. No search runs to build its
 # input, so a change confined to the SAT core leaves it alone.
-ENCODING_DIGEST = "5d8dc35b992df2b9355b0c2919cd4a212393c8e061a9e0114a9ee3db7f877a03"
+ENCODING_DIGEST = "17e2919439149159b6951c5e616484d1b0e8d659e332c1eb90d5e705aedb0358"
 
 
 def test_encodings_match_pinned_digest(corpus):

@@ -380,8 +380,8 @@ def test_time_limit_is_reached_on_a_larger_solve(solver):
 # (optimal cost, conflicts summed over the solve's CdclSolvers, refinements, bounds)
 # for generate_random(4, 4, 7, 1, seed), seeds 100-104
 SEARCH_PIN = {
-    EAGER: [(24, 18, 0, 4), (17, 21, 0, 4), (13, 6, 0, 3), (22, 39, 0, 4), (14, 2, 0, 2)],
-    LAZY: [(24, 14, 28, 4), (17, 45, 43, 4), (13, 3, 6, 3), (22, 24, 46, 4), (14, 2, 12, 2)],
+    EAGER: [(24, 15, 0, 4), (17, 17, 0, 4), (13, 5, 0, 3), (22, 26, 0, 4), (14, 2, 0, 2)],
+    LAZY: [(24, 12, 28, 4), (17, 27, 27, 4), (13, 3, 6, 3), (22, 54, 61, 4), (14, 2, 12, 2)],
 }
 
 
