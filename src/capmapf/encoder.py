@@ -6,12 +6,14 @@ bound's running-sum registers, the capacity and no-follow counters).
 A move u->v between t and t+1 is the pair x_i(u,t), x_i(v,t+1), so no
 diagram arc has a variable of its own. Agent i's diagram ends at its arrival
 step; after it the agent is settled: at its goal for good, a fixed occupant
-that the capacity, no-follow and conflict clauses count without a variable.
+that the capacity and no-follow clauses count without a variable.
 
 Two modes: the complete model posts every movement rule eagerly (swap
 prohibition and per-vertex capacity cardinality at every step); the basic
-model omits inter-agent rules and instead posts one elimination clause per
-previously recorded conflict.
+model omits inter-agent rules and posts only what recorded conflicts call
+for: for each vertex with a capacity conflict, that vertex's whole capacity
+group over every step (`capacity_group`), and for each swap conflict one
+elimination clause (`conflict_clause`).
 
 No clause keeps an agent to one vertex per step, so a model may set more of
 an agent's nodes true than one walk uses. `extract_plan` decodes one walk
@@ -33,7 +35,7 @@ from .cnf import CnfFormula
 from .instance import Instance
 from .mdd import Mdd, build_all_mdds, cost_slack
 from .pathcalc import agent_path_costs
-from .plans import CAPACITY, Conflict, Plan
+from .plans import CAPACITY, SWAP, Conflict, Plan
 
 COMPLETE = "complete"
 BASIC = "basic"
@@ -44,7 +46,8 @@ VertexVars = list[list[dict[int, int]]]
 
 class EncodingSoundnessError(AssertionError):
     """A model with a true node that no true node leads into, a conflict
-    without a clause, or an eager plan that breaks a rule."""
+    without a clause, a capacity conflict at a vertex whose group lazy has
+    posted, or an eager plan that breaks a rule."""
 
 
 @dataclass
@@ -130,27 +133,59 @@ def _settled(instance: Instance, xs: VertexVars) -> list[dict[int, int]]:
     return settled
 
 
+def _at_most_room(formula: CnfFormula, xs: list[int], room: int) -> list[list[int]]:
+    """Group (e) at one vertex and step: at most `room` of the occupants `xs`
+    true, where room is c(v) less the agents settled there. With no room
+    left, each occupant is a unit; with room for one, pairwise clauses;
+    otherwise a sequential counter whose auxiliaries `formula` allocates."""
+    if len(xs) <= room:
+        return []
+    if room <= 0:
+        return [[-x] for x in xs]
+    if room == 1:
+        return cnf.at_most_one_pairwise(xs)
+    return cnf.at_most_k(formula, xs, room)
+
+
 def _encode_capacities(
     formula: CnfFormula, instance: Instance, occupants: list[dict[int, list[int]]],
     settled: list[dict[int, int]],
 ) -> None:
     """Group (e): per vertex and step, at most c(v) occupants. The settled
     agents there are fixed occupants, so they leave room for at most c(v)
-    minus their number of the variable ones; with no room left, each of
-    those is a unit."""
+    minus their number of the variable ones."""
     caps = instance.capacities
     for at_t, fixed in zip(occupants, settled):
         for v in sorted(at_t):
             xs = at_t[v]
             room = caps[v] - fixed.get(v, 0)
-            if len(xs) <= room:
-                continue
-            if room <= 0:
-                formula.add_all([[-x] for x in xs])
-            elif room == 1:
-                formula.add_all(cnf.at_most_one_pairwise(xs))
-            else:
-                formula.add_all(cnf.at_most_k(formula, xs, room))
+            if len(xs) > room:  # most (v, t) bind nothing: skip the call there
+                formula.add_all(_at_most_room(formula, xs, room))
+
+
+def capacity_group(instance: Instance, artifacts: EncodingArtifacts,
+                   vertex: int) -> list[list[int]]:
+    """Group (e) at one vertex, step by step up to the longest diagram's
+    horizon: the clauses the complete model posts there, over the vertex
+    variables of `artifacts`, with the agents settled at the vertex as fixed
+    occupants. Counter auxiliaries are allocated in `artifacts.formula`; the
+    clauses are returned, not added. Every plan that keeps the capacities
+    satisfies them, so posting them keeps every plan of cost <= xi."""
+    formula, xs = artifacts.formula, artifacts.xs
+    horizon = max(map(len, xs))
+    here: list[list[int]] = [[] for _ in range(horizon)]  # here[t]: the occupants at step t
+    room = [instance.capacities[vertex]] * horizon
+    for a, x in zip(instance.agents, xs):
+        for at_t, level in zip(here, x):
+            if (var := level.get(vertex)) is not None:
+                at_t.append(var)
+        if a.goal == vertex:  # settled there after its arrival step
+            for t in range(len(x), horizon):
+                room[t] -= 1
+    clauses: list[list[int]] = []
+    for at_t, left in zip(here, room):
+        clauses += _at_most_room(formula, at_t, left)
+    return clauses
 
 
 def _encode_no_follow(
@@ -216,6 +251,7 @@ def _encode(instance: Instance, xi: int, mode: str, conflicts: list[Conflict] | 
     formula = CnfFormula()
     xs = _allocate_route_vars(formula, mdds)
     _encode_routes(formula, instance, mdds, xs)
+    artifacts = EncodingArtifacts(formula, xs)
     if mode == COMPLETE:
         _encode_swaps(formula, mdds, xs)
         occupants, settled = _occupants(xs), _settled(instance, xs)
@@ -223,38 +259,30 @@ def _encode(instance: Instance, xi: int, mode: str, conflicts: list[Conflict] | 
         if no_follow:
             _encode_no_follow(formula, instance, mdds, xs, occupants, settled)
     else:
-        for conflict in conflicts or []:
-            clause = conflict_clause(instance, xs, conflict)
-            if clause is not None:
-                formula.add(clause)
+        conflicts = conflicts or []
+        for conflict in conflicts:
+            if conflict.kind == SWAP:
+                clause = conflict_clause(instance, xs, conflict)
+                if clause is not None:
+                    formula.add(clause)
+        for v in sorted({c.vertex for c in conflicts if c.kind == CAPACITY}):
+            formula.add_all(capacity_group(instance, artifacts, v))
     _encode_cost_bound(formula, instance, agent_costs, delta, xs)
-    return EncodingArtifacts(formula, xs)
+    return artifacts
 
 
 def conflict_clause(instance: Instance, xs: VertexVars, conflict: Conflict) -> list[int] | None:
-    """Elimination clause for a recorded conflict over the vertex variables
-    `xs`; None when a node it names is absent from the current diagrams
-    (vacuously satisfied), including an agent away from its goal past its
-    arrival step. An agent settled at its goal there has no literal: it is
-    certainly at that node, so the clause leaves it out.
-
-    A capacity conflict forbids its agents together at (vertex, time); a
-    swap conflict forbids i at u then v while j is at v then u.
-    """
+    """Elimination clause for a recorded swap conflict over the vertex
+    variables `xs`: i at u then v while j is at v then u is forbidden. None
+    when a node it names is absent from the current diagrams (vacuously
+    satisfied). A node past its agent's arrival step is absent too: a
+    settled agent stays at its goal, so it crosses no edge there."""
     t = conflict.time
-    if conflict.kind == CAPACITY:
-        nodes = [(a, conflict.vertex, t) for a in conflict.agents]
-    else:
-        i, j = conflict.agents
-        u, v = conflict.vertex
-        nodes = [(i, u, t), (i, v, t + 1), (j, v, t), (j, u, t + 1)]
+    i, j = conflict.agents
+    u, v = conflict.vertex
     lits = []
-    for agent, vertex, step in nodes:
-        if step >= len(xs[agent]):  # settled at its goal
-            if vertex != instance.agents[agent].goal:
-                return None
-            continue
-        x = xs[agent][step].get(vertex)
+    for agent, vertex, step in ((i, u, t), (i, v, t + 1), (j, v, t), (j, u, t + 1)):
+        x = xs[agent][step].get(vertex) if step < len(xs[agent]) else None
         if x is None:
             return None
         lits.append(-x)
@@ -268,7 +296,9 @@ def encode_complete(instance: Instance, xi: int, no_follow: bool = False) -> Enc
 
 def encode_basic(instance: Instance, xi: int,
                  conflicts: list[Conflict] | None = None) -> EncodingArtifacts:
-    """Relaxed model: no inter-agent rules beyond the recorded conflicts."""
+    """Relaxed model: no inter-agent rules beyond what the recorded conflicts
+    call for. Swap clauses come in conflict order, then the capacity groups
+    in sorted vertex order, each vertex once however many conflicts name it."""
     return _encode(instance, xi, BASIC, conflicts, False)
 
 

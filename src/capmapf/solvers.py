@@ -1,6 +1,8 @@
 """The optimal cost-bound loop and its two posting policies for the
-inter-agent rules: eager posts them all with each bound's encoding, lazy
-posts an elimination clause only for each conflict a candidate plan shows."""
+inter-agent rules: eager posts them all with each bound's encoding; lazy
+posts, for each conflict a candidate plan shows, a swap's elimination
+clause or, on a vertex's first capacity conflict, that vertex's whole
+capacity group."""
 
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ class Limits:
 class IterationStat:
     xi: int
     outcome: str          # sat / unsat / unknown
-    refinements: int
+    refinements: int      # clauses lazy posted between solve() calls
     variables: int
     clauses: int
     time_s: float
@@ -98,8 +100,11 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
 
     Eager posts every capacity and swap constraint up front, so its first
     satisfying model decodes to a clean plan, which it checks once.  Lazy
-    posts one elimination clause per conflict a candidate plan shows and
-    re-solves; the recorded conflicts carry over to every later bound.
+    validates each candidate and re-solves. Per swap conflict it posts one
+    elimination clause; at a vertex's first capacity conflict it posts that
+    vertex's capacity group over every step (`encoder.capacity_group`),
+    once per bound. The recorded conflicts carry over to every later bound,
+    whose encoding posts them up front.
 
     Raises InstanceError for an instance that `validate_instance` rejects.
     """
@@ -123,6 +128,7 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
             return SolveReport(SOLVED, root, xi0)
     report = SolveReport(EXHAUSTED)
     conflicts: list[Conflict] = []
+    grouped: set[int] = set()  # vertices whose capacity group every later bound posts
     for xi in range(xi0, ceiling + 1):
         sat = artifacts = result = candidate = None  # free the last bound before encoding this one
         started = time.monotonic()
@@ -149,13 +155,27 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
                 raise encoder.EncodingSoundnessError(f"eager plan breaks {found[0]}")
             if not found:
                 plan = candidate
+            for conflict in found:  # a posted group bounds its vertex at every step
+                if conflict.kind == CAPACITY and conflict.vertex in grouped:
+                    raise encoder.EncodingSoundnessError(
+                        f"capacity conflict at a vertex whose group is posted: {conflict}")
             for conflict in found:
-                conflicts.append(conflict)
-                clause = encoder.conflict_clause(instance, artifacts.xs, conflict)
-                if clause is None:  # decoded from this model: its agents are on nodes or settled
+                # decoded from this model: its agents are on nodes or settled,
+                # so each fresh conflict has a clause against it
+                if conflict.kind == SWAP:
+                    clause = encoder.conflict_clause(instance, artifacts.xs, conflict)
+                    clauses = [] if clause is None else [clause]
+                elif conflict.vertex in grouped:  # an earlier conflict of this model posted it
+                    continue
+                else:
+                    grouped.add(conflict.vertex)
+                    clauses = encoder.capacity_group(instance, artifacts, conflict.vertex)
+                if not clauses:
                     raise encoder.EncodingSoundnessError(f"no clause for fresh conflict {conflict}")
-                sat.add_clause(clause)
-                refinements += 1
+                conflicts.append(conflict)
+                for clause in clauses:
+                    sat.add_clause(clause)
+                refinements += len(clauses)
         report.iterations.append(IterationStat(
             xi, result.outcome, refinements,
             artifacts.formula.variable_count, len(artifacts.formula.clauses) + refinements,

@@ -17,7 +17,7 @@ from capmapf.cnf import AUX, VERTEX, CnfFormula, to_dimacs
 from capmapf.encoder import EncodingSoundnessError
 from capmapf.mdd import build_all_mdds
 from capmapf.pathcalc import UnsolvableInstanceError, agent_path_costs, shortest_path_plan
-from capmapf.plans import CAPACITY, Conflict
+from capmapf.plans import CAPACITY, SWAP, Conflict
 from capmapf.satcore import SAT, UNSAT, CdclSolver
 from capmapf.solvers import validate_candidate
 from capmapf.verify import OPTIMAL
@@ -88,20 +88,51 @@ def test_conflict_on_absent_variable_skipped():
     assert solve_formula(artifacts).outcome == SAT
 
 
-def test_conflict_past_an_arrival_names_only_the_agents_still_moving():
+def test_capacity_group_past_an_arrival_fixes_the_settled_agent():
     # at slack 1 agent 0 is home at vertex 1 by step 2, its arrival step;
     # agent 1 can pass vertex 1 at step 2 or 3
     inst = make_instance(path_graph(4), 1, [(0, 1), (3, 0)])
-    xs = encode_basic(inst, cost_lower_bound(inst) + 1).xs
+    artifacts = encode_basic(inst, cost_lower_bound(inst) + 1)
+    xs = artifacts.xs
     assert len(xs[0]) == 3 and len(xs[1]) == 5
-    # at its arrival step agent 0 still has a literal
-    at_arrival = Conflict(CAPACITY, (0, 1), 1, 2)
-    assert encoder.conflict_clause(inst, xs, at_arrival) == [-xs[0][2][1], -xs[1][2][1]]
-    # after it, agent 0 is settled at its goal and leaves its literal out
-    settled_there = Conflict(CAPACITY, (0, 1), 1, 3)
-    assert encoder.conflict_clause(inst, xs, settled_there) == [-xs[1][3][1]]
-    # and it is nowhere else, so a conflict elsewhere is vacuous
-    assert encoder.conflict_clause(inst, xs, Conflict(CAPACITY, (0, 1), 2, 3)) is None
+    variables = artifacts.formula.variable_count
+    # at its arrival step agent 0 still has a literal; after it, agent 0 is
+    # settled at its goal, a fixed occupant that leaves no room for agent 1
+    assert encoder.capacity_group(inst, artifacts, 1) == [[-xs[0][2][1], -xs[1][2][1]],
+                                                         [-xs[1][3][1]]]
+    # agent 0 is never at vertex 2, so agent 1 is alone there: nothing to post
+    assert encoder.capacity_group(inst, artifacts, 2) == []
+    assert artifacts.formula.variable_count == variables
+
+
+def test_swap_clause_past_an_arrival_is_vacuous():
+    # agent 0 is home at vertex 1 from step 2 on, so it crosses no edge
+    # after that step; a swap that names it there has no clause
+    inst = make_instance(path_graph(4), 1, [(0, 1), (3, 0)])
+    xs = encode_basic(inst, cost_lower_bound(inst) + 1).xs
+    assert encoder.conflict_clause(inst, xs, Conflict(SWAP, (0, 1), (1, 2), 2)) is None
+
+
+def test_capacity_groups_are_clauses_of_the_complete_model(corpus):
+    """Over the unit-capacity corpus at slack 1, every clause of every
+    vertex's group is one the complete model posts: both number the vertex
+    variables alike, and a group is group (e) at one vertex."""
+    checked = 0
+    for name, inst in corpus[::5]:
+        try:
+            xi = cost_lower_bound(inst) + 1
+        except UnsolvableInstanceError:
+            continue
+        if any(c > 1 for c in inst.capacities.values):
+            continue  # room >= 2 uses a counter, whose numbering differs
+        complete = encode_complete(inst, xi).formula.clauses
+        basic = encode_basic(inst, xi)
+        groups = [clause for v in range(inst.graph.vertex_count)
+                  for clause in encoder.capacity_group(inst, basic, v)]
+        in_complete = {tuple(c) for c in complete}
+        assert all(tuple(c) in in_complete for c in groups), name
+        checked += bool(groups)
+    assert checked >= 5
 
 
 def test_complete_sat_implies_basic_sat(corpus):
@@ -480,7 +511,7 @@ def test_complete_model_attains_a_clean_root_at_the_lower_bound(corpus):
 # variable numbering, the clauses or their order changes it, so a change
 # meant to keep the encoding must reproduce it. No search runs to build its
 # input, so a change confined to the SAT core leaves it alone.
-ENCODING_DIGEST = "17e2919439149159b6951c5e616484d1b0e8d659e332c1eb90d5e705aedb0358"
+ENCODING_DIGEST = "1a28bbbfd10757dbf97caa541ae61d74f637d09f249c8c7a6a01462f3593ff24"
 
 
 def test_encodings_match_pinned_digest(corpus):

@@ -235,8 +235,53 @@ def test_lazy_fresh_conflict_without_a_clause_is_an_error(monkeypatch):
     # a conflict of the model just decoded names only diagram nodes, so a
     # missing clause is a fault; skipping it would find the same model again
     monkeypatch.setattr(encoder, "conflict_clause", lambda instance, xs, conflict: None)
+    monkeypatch.setattr(encoder, "capacity_group", lambda instance, artifacts, vertex: [])
     with pytest.raises(encoder.EncodingSoundnessError, match="fresh conflict"):
         solve(generate_random(4, 4, 7, 1, 100), LAZY, Limits(time_limit_s=2))
+
+
+def test_lazy_capacity_conflict_at_a_posted_vertex_is_an_error(monkeypatch):
+    # a posted group keeps its vertex within capacity at every step, so a
+    # later model that overfills it means the group is too weak
+    monkeypatch.setattr(encoder, "capacity_group", lambda instance, artifacts, vertex: [[1, -1]])
+    inst = generate_random(4, 4, 7, 1, 100)  # optimum 3 above the lower bound
+    with pytest.raises(encoder.EncodingSoundnessError, match="group is posted"):
+        solve(inst, LAZY, Limits(time_limit_s=5))
+
+
+# generate_random(4, 4, k, 2, seed) instances where a lazy group has room
+# >= 2 at some vertex, so its sequential counter allocates auxiliaries
+# between solve() calls
+CAPACITY_TWO = [(9, 2), (10, 1)]
+
+
+@pytest.mark.parametrize("agents, seed", CAPACITY_TWO)
+def test_lazy_agrees_with_eager_at_capacity_two(agents, seed, monkeypatch):
+    inst = generate_random(4, 4, agents, 2, seed)
+    eager = solve(inst, EAGER)
+    groups, bounds = [], []
+    original_group, original_basic = encoder.capacity_group, encoder.encode_basic
+
+    def counting_group(instance, artifacts, vertex):
+        groups[-1].append(vertex)
+        return original_group(instance, artifacts, vertex)
+
+    def counting_basic(*args, **kwargs):
+        groups.append([])
+        artifacts = original_basic(*args, **kwargs)
+        bounds.append(artifacts.formula.variable_count)
+        return artifacts
+
+    monkeypatch.setattr(encoder, "capacity_group", counting_group)
+    monkeypatch.setattr(encoder, "encode_basic", counting_basic)
+    lazy = solve(inst, LAZY)
+    assert eager.status == lazy.status == SOLVED
+    assert lazy.optimal_cost == eager.optimal_cost
+    assert validate_plan(inst, eager.plan) == [] and validate_plan(inst, lazy.plan) == []
+    for posted in groups:  # each vertex's group at most once per bound
+        assert len(posted) == len(set(posted))
+    # some group was posted mid-search with a counter: the bound grew variables
+    assert any(stat.variables > encoded for stat, encoded in zip(lazy.iterations, bounds))
 
 
 def test_eager_plan_that_breaks_a_rule_is_an_error(monkeypatch):
@@ -378,10 +423,11 @@ def test_time_limit_is_reached_on_a_larger_solve(solver):
 
 
 # (optimal cost, conflicts summed over the solve's CdclSolvers, refinements, bounds)
-# for generate_random(4, 4, 7, 1, seed), seeds 100-104
+# for generate_random(4, 4, 7, 1, seed), seeds 100-104; refinements count the
+# clauses lazy posted between solve() calls
 SEARCH_PIN = {
     EAGER: [(24, 15, 0, 4), (17, 17, 0, 4), (13, 5, 0, 3), (22, 26, 0, 4), (14, 2, 0, 2)],
-    LAZY: [(24, 12, 28, 4), (17, 27, 27, 4), (13, 3, 6, 3), (22, 54, 61, 4), (14, 2, 12, 2)],
+    LAZY: [(24, 10, 54, 4), (17, 21, 63, 4), (13, 3, 4, 3), (22, 39, 52, 4), (14, 2, 9, 2)],
 }
 
 
