@@ -88,8 +88,9 @@ BENCH_HEADER = ["instance", "solver", "capacity", "k", "outcome", "cost", "time_
 
 def bench_row(name: str, solver: str, capacity: int, k: int,
               report: solvers.SolveReport, elapsed: float) -> dict:
-    """One `bench` CSV row: `vars` and `clauses` are the last bound's, the
-    `_total` columns sum them over every bound the solve encoded."""
+    """One `bench` CSV row: `vars` and `clauses` are what the last bound
+    added, refinements included; the `_total` columns sum them over every
+    bound the solve encoded, which makes them the solve's totals."""
     last = report.iterations[-1] if report.iterations else None
     if report.status == solvers.SOLVED:
         outcome = "solved"

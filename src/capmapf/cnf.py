@@ -91,28 +91,28 @@ def at_most_k(formula: CnfFormula, lits: list[int], k: int) -> list[list[int]]:
     return clauses
 
 
-def unary_sum(formula: CnfFormula, left: list[int], right: list[int], tag: str) -> list[int]:
-    """The running-sum step of a totalizer (Bailleux & Boufkhad 2003): a
-    register r of the sum of two sorted unary counts of one length n, with
-    the sum kept to at most n.
+def unary_sum(formula: CnfFormula, left: list[int], right: list[int], total: list[int],
+              tag: str) -> None:
+    """The running-sum step of a totalizer (Bailleux & Boufkhad 2003), grown
+    in place: extend the register `total` of the sum of two sorted unary
+    counts of one length n to n bits.
 
-    left[p-1] and right[q-1] read "at least p" and "at least q". The n new
-    variables r[j-1], labelled (AUX, tag, j), get the clauses
-    left[j-1] -> r[j-1], right[j-1] -> r[j-1] and
-    left[p-1] & right[q-1] -> r[p+q-1] for p + q <= n; for p + q = n + 1,
-    left[p-1] & right[q-1] is forbidden. r is only a lower bound of the sum:
-    a spurious true r[j-1] can only forbid more.
+    left[p-1] and right[q-1] read "at least p" and "at least q". Each new bit
+    r[j-1], labelled (AUX, tag, j), gets the clauses left[j-1] -> r[j-1],
+    right[j-1] -> r[j-1] and left[p-1] & right[q-1] -> r[j-1] for p + q = j.
+    The bits already there keep their clauses, which only ever name bits up
+    to their own, so growing the counts by one step adds one bit and its
+    clauses. Nothing bounds the sum: r[n-1] reads "at least n", and a caller
+    bounds the sum below n by asserting -r[n-1]. r is only a lower bound of
+    the sum: a spurious true bit can only forbid more.
     """
-    n = len(left)
-    r = [formula.allocate((AUX, tag, j)) for j in range(1, n + 1)]
-    for j in range(n):
-        formula.add([-left[j], r[j]])
-        formula.add([-right[j], r[j]])
-    for p in range(1, n + 1):
-        for q in range(1, n + 2 - p):
-            over = [-left[p - 1], -right[q - 1]]
-            formula.add(over + [r[p + q - 1]] if p + q <= n else over)
-    return r
+    for j in range(len(total) + 1, len(left) + 1):
+        r = formula.allocate((AUX, tag, j))
+        total.append(r)
+        formula.add([-left[j - 1], r])
+        formula.add([-right[j - 1], r])
+        for p in range(1, j):
+            formula.add([-left[p - 1], -right[j - p - 1], r])
 
 
 def _key_to_comment(idx: int, key: VarKey) -> str:

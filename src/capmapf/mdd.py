@@ -10,6 +10,12 @@ vertex v iff the start reaches v within t steps and v reaches the goal by
 the arrival step; the last level holds only the goal. After its arrival step
 the agent stays at its goal, so a plan runs on to the longest diagram's
 horizon mu = max_j c_j + delta with every shorter path padded at its goal.
+
+The diagram at slack delta contains the one at delta - 1: it adds exactly
+the nodes (v, c_i + delta - d_goal(v)) with d_start(v) + d_goal(v) <= c_i +
+delta, and the arcs into them. A node's arcs in never change, and every arc
+out of a new node leads to a new node, so an encoding grown bound by bound
+only ever adds (`build_all_mdds(..., since=)`).
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ class HorizonContractError(ValueError):
 
 @dataclass(frozen=True)
 class Mdd:
-    """One agent's diagram up to its arrival step len(arcs) = len(levels) - 1."""
+    """One agent's diagram up to its arrival step len(arcs) = len(levels) - 1,
+    or the part of it that a smaller slack's diagram lacks."""
     levels: tuple[tuple[int, ...], ...]          # levels[t] = sorted vertex ids
     arcs: tuple[tuple[tuple[int, int], ...], ...]  # arcs[t] = (u at t, v at t+1) pairs
 
@@ -56,40 +63,48 @@ def cost_slack(agent_costs: list[int], xi: int) -> int:
 
 
 def _diagram(agent: int, goal: int, arrival: int, from_start: tuple[int, ...],
-             to_goal: tuple[int, ...], closed: tuple[tuple[int, ...], ...]) -> Mdd:
+             to_goal: tuple[int, ...], closed: tuple[tuple[int, ...], ...],
+             since: int | None = None) -> Mdd:
     """Levels 0 to arrival: vertex v sits on the levels of its window
-    [from_start[v], arrival - to_goal[v]], so the last level is (goal,)."""
+    [from_start[v], arrival - to_goal[v]], so the last level is (goal,).
+    arcs[t] holds the arcs into level t + 1, grouped by their head.
+
+    With `since`, an earlier arrival step, only the growth: the nodes whose
+    level lies past since - to_goal[v], and the arcs into them."""
     if from_start[goal] == UNREACHABLE or from_start[goal] > arrival:
         raise EmptyMddError(f"agent {agent}: goal not reachable within step {arrival}")
-    first = [0] * len(from_start)
-    last = [-1] * len(from_start)  # an empty window for every vertex left out
     levels: list[list[int]] = [[] for _ in range(arrival + 1)]
     for v, lo in enumerate(from_start):
         if lo == UNREACHABLE:  # outside the start's component, so the goal is out of reach
             continue
-        hi = arrival - to_goal[v]
-        if lo > hi:
-            continue
-        first[v], last[v] = lo, hi
-        for t in range(lo, hi + 1):
+        if since is not None:
+            lo = max(lo, since - to_goal[v] + 1)
+        for t in range(lo, arrival - to_goal[v] + 1):
             levels[t].append(v)
 
-    # Every kept node has an arc out (a wait if it can spare a step, else a
-    # move nearer the goal) and, past level 0, an arc in (the mirror case),
-    # so the windows alone leave no dead ends.
+    # The arcs into (v, t + 1) come from every (u, t) with u in v's closed
+    # neighbourhood and from_start[u] <= t: to_goal[u] <= to_goal[v] + 1 puts
+    # (u, t) inside its window's upper end. Every kept node has an arc out (a
+    # wait if it can spare a step, else a move nearer the goal) and, past
+    # level 0, an arc in, so the windows alone leave no dead ends.
     arcs = [
-        tuple((u, v) for u in levels[t] for v in closed[u] if first[v] <= t + 1 <= last[v])
+        tuple((u, v) for v in levels[t + 1] for u in closed[v] if from_start[u] <= t)
         for t in range(arrival)
     ]
     return Mdd(tuple(map(tuple, levels)), tuple(arcs))
 
 
-def build_all_mdds(instance: Instance, delta: int) -> list[Mdd]:
+def build_all_mdds(instance: Instance, delta: int, since: int | None = None) -> list[Mdd]:
     """Every agent's diagram at cost slack delta: agent i's ends at its
-    arrival step c_i + delta. Built from `Instance.distances`."""
+    arrival step c_i + delta. Built from `Instance.distances`.
+
+    With `since`, a smaller slack, each diagram holds only its growth over
+    the slack-`since` one: the new nodes and the arcs into them, which are
+    all the arcs it gained."""
     costs = agent_path_costs(instance)
     closed, distances = instance.graph.closed_neighbourhoods, instance.distances
     return [
-        _diagram(i, a.goal, c + delta, from_start, to_goal, closed)
+        _diagram(i, a.goal, c + delta, from_start, to_goal, closed,
+                 None if since is None else c + since)
         for i, (a, c, (from_start, to_goal)) in enumerate(zip(instance.agents, costs, distances))
     ]

@@ -4,30 +4,36 @@ Two-watched-literal propagation, first-UIP clause learning, activity-based
 branching (false-first polarity), geometric restarts.  Clauses may be added
 between solve calls; learned clauses are kept, which stays sound because
 clauses are only ever added.  The trail, the decision heap and the variable
-activities persist across calls.  The decision heap (`heapq` over
+activities persist across calls.  A call may pass assumptions: literals
+decided first, one per decision level, in the order given, as MiniSat does
+(Een & Sorensson, SAT 2003).  They hold for that call only, so learned
+clauses never depend on them; an assumption found false ends the call UNSAT
+at level 0 with `contradiction` unset, and the same solver can then answer
+under other assumptions.  The decision heap (`heapq` over
 `(-activity, v)`) keeps one live entry per unassigned variable, as MiniSat's
 order heap does: a bump re-keys only a variable on the heap, a backtrack puts
 back only the variables that left it, and `_decide` drops the superseded keys
-it pops.  One routine, `_attach`, puts every clause on the trail, whether it
-is a loaded unit, a clause added between calls or a learned clause: it
+it pops.  One routine, `_attach`, puts a clause on the live trail, whether it
+is a loaded unit, a clause added mid-search or a learned clause: it
 watches the clause against the live assignment and backtracks only as far as
 the watch invariant needs, so a re-solve resumes from the previous model
 instead of descending again from the empty assignment.  Clauses are loaded
 as given: nonzero literals, repeats and complementary pairs kept, no clean-up.
 The solver adopts each clause list it is handed and reorders it in place, so
 a clause exists once, shared with the caller (`CnfFormula` keeps the same
-lists).  Before anything is propagated, loading a clause of two or more
-literals only watches its first two, as MiniSat does; the variables its other
-literals name are range-checked, and the solver grown to them, once per
-solve() call over the clauses added since the previous call.  Units and
-clauses added after a search go straight onto the trail through `_attach`,
-with their own check.
+lists).  At level 0, loading a clause of two or more literals only watches
+its first two, as MiniSat does, unless one of them is already false after
+propagation; the variables its other literals name are range-checked, and
+the solver grown to them, once per solve() call over the clauses added since
+the previous call.  Units, and clauses added while a search's decisions are
+on the trail, go onto the trail through `_attach`, with their own check.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -64,7 +70,13 @@ class CdclSolver:
         self.in_heap: list[bool] = [False]   # heap holds (-activity[v], v)
         self.var_inc = 1.0
         self.conflicts_total = 0
-        self._ensure_var(num_vars)
+        self.assumed: list[int] = []         # the assumptions the trail's first levels decided
+        self.reserve(num_vars)
+
+    def reserve(self, num_vars: int) -> None:
+        """Grow to `num_vars` variables at once; clauses naming more still grow it."""
+        if num_vars > self.num_vars:
+            self._ensure_var(num_vars)
 
     def _ensure_var(self, v: int) -> None:
         # in bulk; activities are >= 0, so appending (0.0, u) in rising u keeps the heap valid
@@ -88,21 +100,26 @@ class CdclSolver:
             self.contradiction = True
             return
         self.clauses.append(lits)
-        if self.qhead or len(lits) == 1:
-            if (top := max(map(abs, lits))) > self.num_vars:
-                self._ensure_var(top)
-            self._attach(lits)
-            return
-        # nothing propagated yet: every assigned literal will still be visited, so two
-        # watches suffice; solve() range-checks the other literals
-        watches = self.watches
-        try:
-            first, second = watches[lits[0]], watches[lits[1]]
-        except KeyError:  # a watched literal names a new variable
-            self._ensure_var(max(map(abs, lits)))
-            first, second = watches[lits[0]], watches[lits[1]]
-        first.append(lits)
-        second.append(lits)
+        if len(lits) > 1 and not self.trail_lim:
+            # level 0: two watches suffice unless one is false and already propagated
+            # past (a false literal the queue has yet to reach will still be visited);
+            # solve() range-checks the other literals
+            watches = self.watches
+            a, b = lits[0], lits[1]
+            try:
+                first, second = watches[a], watches[b]
+            except KeyError:  # a watched literal names a new variable
+                self._ensure_var(max(map(abs, lits)))
+                first, second = watches[a], watches[b]
+            assign = self.assign
+            if not self.qhead or ((assign[a] if a > 0 else -assign[-a]) != -1
+                                  and (assign[b] if b > 0 else -assign[-b]) != -1):
+                first.append(lits)
+                second.append(lits)
+                return
+        if (top := max(map(abs, lits))) > self.num_vars:
+            self._ensure_var(top)
+        self._attach(lits)
 
     def _watch(self, clause: list[int]) -> None:
         self.watches[clause[0]].append(clause)
@@ -307,17 +324,29 @@ class CdclSolver:
         self,
         conflict_limit: int | None = None,
         time_limit: float | None = None,
+        assumptions: Sequence[int] = (),
     ) -> SatResult:
-        """Complete decision procedure; UNKNOWN only when a budget runs out.
+        """Complete decision procedure under `assumptions`; UNKNOWN only when a
+        budget runs out.
 
-        UNSAT found at level 0 is final: `contradiction` stays set.
+        The assumptions are decided first, at levels 1, 2, ... in order; one
+        already true gets an empty level.  One found false (implied by the
+        clauses and the assumptions before it) answers UNSAT, backtracks to
+        level 0 and leaves `contradiction` unset.  UNSAT found at level 0 is
+        final: `contradiction` stays set.
         """
         if self.contradiction:
             return SatResult(UNSAT)
         if len(self.clauses) > self.checked:  # grow to the clauses loaded since the last call
             new = self.clauses[self.checked:] if self.checked else self.clauses  # first call: no copy
-            self._ensure_var(max(map(abs, chain.from_iterable(new))))
+            self._ensure_var(max(max(chain.from_iterable(new)), -min(chain.from_iterable(new))))
             self.checked = len(self.clauses)
+        assumptions = list(assumptions)
+        if assumptions:
+            self.reserve(max(map(abs, assumptions)))
+        if assumptions != self.assumed:  # the trail's first levels decided other literals
+            self._backtrack(0)
+            self.assumed = assumptions
         deadline = None if time_limit is None else time.monotonic() + time_limit
         conflicts = 0
         restart_limit = 100
@@ -344,6 +373,17 @@ class CdclSolver:
             else:
                 if deadline is not None and time.monotonic() > deadline:
                     return SatResult(UNKNOWN)
+                level = len(self.trail_lim)
+                if level < len(assumptions):
+                    lit = assumptions[level]
+                    value = self._value(lit)
+                    if value == -1:  # no model under the assumptions
+                        self._backtrack(0)
+                        return SatResult(UNSAT)
+                    self.trail_lim.append(len(self.trail))
+                    if value == 0:
+                        self._enqueue(lit, None)
+                    continue
                 lit = self._decide()
                 if lit == 0:
                     model = [a == 1 for a in self.assign]
@@ -353,6 +393,7 @@ class CdclSolver:
                 self._enqueue(lit, None)
 
     def _model_ok(self, model: list[bool]) -> bool:
-        """Replay every original clause, units included, against the model."""
+        """Replay every original clause, units included, and the literals the
+        current call assumed against the model."""
         true = {v if value else -v for v, value in enumerate(model)}
-        return not any(map(true.isdisjoint, self.clauses))
+        return true.issuperset(self.assumed) and not any(map(true.isdisjoint, self.clauses))

@@ -2,7 +2,12 @@
 inter-agent rules: eager posts them all with each bound's encoding; lazy
 posts, for each conflict a candidate plan shows, a swap's elimination
 clause or, on a vertex's first capacity conflict, that vertex's whole
-capacity group."""
+capacity group.
+
+One SAT solver and one `encoder.Encoding` serve a whole solve. Each bound
+grows the encoding by one slack step, loads only the clauses it adds, and
+asks the solver under the bound's own literals as assumptions; clauses,
+learned ones included, carry over to every later bound."""
 
 from __future__ import annotations
 
@@ -34,8 +39,8 @@ class IterationStat:
     xi: int
     outcome: str          # sat / unsat / unknown
     refinements: int      # clauses lazy posted between solve() calls
-    variables: int
-    clauses: int
+    variables: int        # variables the bound allocated, refinements' counters included
+    clauses: int          # clauses the bound loaded, refinements included
     time_s: float
 
 
@@ -98,13 +103,17 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
     under no-follow, which `validate_candidate` does not check, and wherever
     the first bound would not run (past the ceiling or the deadline).
 
+    Each bound grows one encoding by one slack step (`onto=`) and loads its
+    new clauses into the one SAT solver, which answers under the bound's
+    literals as assumptions. The clauses it keeps admit every valid plan, so
+    a contradiction among them raises EncodingSoundnessError.
+
     Eager posts every capacity and swap constraint up front, so its first
     satisfying model decodes to a clean plan, which it checks once.  Lazy
     validates each candidate and re-solves. Per swap conflict it posts one
     elimination clause; at a vertex's first capacity conflict it posts that
     vertex's capacity group over every step (`encoder.capacity_group`),
-    once per bound. The recorded conflicts carry over to every later bound,
-    whose encoding posts them up front.
+    which the encoding extends at every later bound. Nothing is posted twice.
 
     Raises InstanceError for an instance that `validate_instance` rejects.
     """
@@ -127,29 +136,32 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
         if next(_conflicts(instance, root), None) is None:  # the lower bound is attained
             return SolveReport(SOLVED, root, xi0)
     report = SolveReport(EXHAUSTED)
-    conflicts: list[Conflict] = []
-    grouped: set[int] = set()  # vertices whose capacity group every later bound posts
+    mode = encoder.COMPLETE if solver == EAGER else encoder.BASIC
+    encoding = encoder.Encoding(instance, mode, no_follow)
+    sat = satcore.CdclSolver()
+    grouped = encoding.grouped  # vertices with a capacity group: all of them for eager
     for xi in range(xi0, ceiling + 1):
-        sat = artifacts = result = candidate = None  # free the last bound before encoding this one
         started = time.monotonic()
         if started >= deadline:
             return report
+        variables = encoding.formula.variable_count
         if solver == EAGER:
-            artifacts = encoder.encode_complete(instance, xi, no_follow)
+            encoder.encode_complete(instance, xi, no_follow, onto=encoding)
         else:
-            artifacts = encoder.encode_basic(instance, xi, conflicts)
+            encoder.encode_basic(instance, xi, onto=encoding)
         if time.monotonic() >= deadline:  # do not load a bound encoded past the deadline
             return report
-        sat = satcore.CdclSolver(artifacts.formula.variable_count)
-        for clause in artifacts.formula.clauses:
+        sat.reserve(encoding.formula.variable_count)
+        for clause in encoding.formula.clauses:
             sat.add_clause(clause)
+        assumptions = encoding.bound_literals(encoding.delta)
         refinements = 0
         plan = None
         while plan is None:
-            result = sat.solve(time_limit=deadline - time.monotonic())
+            result = sat.solve(time_limit=deadline - time.monotonic(), assumptions=assumptions)
             if result.outcome != satcore.SAT:
                 break
-            candidate = encoder.extract_plan(instance, artifacts, result.model)
+            candidate = encoder.extract_plan(instance, encoding, result.model)
             found = validate_candidate(instance, candidate)
             if found and solver == EAGER:  # every rule was posted, so a model cannot break one
                 raise encoder.EncodingSoundnessError(f"eager plan breaks {found[0]}")
@@ -163,22 +175,23 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
                 # decoded from this model: its agents are on nodes or settled,
                 # so each fresh conflict has a clause against it
                 if conflict.kind == SWAP:
-                    clause = encoder.conflict_clause(instance, artifacts.xs, conflict)
+                    clause = encoder.conflict_clause(instance, encoding.xs, conflict)
                     clauses = [] if clause is None else [clause]
                 elif conflict.vertex in grouped:  # an earlier conflict of this model posted it
                     continue
                 else:
-                    grouped.add(conflict.vertex)
-                    clauses = encoder.capacity_group(instance, artifacts, conflict.vertex)
+                    clauses = encoder.capacity_group(instance, encoding, conflict.vertex)
                 if not clauses:
                     raise encoder.EncodingSoundnessError(f"no clause for fresh conflict {conflict}")
-                conflicts.append(conflict)
                 for clause in clauses:
                     sat.add_clause(clause)
                 refinements += len(clauses)
+        if sat.contradiction:  # every valid plan satisfies the clauses kept across bounds
+            raise encoder.EncodingSoundnessError(f"the clauses kept at bound {xi} contradict")
         report.iterations.append(IterationStat(
             xi, result.outcome, refinements,
-            artifacts.formula.variable_count, len(artifacts.formula.clauses) + refinements,
+            encoding.formula.variable_count - variables,
+            len(encoding.formula.clauses) + refinements,
             time.monotonic() - started,
         ))
         if plan is not None:

@@ -295,8 +295,9 @@ def test_bench_csv_shape(capsys, monkeypatch):
         assert r["outcome"] in ("solved", "unsolvable", "timeout")
         if r["outcome"] == "solved":
             assert int(r["cost"]) >= 0 and float(r["time_s"]) >= 0
-    # the last bound's size, and its sums over every bound, as each report
-    # gives them; 0 throughout for a report the root settled (no bound encoded)
+    # what the last bound added, and the sums over every bound (the solve's
+    # totals), as each report gives them; 0 throughout for a report the root
+    # settled (no bound encoded)
     expected = sorted(
         (c, solver, str(its[-1].variables if its else 0), str(its[-1].clauses if its else 0),
          str(sum(s.variables for s in its)), str(sum(s.clauses for s in its)))

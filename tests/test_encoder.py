@@ -96,10 +96,11 @@ def test_capacity_group_past_an_arrival_fixes_the_settled_agent():
     xs = artifacts.xs
     assert len(xs[0]) == 3 and len(xs[1]) == 5
     variables = artifacts.formula.variable_count
-    # at its arrival step agent 0 still has a literal; after it, agent 0 is
-    # settled at its goal, a fixed occupant that leaves no room for agent 1
+    # at its arrival step agent 0 still has a node; after it, agent 0 is
+    # settled at its goal and its settled flag for step 3 counts it there
+    settled_at_3 = artifacts.settled[0][3 - 1]  # agent 0's flags start at its c_0 = 1
     assert encoder.capacity_group(inst, artifacts, 1) == [[-xs[0][2][1], -xs[1][2][1]],
-                                                         [-xs[1][3][1]]]
+                                                         [-settled_at_3, -xs[1][3][1]]]
     # agent 0 is never at vertex 2, so agent 1 is alone there: nothing to post
     assert encoder.capacity_group(inst, artifacts, 2) == []
     assert artifacts.formula.variable_count == variables
@@ -243,11 +244,12 @@ def test_route_models_are_exactly_the_diagram_walks(graph, start, goal, slack):
     the diagram's mu-step walks; and each walk, set exactly, is a model."""
     inst = make_instance(graph, 1, [(start, goal)])
     m = build_all_mdds(inst, slack)[0]
-    formula = CnfFormula()
-    route_vars = encoder._allocate_route_vars(formula, [m])
+    artifacts = encoder.Encoding(inst, encoder.BASIC)
+    formula, route_vars = artifacts.formula, artifacts.xs
+    encoder._allocate_route_vars(formula, [m], route_vars)
     encoder._encode_routes(formula, inst, [m], route_vars)
-    artifacts = encoder.EncodingArtifacts(formula, route_vars)
     x = route_vars[0]
+    formula.add([x[-1][goal]])  # the arrival step's settled flag sets the goal in an encoding
     solver = CdclSolver()
     for clause in formula.clauses:
         solver.add_clause(clause)
@@ -267,8 +269,9 @@ def test_route_models_are_exactly_the_diagram_walks(graph, start, goal, slack):
 
 def test_cost_bound_counts_slack_inside_the_arrival_windows(corpus):
     """With every vertex variable fixed to an oracle-optimal plan (its nodes
-    true, all others false), the cost bound admits it at its cost xi* and rejects it at xi* - 1, and each
-    agent has delta + 1 settled flags."""
+    true, all others false), the cost bound admits it at its cost xi* and
+    rejects it at xi* - 1, and each agent has settled flags from its c_i out
+    to the horizon."""
     checked = tight = 0
     for name, inst in corpus:
         oracle = brute_force_optimal(inst, 8)
@@ -282,7 +285,7 @@ def test_cost_bound_counts_slack_inside_the_arrival_windows(corpus):
         mu = max(len(m.levels) for m in mdds) - 1
         settled = [k for k in map(f.key_of, range(1, f.variable_count + 1))
                    if k[0] == AUX and k[1].startswith("settled_")]
-        assert len(settled) == inst.k * (delta + 1), name
+        assert len(settled) == sum(mu + 1 - c for c in costs), name
         padded = [p + (p[-1],) * (mu + 1 - len(p)) for p in oracle.plan.paths]
 
         def plan_units(xs):  # every vertex variable fixed: plan nodes true, all others false
@@ -291,12 +294,12 @@ def test_cost_bound_counts_slack_inside_the_arrival_windows(corpus):
                     for v, var in level.items()]
 
         assert solve_clauses(f.clauses + plan_units(artifacts.xs)).outcome == SAT, name
-        if delta > 0:  # the same diagrams under the bound xi* - 1
-            g = CnfFormula()
-            route_vars = encoder._allocate_route_vars(g, mdds)
-            encoder._encode_routes(g, inst, mdds, route_vars)
-            encoder._encode_cost_bound(g, inst, costs, delta - 1, route_vars)
-            assert solve_clauses(g.clauses + plan_units(route_vars)).outcome == UNSAT, name
+        if delta > 0:  # the same encoding held to the bound xi* - 1
+            grown = encoder.Encoding(inst, encoder.COMPLETE)
+            grown.grow(delta)
+            units = [[lit] for lit in grown.bound_literals(delta - 1)]
+            clauses = grown.formula.clauses + units + plan_units(grown.xs)
+            assert solve_clauses(clauses).outcome == UNSAT, name
             tight += 1
         checked += 1
     assert checked >= 200 and tight >= 25
@@ -305,27 +308,27 @@ def test_cost_bound_counts_slack_inside_the_arrival_windows(corpus):
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("delta", [0, 1, 2, 3])
 def test_cost_bound_admits_exactly_the_delays_within_the_slack(k, delta):
-    """With each agent's settled flags fixed to every delay vector in
-    {0..delta}^k, the cost bound is SAT exactly when the delays sum to at
-    most delta. The group allocates delta + 1 settled flags per agent and a
-    register of delta running-sum variables per agent after the first."""
+    """Grown one slack at a time, at each slack d up to delta and with each
+    agent's settled flags fixed to every delay vector in {0..d}^k, the
+    encoding under its bound literals is SAT exactly when the delays sum to
+    at most d. The register has d + 1 running-sum bits per agent after the
+    first, and each agent settled flags from c_i out to the horizon."""
     inst = make_instance(path_graph(6), 5, [(0, i + 1) for i in range(k)])  # c_i = i + 1
-    costs = agent_path_costs(inst)
-    formula = CnfFormula()
-    xs = encoder._allocate_route_vars(formula, build_all_mdds(inst, delta))
-    before = formula.variable_count
-    encoder._encode_cost_bound(formula, inst, costs, delta, xs)
-    labels = [formula.key_of(v) for v in range(before + 1, formula.variable_count + 1)]
-    settled = [[v for v, key in enumerate(labels, start=before + 1) if key[1] == f"settled_{i}"]
-               for i in range(k)]
-    assert all(len(flags) == delta + 1 for flags in settled)
-    assert sum(key[1].startswith("sum_") for key in labels) == (k - 1) * delta
-    assert len(labels) == k * (delta + 1) + (k - 1) * delta
-    for delays in itertools.product(range(delta + 1), repeat=k):
-        units = [[flag if t >= d else -flag]  # flags[t] is step c_i + t: home for good from c_i + d
-                 for flags, d in zip(settled, delays) for t, flag in enumerate(flags)]
-        outcome = solve_clauses(formula.clauses + units).outcome
-        assert outcome == (SAT if sum(delays) <= delta else UNSAT), delays
+    encoding = encoder.Encoding(inst, encoder.BASIC)
+    clauses = []
+    for d in range(delta + 1):
+        encoding.grow(d)
+        clauses += encoding.formula.clauses
+        formula = encoding.formula
+        labels = [formula.key_of(v) for v in range(1, formula.variable_count + 1)]
+        assert sum(key[1].startswith("sum_") for key in labels if key[0] == AUX) == (k - 1) * (d + 1)
+        assert [len(flags) for flags in encoding.settled] == [k + d - i for i in range(k)]
+        bound = [[lit] for lit in encoding.bound_literals(d)]
+        for delays in itertools.product(range(d + 1), repeat=k):
+            units = [[flag if t >= n else -flag]  # flags[t] is step c_i + t: home for good from c_i + n
+                     for flags, n in zip(encoding.settled, delays) for t, flag in enumerate(flags)]
+            outcome = solve_clauses(clauses + bound + units).outcome
+            assert outcome == (SAT if sum(delays) <= d else UNSAT), (d, delays)
 
 
 def test_extract_walks_back_through_true_nodes_waiting_at_the_goal():
@@ -426,49 +429,54 @@ def test_no_follow_generalizes_with_capacity():
     assert strict.optimal_cost == 2
 
 
-def _scanned_encoding(inst, mdds, xi, no_follow):
-    """The complete encoding of the same diagrams with the capacity and
-    no-follow groups found by probing every (step, vertex, agent) node: an
-    agent whose diagram ended before the step is a fixed occupant of its goal."""
-    formula = CnfFormula()
-    route_vars = encoder._allocate_route_vars(formula, mdds)
-    encoder._encode_routes(formula, inst, mdds, route_vars)
-    encoder._encode_swaps(formula, mdds, route_vars)
+def _scanned_encoding(inst, delta, no_follow):
+    """The complete encoding at slack delta with the swap, capacity and
+    no-follow groups found by probing every (step, vertex, agent) node of
+    the full diagrams: an agent whose diagram ended before the step counts
+    by its settled flag at its goal. The routes, settled flags and cost
+    register come from a basic encoding, which numbers them alike."""
+    base = encoder.Encoding(inst, encoder.BASIC)
+    base.grow(delta)
+    formula, xs = base.formula, base.xs
+    mdds = build_all_mdds(inst, delta)
     mu, caps = max(len(m.levels) for m in mdds) - 1, inst.capacities
+    for i, mi in enumerate(mdds):
+        for j, mj in enumerate(mdds[:i]):
+            for t in range(min(len(mi.arcs), len(mj.arcs))):
+                for (u, v) in mi.arcs[t]:
+                    if u != v and (v, u) in mj.arcs[t]:
+                        formula.add([-xs[i][t][u], -xs[i][t + 1][v], -xs[j][t][v], -xs[j][t + 1][u]])
 
     def occupants(v, t, skip=None):
-        return [x for i in range(inst.k) if i != skip and t < len(route_vars[i])
-                if (x := route_vars[i][t].get(v)) is not None]
-
-    def settled(v, t):
-        return sum(t >= len(x) and a.goal == v for a, x in zip(inst.agents, route_vars))
+        found = []
+        for i, (a, x, flags) in enumerate(zip(inst.agents, xs, base.settled)):
+            if t < len(x):
+                if i != skip and (var := x[t].get(v)) is not None:
+                    found.append(var)
+            elif a.goal == v:
+                found.append(flags[t - (len(x) - 1 - delta)])  # flags start at c_i
+        return found
 
     for t in range(mu + 1):
         for v in range(inst.graph.vertex_count):
-            xs = occupants(v, t)
-            room = caps[v] - settled(v, t)
-            if len(xs) > room:
-                if room == 0:
-                    formula.add_all([[-x] for x in xs])
-                elif room == 1:
-                    formula.add_all(cnf.at_most_one_pairwise(xs))
+            lits = occupants(v, t)
+            if len(lits) > caps[v]:
+                if caps[v] == 1:
+                    formula.add_all(cnf.at_most_one_pairwise(lits))
                 else:
-                    formula.add_all(cnf.at_most_k(formula, xs, room))
+                    formula.add_all(cnf.at_most_k(formula, lits, caps[v]))
     if no_follow:
-        for i, m in enumerate(mdds):
-            for t, arcs in enumerate(m.arcs):
-                for (u, v) in arcs:
-                    if u != v:
-                        move = [-route_vars[i][t][u],
-                                -route_vars[i][t + 1][v]]
-                        room = caps[v] - 1 - settled(v, t)
-                        if room < 0:
-                            formula.add(move)
-                            continue
-                        for clause in cnf.at_most_k(formula, occupants(v, t, i), room):
-                            formula.add(clause + move)
-    costs = agent_path_costs(inst)
-    encoder._encode_cost_bound(formula, inst, costs, xi - sum(costs), route_vars)
+        for t in range(mu):
+            for v in range(inst.graph.vertex_count):
+                for i, m in enumerate(mdds):
+                    if t >= len(m.arcs):
+                        continue
+                    for (u, w) in m.arcs[t]:
+                        if w == v and u != v:
+                            move = [-xs[i][t][u], -xs[i][t + 1][v]]
+                            for clause in cnf.at_most_k(formula, occupants(v, t, i), caps[v] - 1):
+                                formula.add(clause + move)
+    formula.add_all([[lit] for lit in base.bound_literals(delta)])
     return formula
 
 
@@ -479,9 +487,9 @@ def test_occupant_index_matches_full_scan(corpus, no_follow):
         xi0 = cost_lower_bound(inst)
         for xi in (xi0, xi0 + 2):
             artifacts = encode_complete(inst, xi, no_follow=no_follow)
-            mdds = build_all_mdds(inst, xi - xi0)
-            expected = _scanned_encoding(inst, mdds, xi, no_follow)
-            assert to_dimacs(artifacts.formula) == to_dimacs(expected), (name, xi)
+            expected = _scanned_encoding(inst, xi - xi0, no_follow)
+            assert artifacts.formula.variable_count == expected.variable_count, (name, xi)
+            assert sorted(artifacts.formula.clauses) == sorted(expected.clauses), (name, xi)
             checked += 1
     assert checked >= 100
 
@@ -507,11 +515,104 @@ def test_complete_model_attains_a_clean_root_at_the_lower_bound(corpus):
     assert checked >= 150
 
 
+def _grown_outcomes(inst, mode, no_follow, xis, conflicts=()):
+    """Each bound's answer from one encoding grown bound by bound and one
+    SAT solver under the bound's literals; the conflicts' clauses (a swap's
+    elimination clause, a capacity conflict's vertex group) are posted once,
+    at the first bound."""
+    encoding = encoder.Encoding(inst, mode, no_follow)
+    solver = CdclSolver()
+    outcomes = []
+    for xi in xis:
+        if mode == encoder.COMPLETE:
+            encode_complete(inst, xi, no_follow, onto=encoding)
+        else:
+            encode_basic(inst, xi, onto=encoding)
+        clauses = list(encoding.formula.clauses)
+        if xi == xis[0]:
+            clauses += [c for c in (encoder.conflict_clause(inst, encoding.xs, conflict)
+                                    for conflict in conflicts if conflict.kind == SWAP) if c]
+            for v in sorted({c.vertex for c in conflicts if c.kind == CAPACITY}):
+                clauses += encoder.capacity_group(inst, encoding, v)
+        for clause in clauses:
+            solver.add_clause(clause)
+        result = solver.solve(assumptions=encoding.bound_literals(encoding.delta))
+        assert not solver.contradiction
+        if result.outcome == SAT:
+            plan = extract_plan(inst, encoding, result.model)
+            assert plan.sum_of_costs <= xi
+            if mode == encoder.COMPLETE:
+                assert validate_plan(inst, plan) == []
+        outcomes.append(result.outcome)
+    return outcomes
+
+
+def _with_capacity(inst, c):
+    from capmapf import CapacityMap, Instance
+
+    return Instance(inst.graph, CapacityMap.uniform(inst.graph, c), inst.agents)
+
+
+def test_grown_encoding_agrees_with_standalone_and_oracle(corpus):
+    """At every bound from xi_0 up to the optimum (or three bounds, where
+    the oracle finds no plan), at capacities 1-3: the complete encoding
+    grown bound by bound answers as a standalone `encode_complete` and as
+    the oracle, with and without no-follow the grown and standalone answers
+    agree, and the basic encoding grown with the groups and clauses of the
+    root's conflicts answers as a standalone `encode_basic` with them."""
+    checked = 0
+    cases = [(name, inst) for name, inst in corpus[::2]]
+    cases += [(name + "-as-c3", _with_capacity(inst, 3)) for name, inst in corpus[::4]
+              if "-c1-" in name]
+    for name, inst in cases:
+        try:
+            xi0 = cost_lower_bound(inst)
+        except UnsolvableInstanceError:
+            continue
+        oracle = brute_force_optimal(inst, 8)
+        last = oracle.cost if oracle.status == OPTIMAL else xi0 + 2
+        xis = list(range(xi0, last + 1))
+        expected = [SAT if oracle.status == OPTIMAL and xi >= oracle.cost else UNSAT for xi in xis]
+        standalone = [solve_formula(encode_complete(inst, xi)).outcome for xi in xis]
+        assert standalone == expected, name
+        assert _grown_outcomes(inst, encoder.COMPLETE, False, xis) == expected, name
+        standalone = [solve_formula(encode_complete(inst, xi, no_follow=True)).outcome for xi in xis]
+        assert _grown_outcomes(inst, encoder.COMPLETE, True, xis) == standalone, name
+        conflicts = validate_candidate(inst, shortest_path_plan(inst))
+        standalone = [solve_formula(encode_basic(inst, xi, conflicts)).outcome for xi in xis]
+        assert _grown_outcomes(inst, encoder.BASIC, False, xis, conflicts) == standalone, name
+        checked += 1
+    assert checked >= 100
+
+
+def test_bound_allocates_vertex_variables_for_exactly_its_new_nodes(corpus):
+    """Growing slack by slack, bound delta allocates a vertex variable for
+    each node that `build_all_mdds(inst, delta)` has beyond delta - 1, and
+    for no other."""
+    for name, inst in corpus[::3]:
+        try:
+            cost_lower_bound(inst)
+        except UnsolvableInstanceError:
+            continue
+        encoding = encoder.Encoding(inst, encoder.COMPLETE)
+        before = set()
+        for delta in range(4):
+            count = encoding.formula.variable_count
+            encoding.grow(delta)
+            f = encoding.formula
+            allocated = {f.key_of(v)[1:] for v in range(count + 1, f.variable_count + 1)
+                         if f.key_of(v)[0] == VERTEX}
+            nodes = {(i, v, t) for i, m in enumerate(build_all_mdds(inst, delta))
+                     for t, level in enumerate(m.levels) for v in level}
+            assert allocated == nodes - before, (name, delta)
+            before = nodes
+
+
 # sha256 over the DIMACS text of every encoding below. Any change to the
 # variable numbering, the clauses or their order changes it, so a change
 # meant to keep the encoding must reproduce it. No search runs to build its
 # input, so a change confined to the SAT core leaves it alone.
-ENCODING_DIGEST = "1a28bbbfd10757dbf97caa541ae61d74f637d09f249c8c7a6a01462f3593ff24"
+ENCODING_DIGEST = "38a7024bd70f5ffda0a8885e811ff7becacc78b0d6e05613bacdd7ba0a0605c4"
 
 
 def test_encodings_match_pinned_digest(corpus):

@@ -225,3 +225,26 @@ def test_every_node_has_through_arcs(corpus):
                         assert any(u == v for (u, _) in m.arcs[t])
                     if t > 0:
                         assert any(w == v for (_, w) in m.arcs[t - 1])
+
+
+def _nodes_and_arcs(mdds):
+    nodes = {(i, v, t) for i, m in enumerate(mdds) for t, level in enumerate(m.levels) for v in level}
+    arcs = {(i, t, u, v) for i, m in enumerate(mdds) for t, step in enumerate(m.arcs) for (u, v) in step}
+    return nodes, arcs
+
+
+def test_growth_is_what_the_larger_diagram_adds(corpus):
+    """build_all_mdds(..., delta, since) holds exactly the nodes and arcs of
+    the slack-delta diagrams that the slack-`since` ones lack, level for
+    level, and each node's arcs in are the same in every diagram that has it."""
+    for name, inst in corpus[::2]:
+        for since, delta in ((0, 1), (1, 2), (0, 3)):
+            small = _nodes_and_arcs(build_all_mdds(inst, since))
+            large = _nodes_and_arcs(build_all_mdds(inst, delta))
+            growth = build_all_mdds(inst, delta, since)
+            assert [len(m.levels) for m in growth] == [len(m.levels) for m in build_all_mdds(inst, delta)]
+            nodes, arcs = _nodes_and_arcs(growth)
+            assert small[0] <= large[0] and small[1] <= large[1], (name, delta)
+            assert nodes == large[0] - small[0], (name, since, delta)
+            assert arcs == large[1] - small[1], (name, since, delta)
+            assert all((i, v, t + 1) in nodes for i, t, _, v in arcs), (name, since, delta)

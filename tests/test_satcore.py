@@ -393,3 +393,96 @@ def test_decision_heap_holds_one_live_entry_per_unassigned_variable(seed):
     for v in range(1, s.num_vars + 1):
         assert live[v] == (1 if s.in_heap[v] else 0), v
         assert s.in_heap[v] or s.assign[v] != 0, v  # every unassigned variable is on the heap
+
+
+def _random_formula(rng, n):
+    return [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), min(3, n))]
+            for _ in range(rng.randint(n, 4 * n))]
+
+
+def _random_assumptions(rng, n):
+    return [v if rng.random() < 0.5 else -v
+            for v in rng.sample(range(1, n + 1), rng.randint(0, min(4, n)))]
+
+
+def test_assumptions_agree_with_the_truth_table():
+    """Random formulas, each asked under several random assumption sets by
+    one solver, answer as the truth table of the formula plus the assumed
+    literals as units; a SAT model satisfies both, and only a formula that
+    is UNSAT on its own sets `contradiction`."""
+    rng = random.Random(4242)
+    for _ in range(150):
+        n = rng.randint(3, 14)
+        formula = _random_formula(rng, n)
+        solver = CdclSolver()
+        for clause in formula:
+            solver.add_clause(list(clause))
+        alone = bitset_sat(n, formula)
+        for _ in range(6):
+            assumed = _random_assumptions(rng, n)
+            result = solver.solve(assumptions=assumed)
+            expected = bitset_sat(n, formula + [[lit] for lit in assumed])
+            assert (result.outcome == SAT) == expected, (formula, assumed)
+            if expected:
+                assert model_satisfies(formula + [[lit] for lit in assumed], result.model)
+            assert solver.contradiction == (not alone)
+
+
+def test_unsat_under_assumptions_is_not_final():
+    """UNSAT under assumptions leaves `contradiction` unset and the solver at
+    level 0; the same solver then answers SAT without them, UNSAT under them
+    again, and UNSAT for good once their negation is a clause."""
+    s = CdclSolver()
+    for clause in ([1, 2], [-1, 3], [-2, 3]):
+        s.add_clause(clause)
+    assert s.solve(assumptions=[-3]).outcome == UNSAT
+    assert not s.contradiction and s.trail_lim == []
+    result = s.solve()
+    assert result.outcome == SAT and result.model[3] is True
+    assert s.solve(assumptions=[2, -3]).outcome == UNSAT and not s.contradiction
+    assert s.solve(assumptions=[-1, 2]).outcome == SAT
+    s.add_clause([-3])
+    assert s.solve().outcome == UNSAT and s.contradiction
+
+
+def test_clauses_added_at_level_zero_after_a_search_answer_as_loaded_ones():
+    """Half of a random formula is loaded and searched under contradictory
+    assumptions, which leaves the solver at level 0 after propagation; the
+    other half added then gives the same answers, under random assumptions,
+    as the whole formula loaded before any search."""
+    rng = random.Random(77)
+    for _ in range(150):
+        n = rng.randint(3, 14)
+        formula = _random_formula(rng, n)
+        half = len(formula) // 2
+        # a unit, so that level 0 holds a propagated literal some late clauses name
+        first = formula[:half] + [[rng.choice((n, -n))]]
+        late = CdclSolver()
+        for clause in first:
+            late.add_clause(list(clause))
+        assert late.solve(assumptions=[1, -1]).outcome == UNSAT
+        assert late.trail_lim == []
+        for clause in formula[half:]:
+            late.add_clause(list(clause))
+        whole = first + formula[half:]
+        early = CdclSolver()
+        for clause in whole:
+            early.add_clause(list(clause))
+        for _ in range(4):
+            assumed = _random_assumptions(rng, n)
+            expected = bitset_sat(n, whole + [[lit] for lit in assumed])
+            for solver in (late, early):
+                result = solver.solve(assumptions=assumed)
+                assert (result.outcome == SAT) == expected, (formula, assumed)
+                if expected:
+                    assert model_satisfies(whole + [[lit] for lit in assumed], result.model)
+
+
+def test_model_replay_checks_the_assumptions():
+    s = CdclSolver()
+    s.add_clause([1, 2])
+    model = s.solve(assumptions=[-1]).model
+    assert model[2] is True and model[1] is False and s._model_ok(model)
+    flipped = list(model)
+    flipped[1] = True  # still satisfies [1, 2], but breaks the assumed -1
+    assert not s._model_ok(flipped)

@@ -243,7 +243,7 @@ def test_lazy_fresh_conflict_without_a_clause_is_an_error(monkeypatch):
 def test_lazy_capacity_conflict_at_a_posted_vertex_is_an_error(monkeypatch):
     # a posted group keeps its vertex within capacity at every step, so a
     # later model that overfills it means the group is too weak
-    monkeypatch.setattr(encoder, "capacity_group", lambda instance, artifacts, vertex: [[1, -1]])
+    monkeypatch.setattr(encoder, "_at_most", lambda formula, lits, new, cap: [[1, -1]])
     inst = generate_random(4, 4, 7, 1, 100)  # optimum 3 above the lower bound
     with pytest.raises(encoder.EncodingSoundnessError, match="group is posted"):
         solve(inst, LAZY, Limits(time_limit_s=5))
@@ -266,11 +266,12 @@ def test_lazy_agrees_with_eager_at_capacity_two(agents, seed, monkeypatch):
         groups[-1].append(vertex)
         return original_group(instance, artifacts, vertex)
 
-    def counting_basic(*args, **kwargs):
+    def counting_basic(instance, xi, conflicts=None, onto=None):
         groups.append([])
-        artifacts = original_basic(*args, **kwargs)
-        bounds.append(artifacts.formula.variable_count)
-        return artifacts
+        before = onto.formula.variable_count
+        encoding = original_basic(instance, xi, conflicts, onto)
+        bounds.append(encoding.formula.variable_count - before)  # what the growth added
+        return encoding
 
     monkeypatch.setattr(encoder, "capacity_group", counting_group)
     monkeypatch.setattr(encoder, "encode_basic", counting_basic)
@@ -280,16 +281,35 @@ def test_lazy_agrees_with_eager_at_capacity_two(agents, seed, monkeypatch):
     assert validate_plan(inst, eager.plan) == [] and validate_plan(inst, lazy.plan) == []
     for posted in groups:  # each vertex's group at most once per bound
         assert len(posted) == len(set(posted))
-    # some group was posted mid-search with a counter: the bound grew variables
-    assert any(stat.variables > encoded for stat, encoded in zip(lazy.iterations, bounds))
+    # some group was posted mid-search with a counter: the bound added more
+    # variables than its growth did
+    assert any(stat.variables > grown for stat, grown in zip(lazy.iterations, bounds))
 
 
 def test_eager_plan_that_breaks_a_rule_is_an_error(monkeypatch):
     # eager posts every rule, so a conflict in its plan means a rule is missing
-    monkeypatch.setattr(encoder, "encode_complete",
-                        lambda instance, xi, no_follow=False: encoder.encode_basic(instance, xi))
+    monkeypatch.setattr(encoder.Encoding, "_encode_swaps", lambda encoding, mdds: None)
+    monkeypatch.setattr(encoder, "_at_most", lambda formula, lits, new, cap: [])
     with pytest.raises(encoder.EncodingSoundnessError, match="eager plan breaks"):
         solve(p3_swap(), EAGER, Limits(time_limit_s=2))
+
+
+@pytest.mark.parametrize("solver", [EAGER, LAZY])
+def test_contradictory_kept_clauses_are_an_error(solver, monkeypatch):
+    """Every valid plan satisfies the clauses kept across bounds, so a
+    contradiction among them, not an UNSAT under the bound's assumptions,
+    means the encoding is unsound."""
+    for name in ("encode_complete", "encode_basic"):
+        original = getattr(encoder, name)
+
+        def contradicting(*args, original=original, **kwargs):
+            encoding = original(*args, **kwargs)
+            encoding.formula.add_all([[1], [-1]])  # a contradictory pair
+            return encoding
+
+        monkeypatch.setattr(encoder, name, contradicting)
+    with pytest.raises(encoder.EncodingSoundnessError, match="contradict"):
+        solve(generate_random(4, 4, 7, 1, 100), solver, Limits(time_limit_s=5))
 
 
 @pytest.mark.parametrize("solver", [EAGER, LAZY])
@@ -386,10 +406,10 @@ def test_bound_encoded_past_the_deadline_is_not_loaded(solver, monkeypatch):
     for name in ("encode_complete", "encode_basic"):
         original = getattr(encoder, name)
 
-        def slow(*args, original=original):
-            artifacts = original(*args)
+        def slow(*args, original=original, **kwargs):
+            encoding = original(*args, **kwargs)
             time.sleep(limit_s + 0.1)
-            return artifacts
+            return encoding
 
         monkeypatch.setattr(encoder, name, slow)
     loaded = []
@@ -422,12 +442,12 @@ def test_time_limit_is_reached_on_a_larger_solve(solver):
     assert report.status == EXHAUSTED
 
 
-# (optimal cost, conflicts summed over the solve's CdclSolvers, refinements, bounds)
+# (optimal cost, conflicts of the solve's one CdclSolver, refinements, bounds)
 # for generate_random(4, 4, 7, 1, seed), seeds 100-104; refinements count the
 # clauses lazy posted between solve() calls
 SEARCH_PIN = {
-    EAGER: [(24, 15, 0, 4), (17, 17, 0, 4), (13, 5, 0, 3), (22, 26, 0, 4), (14, 2, 0, 2)],
-    LAZY: [(24, 10, 54, 4), (17, 21, 63, 4), (13, 3, 4, 3), (22, 39, 52, 4), (14, 2, 9, 2)],
+    EAGER: [(24, 8, 0, 4), (17, 13, 0, 4), (13, 1, 0, 3), (22, 25, 0, 4), (14, 3, 0, 2)],
+    LAZY: [(24, 12, 52, 4), (17, 28, 73, 4), (13, 4, 4, 3), (22, 36, 62, 4), (14, 4, 9, 2)],
 }
 
 
@@ -454,34 +474,54 @@ def test_search_matches_pin(solver, monkeypatch):
 
 
 @pytest.mark.parametrize("solver", [EAGER, LAZY])
-def test_one_bound_alive_at_a_time(solver, monkeypatch):
-    """Every earlier bound's SAT solver, encoding and SAT answer are garbage
-    by the time the next bound is encoded."""
-    earlier = []
+def test_one_solver_and_one_encoding_per_solve(solver, monkeypatch):
+    """A solve grows one encoding bound by bound and answers every bound
+    with one SAT solver; neither is alive once the solve returns."""
+    made = []
 
     class Recording(satcore.CdclSolver):
         def __init__(self, num_vars=0):
             super().__init__(num_vars)
-            earlier.append(weakref.ref(self))
-
-        def solve(self, *args, **kwargs):
-            result = super().solve(*args, **kwargs)
-            earlier.append(weakref.ref(result))
-            return result
+            made.append(weakref.ref(self))
 
     monkeypatch.setattr(satcore, "CdclSolver", Recording)
-    bounds = []
+    grown = []
     for name in ("encode_complete", "encode_basic"):
         original = getattr(encoder, name)
 
-        def checked(*args, original=original, **kwargs):
-            alive = [ref() for ref in earlier if ref() is not None]
-            assert alive == [], f"encoding bound {args[1]}: alive {alive}"
-            bounds.append(args[1])
-            artifacts = original(*args, **kwargs)
-            earlier.append(weakref.ref(artifacts))
-            return artifacts
+        def recording(*args, original=original, **kwargs):
+            encoding = original(*args, **kwargs)
+            assert encoding is kwargs["onto"]
+            grown.append((args[1], weakref.ref(encoding)))
+            return encoding
 
-        monkeypatch.setattr(encoder, name, checked)
-    report = solve(generate_random(4, 4, 7, 1, 5), solver)
-    assert report.status == SOLVED and len(report.iterations) == len(bounds) == 5
+        monkeypatch.setattr(encoder, name, recording)
+    inst = generate_random(4, 4, 7, 1, 5)
+    report = solve(inst, solver)
+    assert report.status == SOLVED and len(report.iterations) == len(grown) == 5
+    assert [xi for xi, _ in grown] == [stat.xi for stat in report.iterations]
+    assert len(made) == 1 and made[0]() is None
+    assert len({id(ref) for _, ref in grown}) == 1  # one referent has one weak reference
+    assert all(ref() is None for _, ref in grown)
+
+
+@pytest.mark.parametrize("solver", [EAGER, LAZY])
+def test_bound_stats_count_what_each_bound_added(solver, monkeypatch):
+    """Each IterationStat counts the variables the bound allocated and the
+    clauses it loaded, refinements included, so their sums are the solve's
+    totals: every clause the one SAT solver holds, learned ones aside."""
+    made = []
+
+    class Recording(satcore.CdclSolver):
+        def __init__(self, num_vars=0):
+            super().__init__(num_vars)
+            made.append(self)
+
+    monkeypatch.setattr(satcore, "CdclSolver", Recording)
+    inst = generate_random(4, 4, 7, 1, 100)
+    report = solve(inst, solver)
+    assert report.status == SOLVED and len(report.iterations) == 4
+    sat, = made
+    assert sum(stat.clauses for stat in report.iterations) == len(sat.clauses)
+    assert sum(stat.variables for stat in report.iterations) == sat.num_vars
+    assert all(stat.clauses > 0 and stat.variables > 0 for stat in report.iterations)
