@@ -1,15 +1,15 @@
 """Self-contained incremental CDCL SAT solver.
 
 Two-watched-literal propagation, first-UIP clause learning, activity-based
-branching (false-first polarity), geometric restarts.  Clauses may be added
+branching with saved phases, geometric restarts.  Clauses may be added
 between solve calls; learned clauses are kept, which stays sound because
-clauses are only ever added.  The trail, the decision heap and the variable
-activities persist across calls.  A call may pass assumptions: literals
-decided first, one per decision level, in the order given, as MiniSat does
-(Een & Sorensson, SAT 2003).  They hold for that call only, so learned
-clauses never depend on them; an assumption found false ends the call UNSAT
-at level 0 with `contradiction` unset, and the same solver can then answer
-under other assumptions.  The decision heap (`heapq` over
+clauses are only ever added.  The trail, the decision heap, the variable
+activities and the saved phases persist across calls.  A call may pass
+assumptions: literals decided first, one per decision level, in the order
+given, as MiniSat does (Een & Sorensson, SAT 2003).  They hold for that
+call only, so learned clauses never depend on them; an assumption found
+false ends the call UNSAT at level 0 with `contradiction` unset, and the
+same solver can then answer under other assumptions.  The decision heap (`heapq` over
 `(-activity, v)`) keeps one live entry per unassigned variable, as MiniSat's
 order heap does: a bump re-keys only a variable on the heap, a backtrack puts
 back only the variables that left it, and `_decide` drops the superseded keys
@@ -17,7 +17,11 @@ it pops.  One routine, `_attach`, puts a clause on the live trail, whether it
 is a loaded unit, a clause added mid-search or a learned clause: it
 watches the clause against the live assignment and backtracks only as far as
 the watch invariant needs, so a re-solve resumes from the previous model
-instead of descending again from the empty assignment.  Clauses are loaded
+instead of descending again from the empty assignment.  Phase saving
+(Pipatsrisawat & Darwiche, SAT 2007): `_backtrack` records each variable's
+last value, and `_decide` assigns it that value again, so after a backtrack,
+a restart or a change of assumptions the search returns towards the last
+assignment; a variable never assigned is decided false.  Clauses are loaded
 as given: nonzero literals, repeats and complementary pairs kept, no clean-up.
 The solver adopts each clause list it is handed and reorders it in place, so
 a clause exists once, shared with the caller (`CnfFormula` keeps the same
@@ -61,6 +65,7 @@ class CdclSolver:
         self.level: list[int] = [0]
         self.reason: list[list[int] | None] = [None]
         self.activity: list[float] = [0.0]
+        self.phase: list[bool] = [False]     # the value each variable last had; False if never assigned
         self.seen: list[bool] = [False]      # scratch for _analyze, all False between calls
         # search state, kept across solve() calls
         self.trail: list[int] = []
@@ -85,6 +90,7 @@ class CdclSolver:
         self.level += [0] * len(new)
         self.reason += [None] * len(new)
         self.activity += [0.0] * len(new)
+        self.phase += [False] * len(new)
         self.seen += [False] * len(new)
         self.watches |= {u: [] for u in new}
         self.watches |= {-u: [] for u in new}
@@ -298,9 +304,10 @@ class CdclSolver:
         mark = self.trail_lim[target_level]
         del self.trail_lim[target_level:]
         assign, reason, activity, heap = self.assign, self.reason, self.activity, self.heap
-        in_heap = self.in_heap
+        in_heap, phase = self.in_heap, self.phase
         for lit in self.trail[mark:]:
             v = abs(lit)
+            phase[v] = lit > 0
             assign[v] = 0
             reason[v] = None
             if not in_heap[v]:
@@ -317,7 +324,7 @@ class CdclSolver:
                 continue  # superseded by a bump
             in_heap[v] = False
             if assign[v] == 0:
-                return -v  # false-first polarity keeps models free of spurious truths
+                return v if self.phase[v] else -v  # the saved phase; false if never assigned
         return 0
 
     def solve(

@@ -192,13 +192,16 @@ def _messy(rng, clause):
 def _check_incremental_batches(messy: bool) -> None:
     """Clause batches between solve() calls, posted the way lazy refinement posts
     them: units and clauses the previous model falsifies, among random ones.
-    Every answer must agree with the truth table of the clauses so far.
+    Every answer must agree with the truth table of the clauses so far.  After
+    each batch the same solver also answers under a random assumption set, so
+    the next batch's call starts from the phases that call saved.
 
     A messy run repeats a literal of, or adds a complementary pair to, about half
     of the clauses, with draws from a second generator; the core loads such
     clauses as given, so they must reach it unchanged and be answered soundly."""
     rng = random.Random(4321)
     mess = random.Random(8765)
+    steer = random.Random(2468)
     outcomes = {SAT: 0, UNSAT: 0}
     repeated = complementary = 0
     for _ in range(150):
@@ -236,6 +239,12 @@ def _check_incremental_batches(messy: bool) -> None:
                 model = result.model
             else:
                 unsat = True
+            assumed = _random_assumptions(steer, n)
+            under = clauses + [[lit] for lit in assumed]
+            result = s.solve(assumptions=assumed)
+            assert result.outcome == (SAT if bitset_sat(n, under) else UNSAT)
+            if result.outcome == SAT:
+                assert model_satisfies(under, result.model)
         repeated += sum(len(set(c)) < len(c) for c in s.clauses)
         complementary += sum(any(-lit in c for lit in c) for c in s.clauses)
     assert outcomes[SAT] > 100 and outcomes[UNSAT] > 50
@@ -323,6 +332,28 @@ def test_activity_rescale_drops_stale_heap_keys():
         s._bump(2)
     assert s.activity[1:] == pytest.approx([0.1, 5.0, 2.0, 0.0])
     assert s._decide() == -2
+
+
+@pytest.mark.parametrize("between", ["clause", "restart", "assumptions"])
+def test_a_variable_last_true_is_decided_true(between):
+    """Variable 3, implied true at level 2 of the first descent, is decided
+    true again once a unit clause, a restart or other assumptions unassign
+    it; variable 1, last false, is decided false."""
+    s = CdclSolver()
+    s.add_clause([1, 2, 3])
+    assert s.solve(assumptions=[-1]).outcome == SAT
+    assert s.trail == [-1, -2, 3] and s.level[3] == 2
+    s._bump(3)  # the next decision once it is unassigned
+    assumed = [-1]
+    if between == "clause":
+        s.add_clause([4])  # a unit backtracks to level 0
+    elif between == "restart":
+        s._backtrack(0)
+    else:
+        assumed = [-2]
+    assert s.solve(assumptions=assumed).outcome == SAT
+    decisions = [s.trail[i] for i in s.trail_lim[1:]]
+    assert decisions[0] == 3 and -1 in decisions + assumed
 
 
 def heap_ok(heap) -> bool:

@@ -446,8 +446,8 @@ def test_time_limit_is_reached_on_a_larger_solve(solver):
 # for generate_random(4, 4, 7, 1, seed), seeds 100-104; refinements count the
 # clauses lazy posted between solve() calls
 SEARCH_PIN = {
-    EAGER: [(24, 8, 0, 4), (17, 13, 0, 4), (13, 1, 0, 3), (22, 25, 0, 4), (14, 3, 0, 2)],
-    LAZY: [(24, 12, 52, 4), (17, 28, 73, 4), (13, 4, 4, 3), (22, 36, 62, 4), (14, 4, 9, 2)],
+    EAGER: [(24, 10, 0, 4), (17, 13, 0, 4), (13, 2, 0, 3), (22, 39, 0, 4), (14, 1, 0, 2)],
+    LAZY: [(24, 16, 52, 4), (17, 18, 72, 4), (13, 1, 4, 3), (22, 40, 67, 4), (14, 3, 8, 2)],
 }
 
 
