@@ -107,6 +107,20 @@ class Encoding:
         top = self.sums[-1] if self.sums else [-s for s in self.settled[0]]
         return [flags[delta] for flags in self.settled] + [-top[delta]]
 
+    def plan_literals(self, plan: Plan) -> list[int]:
+        """The literals that put `plan` on the diagrams: each agent's node at
+        every step of its diagram, past the plan's end its goal, and its
+        settled flags from its arrival step on. With every other vertex
+        variable false this is the model `extract_plan` decodes back to the
+        plan padded to the horizon. Raises KeyError for a plan that does not
+        fit the grown slack."""
+        literals = []
+        for a, c, x, flags, path, arrival in zip(self.instance.agents, self.costs, self.xs,
+                                                 self.settled, plan.paths, plan.arrivals):
+            literals += [x[t][path[t] if t < len(path) else a.goal] for t in range(len(x))]
+            literals += flags[arrival - c:]
+        return literals
+
     def grow(self, delta: int) -> None:
         """Grow to cost slack `delta`, above the current one: allocate the
         new nodes' variables, the new settled flags and register bits, and

@@ -19,18 +19,17 @@ class Plan:
         return len(self.paths[0]) - 1 if self.paths else 0
 
     @property
-    def sum_of_costs(self) -> int:
-        """Total moves and waits up to each agent's final arrival.
+    def arrivals(self) -> tuple[int, ...]:
+        """Each agent's final arrival step: the step after it was last away
+        from its own last vertex, which is taken as its goal."""
+        return tuple(max((t + 1 for t, v in enumerate(path) if v != path[-1]), default=0)
+                     for path in self.paths)
 
-        Waits at the goal after the final arrival are free; the agent's own
-        last vertex is taken as its goal.
-        """
-        total = 0
-        for path in self.paths:
-            goal = path[-1]
-            last_away = max((t for t, v in enumerate(path) if v != goal), default=-1)
-            total += last_away + 1
-        return total
+    @property
+    def sum_of_costs(self) -> int:
+        """Total moves and waits up to each agent's final arrival; waits at
+        the goal after it are free."""
+        return sum(self.arrivals)
 
 
 @dataclass(frozen=True, slots=True)

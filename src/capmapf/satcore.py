@@ -21,8 +21,9 @@ instead of descending again from the empty assignment.  Phase saving
 (Pipatsrisawat & Darwiche, SAT 2007): `_backtrack` records each variable's
 last value, and `_decide` assigns it that value again, so after a backtrack,
 a restart or a change of assumptions the search returns towards the last
-assignment; a variable never assigned is decided false.  Clauses are loaded
-as given: nonzero literals, repeats and complementary pairs kept, no clean-up.
+assignment; a variable never assigned is decided false unless `prefer` gave
+it a phase.  Clauses are loaded as given: nonzero literals, repeats and
+complementary pairs kept, no clean-up.
 The solver adopts each clause list it is handed and reorders it in place, so
 a clause exists once, shared with the caller (`CnfFormula` keeps the same
 lists).  At level 0, loading a clause of two or more literals only watches
@@ -65,7 +66,7 @@ class CdclSolver:
         self.level: list[int] = [0]
         self.reason: list[list[int] | None] = [None]
         self.activity: list[float] = [0.0]
-        self.phase: list[bool] = [False]     # the value each variable last had; False if never assigned
+        self.phase: list[bool] = [False]     # last value or preferred phase; else False
         self.seen: list[bool] = [False]      # scratch for _analyze, all False between calls
         # search state, kept across solve() calls
         self.trail: list[int] = []
@@ -82,6 +83,14 @@ class CdclSolver:
         """Grow to `num_vars` variables at once; clauses naming more still grow it."""
         if num_vars > self.num_vars:
             self._ensure_var(num_vars)
+
+    def prefer(self, literals: Sequence[int]) -> None:
+        """Set each literal's variable's saved phase to the literal's sign, so
+        a decision on the variable makes the literal true until an assignment
+        saves another phase. Every variable must already be allocated."""
+        phase = self.phase
+        for lit in literals:
+            phase[abs(lit)] = lit > 0
 
     def _ensure_var(self, v: int) -> None:
         # in bulk; activities are >= 0, so appending (0.0, u) in rising u keeps the heap valid
@@ -324,7 +333,7 @@ class CdclSolver:
                 continue  # superseded by a bump
             in_heap[v] = False
             if assign[v] == 0:
-                return v if self.phase[v] else -v  # the saved phase; false if never assigned
+                return v if self.phase[v] else -v  # the saved or preferred phase, else false
         return 0
 
     def solve(

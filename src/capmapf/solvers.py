@@ -99,9 +99,13 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
     each agent's shortest path, planned in priority order to keep clear of
     the capacities and swaps of the agents before it. When it has no
     capacity or swap conflict it costs the lower bound and is returned as
-    SOLVED without encoding anything, so `iterations` stays empty. The root is skipped
-    under no-follow, which `validate_candidate` does not check, and wherever
-    the first bound would not run (past the ceiling or the deadline).
+    SOLVED without encoding anything, so `iterations` stays empty. An unclean
+    root seeds the first bound's phases instead (`CdclSolver.prefer`): a
+    decision on one of its nodes or settled flags sets it true, so the first
+    descent follows the root's paths where the clauses allow. The root is
+    neither built nor seeded under no-follow, which `validate_candidate`
+    does not check, or wherever the first bound would not run (past the
+    ceiling or the deadline).
 
     Each bound grows one encoding by one slack step (`onto=`) and loads its
     new clauses into the one SAT solver, which answers under the bound's
@@ -131,6 +135,7 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
     ceiling = limits.xi_ceiling
     if ceiling is None:
         ceiling = xi0 + instance.graph.vertex_count * instance.k
+    root = None
     if not no_follow and xi0 <= ceiling and time.monotonic() < deadline:
         root = instance.root_plan
         if next(_conflicts(instance, root), None) is None:  # the lower bound is attained
@@ -152,6 +157,8 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
         if time.monotonic() >= deadline:  # do not load a bound encoded past the deadline
             return report
         sat.reserve(encoding.formula.variable_count)
+        if xi == xi0 and root is not None:  # the first bound's decisions follow the unclean root
+            sat.prefer(encoding.plan_literals(root))
         for clause in encoding.formula.clauses:
             sat.add_clause(clause)
         assumptions = encoding.bound_literals(encoding.delta)

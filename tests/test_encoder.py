@@ -17,7 +17,7 @@ from capmapf.cnf import AUX, VERTEX, CnfFormula, to_dimacs
 from capmapf.encoder import EncodingSoundnessError
 from capmapf.mdd import build_all_mdds
 from capmapf.pathcalc import UnsolvableInstanceError, agent_path_costs, shortest_path_plan
-from capmapf.plans import CAPACITY, SWAP, Conflict
+from capmapf.plans import CAPACITY, SWAP, Conflict, Plan
 from capmapf.satcore import SAT, UNSAT, CdclSolver
 from capmapf.solvers import validate_candidate
 from capmapf.verify import OPTIMAL
@@ -267,6 +267,45 @@ def test_route_models_are_exactly_the_diagram_walks(graph, start, goal, slack):
                    for clause in formula.clauses), walk
 
 
+def _false_units(encoding, true):
+    """A negative unit for every vertex variable not in `true`."""
+    true = set(true)
+    return [[-var] for x in encoding.xs for level in x for var in level.values()
+            if var not in true]
+
+
+def test_plan_literals_put_an_optimal_plan_on_the_diagrams(corpus):
+    """An oracle-optimal plan's literals, with every other vertex variable
+    false, satisfy the complete encoding at its cost xi*, and `extract_plan`
+    decodes the model back to the plan padded to the horizon."""
+    checked = 0
+    for name, inst in corpus:
+        oracle = brute_force_optimal(inst, 8)
+        if oracle.status != OPTIMAL:
+            continue
+        encoding = encode_complete(inst, oracle.cost)
+        true = encoding.plan_literals(oracle.plan)
+        result = solve_clauses(encoding.formula.clauses + [[lit] for lit in true]
+                               + _false_units(encoding, true))
+        assert result.outcome == SAT, name
+        mu = max(map(len, encoding.xs)) - 1
+        padded = tuple(p + (p[-1],) * (mu + 1 - len(p)) for p in oracle.plan.paths)
+        assert extract_plan(inst, encoding, result.model).paths == padded, name
+        checked += 1
+    assert checked >= 200
+
+
+def test_plan_literals_reject_a_plan_past_the_grown_slack():
+    """A plan that costs more than the grown slack allows has a node
+    outside the diagrams."""
+    inst = make_instance(path_graph(3), 1, [(0, 2)])
+    encoding = encode_complete(inst, 2)
+    assert encoding.plan_literals(Plan(((0, 1, 2),))) == [
+        encoding.xs[0][t][v] for t, v in enumerate((0, 1, 2))] + encoding.settled[0]
+    with pytest.raises(KeyError):
+        encoding.plan_literals(Plan(((0, 0, 1, 2),)))
+
+
 def test_cost_bound_counts_slack_inside_the_arrival_windows(corpus):
     """With every vertex variable fixed to an oracle-optimal plan (its nodes
     true, all others false), the cost bound admits it at its cost xi* and
@@ -286,19 +325,17 @@ def test_cost_bound_counts_slack_inside_the_arrival_windows(corpus):
         settled = [k for k in map(f.key_of, range(1, f.variable_count + 1))
                    if k[0] == AUX and k[1].startswith("settled_")]
         assert len(settled) == sum(mu + 1 - c for c in costs), name
-        padded = [p + (p[-1],) * (mu + 1 - len(p)) for p in oracle.plan.paths]
 
-        def plan_units(xs):  # every vertex variable fixed: plan nodes true, all others false
-            return [[var if p[t] == v else -var]
-                    for p, x in zip(padded, xs) for t, level in enumerate(x)
-                    for v, var in level.items()]
+        def plan_units(encoding):  # every vertex variable fixed: plan nodes true, all others false
+            true = encoding.plan_literals(oracle.plan)
+            return [[lit] for lit in true] + _false_units(encoding, true)
 
-        assert solve_clauses(f.clauses + plan_units(artifacts.xs)).outcome == SAT, name
+        assert solve_clauses(f.clauses + plan_units(artifacts)).outcome == SAT, name
         if delta > 0:  # the same encoding held to the bound xi* - 1
             grown = encoder.Encoding(inst, encoder.COMPLETE)
             grown.grow(delta)
             units = [[lit] for lit in grown.bound_literals(delta - 1)]
-            clauses = grown.formula.clauses + units + plan_units(grown.xs)
+            clauses = grown.formula.clauses + units + plan_units(grown)
             assert solve_clauses(clauses).outcome == UNSAT, name
             tight += 1
         checked += 1

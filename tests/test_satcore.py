@@ -356,6 +356,28 @@ def test_a_variable_last_true_is_decided_true(between):
     assert decisions[0] == 3 and -1 in decisions + assumed
 
 
+def test_preferred_phases_steer_the_first_decisions():
+    """After prefer([2, -3]) the first decisions, in heap order, set 2 true
+    and 3 false, even where 3 was last true; 1, never assigned and never
+    preferred, is decided false."""
+    s = CdclSolver(3)
+    s.phase[3] = True  # as if 3 had been true before a backtrack
+    s.prefer([2, -3])
+    assert s.solve().outcome == SAT
+    assert [s.trail[i] for i in s.trail_lim] == [-1, 2, -3]
+
+
+def test_a_later_assignment_overrides_a_preference():
+    """A preferred variable that an assumption then sets false keeps false
+    as its saved phase once the assumption is dropped."""
+    s = CdclSolver(2)
+    s.prefer([1, 2])
+    assert s.solve(assumptions=[-1]).outcome == SAT
+    assert s.trail == [-1, 2]
+    assert s.solve().outcome == SAT
+    assert [s.trail[i] for i in s.trail_lim] == [-1, 2]
+
+
 def heap_ok(heap) -> bool:
     return all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
 

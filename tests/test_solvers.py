@@ -446,8 +446,8 @@ def test_time_limit_is_reached_on_a_larger_solve(solver):
 # for generate_random(4, 4, 7, 1, seed), seeds 100-104; refinements count the
 # clauses lazy posted between solve() calls
 SEARCH_PIN = {
-    EAGER: [(24, 10, 0, 4), (17, 13, 0, 4), (13, 2, 0, 3), (22, 39, 0, 4), (14, 1, 0, 2)],
-    LAZY: [(24, 16, 52, 4), (17, 18, 72, 4), (13, 1, 4, 3), (22, 40, 67, 4), (14, 3, 8, 2)],
+    EAGER: [(24, 10, 0, 4), (17, 14, 0, 4), (13, 2, 0, 3), (22, 38, 0, 4), (14, 1, 0, 2)],
+    LAZY: [(24, 8, 97, 4), (17, 14, 43, 4), (13, 1, 7, 3), (22, 43, 64, 4), (14, 1, 6, 2)],
 }
 
 
@@ -471,6 +471,35 @@ def test_search_matches_pin(solver, monkeypatch):
         seen.append((report.optimal_cost, sum(s.conflicts_total for s in made),
                      report.total_refinements, len(report.iterations)))
     assert seen == SEARCH_PIN[solver]
+
+
+@pytest.mark.parametrize("solver", [EAGER, LAZY])
+def test_unclean_root_seeds_the_first_bound(solver, monkeypatch):
+    """The root of this 16x16 instance has a conflict, so the solve encodes,
+    and its first bound decides along the root's paths: both bounds answer
+    without a single SAT conflict."""
+    made = []
+
+    class Recording(satcore.CdclSolver):
+        def __init__(self, num_vars=0):
+            super().__init__(num_vars)
+            made.append(self)
+
+    monkeypatch.setattr(satcore, "CdclSolver", Recording)
+    inst = generate_random(16, 16, 4, 1, 101)
+    assert validate_candidate(inst, inst.root_plan) != []
+    report = solve(inst, solver)
+    assert (report.status, report.optimal_cost, len(report.iterations)) == (SOLVED, 52, 2)
+    assert [s.conflicts_total for s in made] == [0]
+
+
+def test_no_follow_builds_no_root():
+    """No-follow skips the root check, so it neither builds nor seeds one."""
+    inst = generate_random(4, 4, 7, 1, 100)
+    report = solve(inst, EAGER, no_follow=True)
+    assert report.status == SOLVED and "root_plan" not in inst.__dict__
+    solve(inst, EAGER)
+    assert "root_plan" in inst.__dict__  # where the root check runs, it is cached there
 
 
 @pytest.mark.parametrize("solver", [EAGER, LAZY])
