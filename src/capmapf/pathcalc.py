@@ -1,6 +1,7 @@
-"""Unweighted shortest-path distances, the sum-of-costs lower bound, and the
-root plans of shortest paths that attain it: independent BFS paths, and
-prioritized paths that keep clear of each other's capacities and swaps."""
+"""Unweighted shortest-path distances, the sum-of-costs lower bound and a
+lift over it by forced conflicts, and the root plans of shortest paths that
+attain the bound: independent BFS paths, and prioritized paths that keep
+clear of each other's capacities and swaps."""
 
 from __future__ import annotations
 
@@ -60,6 +61,64 @@ def agent_path_costs(instance: Instance) -> list[int]:
 def cost_lower_bound(instance: Instance) -> int:
     """Sum of per-agent shortest-path lengths; no valid plan can cost less."""
     return sum(agent_path_costs(instance))
+
+
+def cardinal_lift(instance: Instance) -> int:
+    """A count of agents that must be delayed, read off the slack-0
+    diagrams: every valid plan costs at least `cost_lower_bound` plus this.
+
+    Agent i's forced node at step t <= c_i is the one vertex of its shortest
+    paths at distance t from its start, where only one is; for c_i < t <=
+    max_j c_j it is the agent's goal. An agent with delay 0 follows a
+    shortest path and stays at its goal from c_i on, so it holds every one
+    of its forced nodes and makes every move between two of them.
+
+    Greedily, over agents not counted yet: a forced node (t, v) of m of them,
+    m > cap(v), cannot hold them all undelayed, so it adds m - cap(v) and
+    counts all m; a forced move u -> v at step t that meets another's forced
+    move v -> u at the same step is a swap at any capacity, so it adds 1 and
+    counts both. The counted groups are disjoint and each agent's delay is
+    an integer, so their delays add up to at least the lift.
+
+    One scan of the vertices per agent and dicts over the forced nodes and
+    moves, O(k (|V| + max_j c_j)); no loop over pairs of agents."""
+    costs = agent_path_costs(instance)
+    mu = max(costs)
+    nodes: dict[tuple[int, int], list[int]] = {}
+    moves: dict[tuple[int, int, int], list[int]] = {}
+    for i, (a, c, (from_start, to_goal)) in enumerate(
+            zip(instance.agents, costs, instance.distances)):
+        on_paths = [0] * (c + 1)  # per step, how many vertices of its shortest paths
+        vertex = [0] * (c + 1)
+        for v, (d, e) in enumerate(zip(from_start, to_goal)):
+            if d + e == c:  # on a shortest path at step d (-2 off the start's component)
+                on_paths[d] += 1
+                vertex[d] = v
+        path = [v if n == 1 else None for v, n in zip(vertex, on_paths)] + [a.goal] * (mu - c)
+        for t, v in enumerate(path):
+            if v is not None:
+                nodes.setdefault((t, v), []).append(i)
+                if t and path[t - 1] not in (None, v):
+                    moves.setdefault((t - 1, path[t - 1], v), []).append(i)
+    caps = instance.capacities
+    counted = [False] * instance.k
+    lift = 0
+    for (_, v), agents in nodes.items():
+        if len(agents) > caps[v]:
+            free = [i for i in agents if not counted[i]]
+            if len(free) > caps[v]:
+                lift += len(free) - caps[v]
+                for i in free:
+                    counted[i] = True
+    for (t, u, v), agents in moves.items():
+        for i in agents:
+            if counted[i]:
+                continue
+            j = next((j for j in moves.get((t, v, u), ()) if not counted[j]), None)
+            if j is not None:
+                lift += 1
+                counted[i] = counted[j] = True
+    return lift
 
 
 def shortest_path_plan(instance: Instance) -> Plan:

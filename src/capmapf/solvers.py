@@ -4,10 +4,13 @@ posts, for each conflict a candidate plan shows, a swap's elimination
 clause or, on a vertex's first capacity conflict, that vertex's whole
 capacity group.
 
-One SAT solver and one `encoder.Encoding` serve a whole solve. Each bound
-grows the encoding by one slack step, loads only the clauses it adds, and
-asks the solver under the bound's own literals as assumptions; clauses,
-learned ones included, carry over to every later bound."""
+The loop starts at the sum-of-costs lower bound xi0, or, once the root plan
+is found unclean, at xi0 plus `pathcalc.cardinal_lift`. One SAT solver and
+one `encoder.Encoding` serve a whole solve. The first bound grows the
+encoding from nothing to its slack and every later bound by one slack step;
+each loads only the clauses it adds, and asks the solver under the bound's
+own literals as assumptions; clauses, learned ones included, carry over to
+every later bound."""
 
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import encoder, satcore
 from .instance import Instance, validate_instance
-from .pathcalc import UnsolvableInstanceError, cost_lower_bound
+from .pathcalc import UnsolvableInstanceError, cardinal_lift, cost_lower_bound
 from .plans import CAPACITY, SWAP, Conflict, Plan
 
 SOLVED = "solved"
@@ -47,12 +50,18 @@ class IterationStat:
 @dataclass(slots=True)
 class SolveReport:
     """How a solve ended, with one IterationStat per cost bound it encoded;
-    `iterations` is empty when the root plan settled the instance."""
+    `iterations` is empty when the root plan settled the instance.
+
+    `lower_bound` is the proven lower bound on the optimum: the loop's first
+    bound when it starts, one above each bound answered UNSAT, the cost once
+    solved (xi0 when the root settles the instance), and None for an
+    unsolvable instance. An exhausted solve states how far it got."""
 
     status: str
     plan: Plan | None = None
     optimal_cost: int | None = None
     iterations: list[IterationStat] = field(default_factory=list)
+    lower_bound: int | None = None
 
     @property
     def total_refinements(self) -> int:
@@ -92,25 +101,30 @@ def _conflicts(instance: Instance, plan: Plan) -> Iterator[Conflict]:
 
 def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
           no_follow: bool = False) -> SolveReport:
-    """Iterate cost bounds from the lower bound up; the first bound with a
+    """Iterate cost bounds from a lower bound up; the first bound with a
     clean plan is the optimum.
 
     Before the first bound, the root plan (`Instance.root_plan`) is checked:
     each agent's shortest path, planned in priority order to keep clear of
     the capacities and swaps of the agents before it. When it has no
-    capacity or swap conflict it costs the lower bound and is returned as
-    SOLVED without encoding anything, so `iterations` stays empty. An unclean
-    root seeds the first bound's phases instead (`CdclSolver.prefer`): a
-    decision on one of its nodes or settled flags sets it true, so the first
-    descent follows the root's paths where the clauses allow. The root is
-    neither built nor seeded under no-follow, which `validate_candidate`
-    does not check, or wherever the first bound would not run (past the
-    ceiling or the deadline).
+    capacity or swap conflict it costs the lower bound xi0 and is returned
+    as SOLVED without encoding anything, so `iterations` stays empty. An
+    unclean root starts the loop at xi0 + `cardinal_lift`, the agents that
+    forced conflicts of the shortest paths must delay, and seeds the first
+    bound's phases (`CdclSolver.prefer`): a decision on one of its nodes or
+    settled flags sets it true, so the first descent follows the root's
+    paths where the clauses allow. The lift is computed only then, so a
+    solve the root settles pays nothing for it. The root is neither built
+    nor seeded, and the loop starts at xi0, under no-follow, which
+    `validate_candidate` does not check, or wherever the first bound would
+    not run (past the ceiling or the deadline).
 
-    Each bound grows one encoding by one slack step (`onto=`) and loads its
-    new clauses into the one SAT solver, which answers under the bound's
+    The first bound grows one encoding from nothing to its slack, each later
+    bound grows it by one slack step (`onto=`), and each loads its new
+    clauses into the one SAT solver, which answers under the bound's
     literals as assumptions. The clauses it keeps admit every valid plan, so
     a contradiction among them raises EncodingSoundnessError.
+    `SolveReport.lower_bound` follows the loop.
 
     Eager posts every capacity and swap constraint up front, so its first
     satisfying model decodes to a clean plan, which it checks once.  Lazy
@@ -136,16 +150,18 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
     if ceiling is None:
         ceiling = xi0 + instance.graph.vertex_count * instance.k
     root = None
+    first = xi0
     if not no_follow and xi0 <= ceiling and time.monotonic() < deadline:
         root = instance.root_plan
         if next(_conflicts(instance, root), None) is None:  # the lower bound is attained
-            return SolveReport(SOLVED, root, xi0)
-    report = SolveReport(EXHAUSTED)
+            return SolveReport(SOLVED, root, xi0, lower_bound=xi0)
+        first += cardinal_lift(instance)
+    report = SolveReport(EXHAUSTED, lower_bound=first)
     mode = encoder.COMPLETE if solver == EAGER else encoder.BASIC
     encoding = encoder.Encoding(instance, mode, no_follow)
     sat = satcore.CdclSolver()
     grouped = encoding.grouped  # vertices with a capacity group: all of them for eager
-    for xi in range(xi0, ceiling + 1):
+    for xi in range(first, ceiling + 1):
         started = time.monotonic()
         if started >= deadline:
             return report
@@ -157,7 +173,7 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
         if time.monotonic() >= deadline:  # do not load a bound encoded past the deadline
             return report
         sat.reserve(encoding.formula.variable_count)
-        if xi == xi0 and root is not None:  # the first bound's decisions follow the unclean root
+        if xi == first and root is not None:  # the first bound's decisions follow the unclean root
             sat.prefer(encoding.plan_literals(root))
         for clause in encoding.formula.clauses:
             sat.add_clause(clause)
@@ -204,10 +220,11 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
         if plan is not None:
             report.status = SOLVED
             report.plan = plan
-            report.optimal_cost = plan.sum_of_costs
+            report.optimal_cost = report.lower_bound = plan.sum_of_costs
             return report
         if result.outcome == satcore.UNKNOWN:
             return report
+        report.lower_bound = xi + 1
     return report
 
 

@@ -15,10 +15,12 @@ from capmapf import (
     validate_candidate,
     validate_plan,
 )
-from capmapf.pathcalc import UnsolvableInstanceError, shortest_path_plan
+from capmapf.instance import CapacityMap
+from capmapf.pathcalc import UnsolvableInstanceError, cardinal_lift, shortest_path_plan
 from capmapf.plans import CAPACITY, SWAP
+from capmapf.verify import OPTIMAL, brute_force_optimal
 
-from conftest import cycle_graph, grid3x3, make_instance, path_graph
+from conftest import cycle_graph, grid3x3, make_instance, path_graph, star_graph
 
 
 def dijkstra_unit(graph: Graph, source: int) -> list[int]:
@@ -90,6 +92,61 @@ def test_lower_bound_unreachable():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(UnsolvableInstanceError):
         cost_lower_bound(make_instance(g, 1, [(0, 3)]))
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+def test_lift_counts_a_corridor_swap_at_any_capacity(capacity):
+    """path_graph(4), agents 0->3 and 3->0: at step 1 each is forced across
+    the edge 1-2 against the other. The optimum at capacity 2 is xi0 + 1."""
+    assert cardinal_lift(make_instance(path_graph(4), capacity, [(0, 3), (3, 0)])) == 1
+
+
+@pytest.mark.parametrize("capacity, lift", [(1, 1), (2, 0)])
+def test_lift_counts_a_full_vertex(capacity, lift):
+    """Two agents across a star, 1->2 and 3->4, are both forced onto the
+    centre at step 1; they cross no edge against each other."""
+    inst = make_instance(star_graph(4), (capacity, 1, 1, 1, 1), [(1, 2), (3, 4)])
+    assert cardinal_lift(inst) == lift
+
+
+def test_lift_counts_the_agents_over_a_capacity():
+    """Three agents forced onto the centre of a star at step 1, capacity 2."""
+    inst = make_instance(star_graph(6), (2, 1, 1, 1, 1, 1, 1), [(1, 2), (3, 4), (5, 6)])
+    assert cardinal_lift(inst) == 1
+
+
+def test_lift_counts_an_agent_settled_on_a_forced_node():
+    """A T: path 0-1-2-3 with 4 hung on 2. Agent 1 goes 4->2 and is home by
+    step 1; agent 0 goes 0->3 and is forced through 2 at step 2."""
+    graph = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+    assert cardinal_lift(make_instance(graph, 1, [(0, 3), (4, 2)])) == 1
+
+
+def test_lift_adds_disjoint_groups():
+    """Two corridors, each with a swap: the groups share no agent, so their
+    delays add."""
+    graph = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+    assert cardinal_lift(make_instance(graph, 1, [(0, 3), (3, 0), (4, 7), (7, 4)])) == 2
+
+
+def test_lift_stays_at_or_below_the_optimum(corpus):
+    """xi0 + lift <= the oracle's optimum on every corpus instance at its own
+    capacity and every higher one up to 3, and the lift is 0 wherever the
+    root plan, which costs xi0, is clean."""
+    checked = lifted = 0
+    for name, inst in corpus:
+        for c in range(max(inst.capacities.values), 4):
+            variant = Instance(inst.graph, CapacityMap.uniform(inst.graph, c), inst.agents)
+            lift = cardinal_lift(variant)
+            if validate_candidate(variant, variant.root_plan) == []:
+                assert lift == 0, name
+                continue
+            oracle = brute_force_optimal(variant, 8)
+            if oracle.status == OPTIMAL:
+                assert cost_lower_bound(variant) + lift <= oracle.cost, (name, c)
+                checked += 1
+                lifted += lift > 0
+    assert checked >= 80 and lifted >= 80
 
 
 def test_root_plan_attains_the_lower_bound(corpus):

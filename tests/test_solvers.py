@@ -5,6 +5,7 @@ import weakref
 import pytest
 
 from capmapf import (
+    Graph,
     Plan,
     brute_force_optimal,
     compute_horizon,
@@ -111,6 +112,27 @@ def test_eager_unreachable_goal():
 
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert solve(make_instance(g, 1, [(0, 3)]), EAGER).status == UNSOLVABLE
+
+
+@pytest.mark.parametrize("solver", [EAGER, LAZY])
+def test_lower_bound_is_proven_wherever_the_solve_stops(solver):
+    """`SolveReport.lower_bound`: the lifted first bound of a loop that the
+    ceiling stops before it runs, one above the last UNSAT bound, the cost
+    once solved, xi0 for a root-settled solve, and None when unsolvable."""
+    inst = generate_random(16, 16, 4, 1, 101)  # xi0 51, one forced conflict, optimum 52
+    report = solve(inst, solver, Limits(xi_ceiling=51))
+    assert (report.status, report.iterations, report.lower_bound) == (EXHAUSTED, [], 52)
+    report = solve(p3_swap(), solver, Limits(xi_ceiling=8))  # xi0 4 and a forced swap
+    assert [stat.xi for stat in report.iterations] == [5, 6, 7, 8]
+    assert (report.status, report.lower_bound) == (EXHAUSTED, 9)
+    inst = generate_random(4, 4, 7, 1, 100)
+    report = solve(inst, solver, Limits(xi_ceiling=23))
+    assert report.status == EXHAUSTED and report.lower_bound == 24
+    assert solve(inst, solver).lower_bound == 24
+    inst = _disjoint_paths()
+    assert solve(inst, solver).lower_bound == cost_lower_bound(inst) == 2
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    assert solve(make_instance(g, 1, [(0, 3)]), solver).lower_bound is None
 
 
 def test_lazy_single_agent_no_refinements():
@@ -446,8 +468,8 @@ def test_time_limit_is_reached_on_a_larger_solve(solver):
 # for generate_random(4, 4, 7, 1, seed), seeds 100-104; refinements count the
 # clauses lazy posted between solve() calls
 SEARCH_PIN = {
-    EAGER: [(24, 10, 0, 4), (17, 14, 0, 4), (13, 2, 0, 3), (22, 38, 0, 4), (14, 1, 0, 2)],
-    LAZY: [(24, 8, 97, 4), (17, 14, 43, 4), (13, 1, 7, 3), (22, 43, 64, 4), (14, 1, 6, 2)],
+    EAGER: [(24, 6, 0, 3), (17, 14, 0, 4), (13, 2, 0, 2), (22, 38, 0, 4), (14, 1, 0, 2)],
+    LAZY: [(24, 10, 91, 3), (17, 14, 43, 4), (13, 1, 15, 2), (22, 43, 64, 4), (14, 1, 6, 2)],
 }
 
 
@@ -475,9 +497,10 @@ def test_search_matches_pin(solver, monkeypatch):
 
 @pytest.mark.parametrize("solver", [EAGER, LAZY])
 def test_unclean_root_seeds_the_first_bound(solver, monkeypatch):
-    """The root of this 16x16 instance has a conflict, so the solve encodes,
-    and its first bound decides along the root's paths: both bounds answer
-    without a single SAT conflict."""
+    """The root of this 16x16 instance has a conflict, so the solve encodes.
+    The lift starts it at the optimum, one above xi0, and that one bound
+    decides along the root's paths and answers without a single SAT
+    conflict."""
     made = []
 
     class Recording(satcore.CdclSolver):
@@ -489,7 +512,7 @@ def test_unclean_root_seeds_the_first_bound(solver, monkeypatch):
     inst = generate_random(16, 16, 4, 1, 101)
     assert validate_candidate(inst, inst.root_plan) != []
     report = solve(inst, solver)
-    assert (report.status, report.optimal_cost, len(report.iterations)) == (SOLVED, 52, 2)
+    assert (report.status, report.optimal_cost, len(report.iterations)) == (SOLVED, 52, 1)
     assert [s.conflicts_total for s in made] == [0]
 
 
@@ -549,7 +572,7 @@ def test_bound_stats_count_what_each_bound_added(solver, monkeypatch):
     monkeypatch.setattr(satcore, "CdclSolver", Recording)
     inst = generate_random(4, 4, 7, 1, 100)
     report = solve(inst, solver)
-    assert report.status == SOLVED and len(report.iterations) == 4
+    assert report.status == SOLVED and len(report.iterations) == 3
     sat, = made
     assert sum(stat.clauses for stat in report.iterations) == len(sat.clauses)
     assert sum(stat.variables for stat in report.iterations) == sat.num_vars
