@@ -20,12 +20,12 @@ is at its goal from step t on. Agent i's diagram ends at its arrival step;
 after it the agent is settled, and its settled flag stands in for it where
 the capacity and no-follow clauses count the agents at its goal.
 
-Two modes: the complete model posts every movement rule eagerly (swap
-prohibition and per-vertex capacity cardinality at every step); the basic
-model omits inter-agent rules and posts only what recorded conflicts call
-for: for each vertex with a capacity conflict, that vertex's whole capacity
-group over every step (`capacity_group`), which every later bound extends,
-and for each swap conflict one elimination clause (`conflict_clause`).
+Two modes, which differ only in when the inter-agent rules are posted: the
+complete model posts them all (swap prohibition and per-vertex capacity
+cardinality at every step), the basic model none until `refine` maps a
+candidate plan's conflicts to them: a swap's elimination clause, and at a
+vertex's first capacity conflict its capacity group over every step, which
+every later bound extends.
 
 No clause keeps an agent to one vertex per step, so a model may set more of
 an agent's nodes true than one walk uses. `extract_plan` decodes one walk
@@ -56,13 +56,12 @@ VertexVars = list[list[dict[int, int]]]
 
 class EncodingSoundnessError(AssertionError):
     """A model with a true node that no true node leads into, a conflict
-    without a clause, a capacity conflict at a vertex whose group lazy has
-    posted, an eager plan that breaks a rule, or clauses kept across bounds
-    that contradict each other."""
+    against a rule already posted or a fresh one without a clause
+    (`refine`), or clauses kept across bounds that contradict each other."""
 
 
 class Encoding:
-    """One solve's formula, grown one cost slack at a time by `grow`.
+    """One solve's formula, grown by `grow` one cost slack at a time from -1.
 
     `formula` numbers and labels every variable of the solve, but its
     `clauses` hold only what the last growth posted (and, in a standalone
@@ -80,7 +79,7 @@ class Encoding:
         self.mode = mode
         self.no_follow = no_follow
         self.costs = agent_path_costs(instance)
-        self.delta: int | None = None
+        self.delta = -1
         self.formula = CnfFormula()
         self.xs: VertexVars = [[] for _ in instance.agents]
         self.settled: list[list[int]] = [[] for _ in instance.agents]  # [i][t - c_i]
@@ -126,11 +125,11 @@ class Encoding:
         new nodes' variables, the new settled flags and register bits, and
         post every clause that names one of them. `formula.clauses` then
         holds exactly these clauses."""
-        if self.delta is not None and delta <= self.delta:
+        if delta <= self.delta:
             raise ValueError(f"slack {delta} does not grow slack {self.delta}")
         instance, formula = self.instance, self.formula
         formula.clauses = []
-        old_mu = -1 if self.delta is None else max(self.costs) + self.delta
+        old_mu = len(self.occupants) - 1
         mdds = build_all_mdds(instance, delta, self.delta)
         self.occupants += [{} for _ in range(max(self.costs) + delta - old_mu)]
         _allocate_route_vars(formula, mdds, self.xs)
@@ -158,13 +157,13 @@ class Encoding:
         mu = len(occupants) - 1
         for i, (a, c, m, x, flags) in enumerate(
                 zip(self.instance.agents, self.costs, mdds, self.xs, self.settled)):
-            old_arrival = -1 if self.delta is None else c + self.delta
+            old_arrival = c + self.delta
             for t in range(c + len(flags), mu + 1):
                 flag = formula.allocate((cnf.AUX, f"settled_{i}", t))
                 if flags:
                     formula.add([-flags[-1], flag])
                 flags.append(flag)
-            for t in range(max(c, old_arrival + 1), c + delta + 1):
+            for t in range(old_arrival + 1, c + delta + 1):
                 formula.add([-flags[t - c], x[t][a.goal]])
             for t, level in enumerate(m.levels):
                 for v in level:
@@ -354,6 +353,35 @@ def conflict_clause(instance: Instance, xs: VertexVars, conflict: Conflict) -> l
     return lits
 
 
+def refine(instance: Instance, encoding: Encoding, conflicts: list[Conflict]) -> list[list[int]]:
+    """The clauses against `conflicts`, a candidate plan's conflicts in
+    `validate_candidate`'s order, in that order: a swap's elimination clause
+    (`conflict_clause`), and at a vertex's first capacity conflict its
+    capacity group (`capacity_group`), once per call. Raises
+    EncodingSoundnessError for a conflict against a posted rule (any in the
+    complete model, a capacity conflict at a vertex grouped before the call)
+    and for a fresh conflict with no clause, which a plan decoded from the
+    encoding cannot show: its agents are on nodes or settled."""
+    clauses: list[list[int]] = []
+    grouping: set[int] = set()  # the vertices grouped by this call
+    for conflict in conflicts:
+        capacity = conflict.kind == CAPACITY
+        if capacity and conflict.vertex in grouping:
+            continue
+        if encoding.mode == COMPLETE or capacity and conflict.vertex in encoding.grouped:
+            raise EncodingSoundnessError(f"conflict against a posted rule: {conflict}")
+        if capacity:
+            grouping.add(conflict.vertex)
+            new = capacity_group(instance, encoding, conflict.vertex)
+        else:
+            clause = conflict_clause(instance, encoding.xs, conflict)
+            new = [] if clause is None else [clause]
+        if not new:
+            raise EncodingSoundnessError(f"no clause for fresh conflict {conflict}")
+        clauses += new
+    return clauses
+
+
 def encode_complete(instance: Instance, xi: int, no_follow: bool = False,
                     onto: Encoding | None = None) -> Encoding:
     """Complete model: satisfiable iff a plan of sum-of-costs <= xi exists.
@@ -374,11 +402,10 @@ def encode_complete(instance: Instance, xi: int, no_follow: bool = False,
     return onto
 
 
-def encode_basic(instance: Instance, xi: int, conflicts: list[Conflict] | None = None,
-                 onto: Encoding | None = None) -> Encoding:
-    """Relaxed model: no inter-agent rules beyond what the recorded conflicts
-    call for. Swap clauses come in conflict order, then the capacity groups
-    in sorted vertex order, each vertex once however many conflicts name it.
+def encode_basic(instance: Instance, xi: int, onto: Encoding | None = None) -> Encoding:
+    """Relaxed model: the complete model without its inter-agent rules, each
+    of which `refine` posts once a conflict shows that it binds. A satisfying
+    model may decode to a plan with conflicts.
 
     `onto` is as for `encode_complete`, with a basic encoding, whose
     capacity groups the growth extends."""
@@ -386,17 +413,8 @@ def encode_basic(instance: Instance, xi: int, conflicts: list[Conflict] | None =
     if encoding.mode != BASIC:
         raise ValueError("onto is not a basic encoding")
     encoding.grow(cost_slack(encoding.costs, xi))
-    conflicts = conflicts or []
-    formula = encoding.formula
-    for conflict in conflicts:
-        if conflict.kind == SWAP:
-            clause = conflict_clause(instance, encoding.xs, conflict)
-            if clause is not None:
-                formula.add(clause)
-    for v in sorted({c.vertex for c in conflicts if c.kind == CAPACITY}):
-        formula.add_all(capacity_group(instance, encoding, v))
     if onto is None:
-        formula.add_all([[lit] for lit in encoding.bound_literals(encoding.delta)])
+        encoding.formula.add_all([[lit] for lit in encoding.bound_literals(encoding.delta)])
     return encoding
 
 

@@ -15,7 +15,8 @@ The diagram at slack delta contains the one at delta - 1: it adds exactly
 the nodes (v, c_i + delta - d_goal(v)) with d_start(v) + d_goal(v) <= c_i +
 delta, and the arcs into them. A node's arcs in never change, and every arc
 out of a new node leads to a new node, so an encoding grown bound by bound
-only ever adds (`build_all_mdds(..., since=)`).
+only ever adds (`build_all_mdds(..., since=)`), from slack -1, whose
+diagrams are empty as d_start(v) + d_goal(v) >= c_i.
 """
 
 from __future__ import annotations
@@ -64,22 +65,21 @@ def cost_slack(agent_costs: list[int], xi: int) -> int:
 
 def _diagram(agent: int, goal: int, arrival: int, from_start: tuple[int, ...],
              to_goal: tuple[int, ...], closed: tuple[tuple[int, ...], ...],
-             since: int | None = None) -> Mdd:
+             since: int = -1) -> Mdd:
     """Levels 0 to arrival: vertex v sits on the levels of its window
     [from_start[v], arrival - to_goal[v]], so the last level is (goal,).
     arcs[t] holds the arcs into level t + 1, grouped by their head.
 
-    With `since`, an earlier arrival step, only the growth: the nodes whose
-    level lies past since - to_goal[v], and the arcs into them."""
+    Only the growth over the diagram ending at the earlier arrival step
+    `since`: the nodes whose level lies past since - to_goal[v], and the
+    arcs into them. Below c_i, as at the default -1, that diagram is empty."""
     if from_start[goal] == UNREACHABLE or from_start[goal] > arrival:
         raise EmptyMddError(f"agent {agent}: goal not reachable within step {arrival}")
     levels: list[list[int]] = [[] for _ in range(arrival + 1)]
     for v, lo in enumerate(from_start):
         if lo == UNREACHABLE:  # outside the start's component, so the goal is out of reach
             continue
-        if since is not None:
-            lo = max(lo, since - to_goal[v] + 1)
-        for t in range(lo, arrival - to_goal[v] + 1):
+        for t in range(max(lo, since - to_goal[v] + 1), arrival - to_goal[v] + 1):
             levels[t].append(v)
 
     # The arcs into (v, t + 1) come from every (u, t) with u in v's closed
@@ -94,17 +94,16 @@ def _diagram(agent: int, goal: int, arrival: int, from_start: tuple[int, ...],
     return Mdd(tuple(map(tuple, levels)), tuple(arcs))
 
 
-def build_all_mdds(instance: Instance, delta: int, since: int | None = None) -> list[Mdd]:
+def build_all_mdds(instance: Instance, delta: int, since: int = -1) -> list[Mdd]:
     """Every agent's diagram at cost slack delta: agent i's ends at its
     arrival step c_i + delta. Built from `Instance.distances`.
 
-    With `since`, a smaller slack, each diagram holds only its growth over
-    the slack-`since` one: the new nodes and the arcs into them, which are
-    all the arcs it gained."""
+    Each diagram holds only its growth over the slack-`since` one, whose
+    default -1 is the empty diagram: the new nodes and the arcs into them,
+    which are all the arcs it gained."""
     costs = agent_path_costs(instance)
     closed, distances = instance.graph.closed_neighbourhoods, instance.distances
     return [
-        _diagram(i, a.goal, c + delta, from_start, to_goal, closed,
-                 None if since is None else c + since)
+        _diagram(i, a.goal, c + delta, from_start, to_goal, closed, c + since)
         for i, (a, c, (from_start, to_goal)) in enumerate(zip(instance.agents, costs, distances))
     ]

@@ -1,8 +1,7 @@
-"""The optimal cost-bound loop and its two posting policies for the
-inter-agent rules: eager posts them all with each bound's encoding; lazy
-posts, for each conflict a candidate plan shows, a swap's elimination
-clause or, on a vertex's first capacity conflict, that vertex's whole
-capacity group.
+"""The optimal cost-bound loop, one for both solvers: eager grows the
+complete model, with every inter-agent rule posted up front, lazy the basic
+model, to which `encoder.refine` posts a swap's elimination clause per swap
+conflict and a vertex's capacity group at its first capacity conflict.
 
 The loop starts at the sum-of-costs lower bound xi0, or, once the root plan
 is found unclean, at xi0 plus `pathcalc.cardinal_lift`. One SAT solver and
@@ -17,6 +16,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import encoder, satcore
 from .instance import Instance, validate_instance
@@ -119,19 +119,15 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
     `validate_candidate` does not check, or wherever the first bound would
     not run (past the ceiling or the deadline).
 
-    The first bound grows one encoding from nothing to its slack, each later
-    bound grows it by one slack step (`onto=`), and each loads its new
-    clauses into the one SAT solver, which answers under the bound's
-    literals as assumptions. The clauses it keeps admit every valid plan, so
-    a contradiction among them raises EncodingSoundnessError.
-    `SolveReport.lower_bound` follows the loop.
-
-    Eager posts every capacity and swap constraint up front, so its first
-    satisfying model decodes to a clean plan, which it checks once.  Lazy
-    validates each candidate and re-solves. Per swap conflict it posts one
-    elimination clause; at a vertex's first capacity conflict it posts that
-    vertex's capacity group over every step (`encoder.capacity_group`),
-    which the encoding extends at every later bound. Nothing is posted twice.
+    The solver names the encoding, complete for eager and basic for lazy.
+    The first bound grows it from nothing to its slack, each later bound by
+    one slack step (`onto=`), and each loads its new clauses into the one
+    SAT solver, which answers under the bound's literals as assumptions.
+    Each model decodes to a candidate; a clean one is the optimum, and for
+    any other `encoder.refine`'s clauses are loaded and the bound is asked
+    again. With every rule posted, an eager conflict raises there. The kept
+    clauses admit every valid plan, so a contradiction among them raises
+    EncodingSoundnessError. `SolveReport.lower_bound` follows the loop.
 
     Raises InstanceError for an instance that `validate_instance` rejects.
     """
@@ -157,19 +153,19 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
             return SolveReport(SOLVED, root, xi0, lower_bound=xi0)
         first += cardinal_lift(instance)
     report = SolveReport(EXHAUSTED, lower_bound=first)
-    mode = encoder.COMPLETE if solver == EAGER else encoder.BASIC
-    encoding = encoder.Encoding(instance, mode, no_follow)
+    if solver == EAGER:
+        encoding = encoder.Encoding(instance, encoder.COMPLETE, no_follow)
+        encode = partial(encoder.encode_complete, instance, no_follow=no_follow, onto=encoding)
+    else:
+        encoding = encoder.Encoding(instance, encoder.BASIC)
+        encode = partial(encoder.encode_basic, instance, onto=encoding)
     sat = satcore.CdclSolver()
-    grouped = encoding.grouped  # vertices with a capacity group: all of them for eager
     for xi in range(first, ceiling + 1):
         started = time.monotonic()
         if started >= deadline:
             return report
         variables = encoding.formula.variable_count
-        if solver == EAGER:
-            encoder.encode_complete(instance, xi, no_follow, onto=encoding)
-        else:
-            encoder.encode_basic(instance, xi, onto=encoding)
+        encode(xi)
         if time.monotonic() >= deadline:  # do not load a bound encoded past the deadline
             return report
         sat.reserve(encoding.formula.variable_count)
@@ -180,35 +176,19 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
         assumptions = encoding.bound_literals(encoding.delta)
         refinements = 0
         plan = None
-        while plan is None:
+        while True:
             result = sat.solve(time_limit=deadline - time.monotonic(), assumptions=assumptions)
             if result.outcome != satcore.SAT:
                 break
             candidate = encoder.extract_plan(instance, encoding, result.model)
             found = validate_candidate(instance, candidate)
-            if found and solver == EAGER:  # every rule was posted, so a model cannot break one
-                raise encoder.EncodingSoundnessError(f"eager plan breaks {found[0]}")
             if not found:
                 plan = candidate
-            for conflict in found:  # a posted group bounds its vertex at every step
-                if conflict.kind == CAPACITY and conflict.vertex in grouped:
-                    raise encoder.EncodingSoundnessError(
-                        f"capacity conflict at a vertex whose group is posted: {conflict}")
-            for conflict in found:
-                # decoded from this model: its agents are on nodes or settled,
-                # so each fresh conflict has a clause against it
-                if conflict.kind == SWAP:
-                    clause = encoder.conflict_clause(instance, encoding.xs, conflict)
-                    clauses = [] if clause is None else [clause]
-                elif conflict.vertex in grouped:  # an earlier conflict of this model posted it
-                    continue
-                else:
-                    clauses = encoder.capacity_group(instance, encoding, conflict.vertex)
-                if not clauses:
-                    raise encoder.EncodingSoundnessError(f"no clause for fresh conflict {conflict}")
-                for clause in clauses:
-                    sat.add_clause(clause)
-                refinements += len(clauses)
+                break
+            clauses = encoder.refine(instance, encoding, found)
+            for clause in clauses:
+                sat.add_clause(clause)
+            refinements += len(clauses)
         if sat.contradiction:  # every valid plan satisfies the clauses kept across bounds
             raise encoder.EncodingSoundnessError(f"the clauses kept at bound {xi} contradict")
         report.iterations.append(IterationStat(

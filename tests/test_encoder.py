@@ -71,21 +71,69 @@ def test_basic_model_is_a_relaxation():
     assert validate_plan(inst, plan) != []
 
 
+def encode_refined(inst, xi, conflicts):
+    """A standalone basic encoding with `refine`'s clauses for `conflicts`
+    posted after it."""
+    artifacts = encode_basic(inst, xi)
+    artifacts.formula.add_all(encoder.refine(inst, artifacts, conflicts))
+    return artifacts
+
+
 def test_basic_model_honors_recorded_conflicts():
     inst = p3_swap()
     conflict = Conflict(CAPACITY, (0, 1), 1, 1)
-    artifacts = encode_basic(inst, 6, [conflict])  # slack so agents can dodge
+    artifacts = encode_refined(inst, 6, [conflict])  # slack so agents can dodge
     result = solve_formula(artifacts)
     assert result.outcome == SAT
     plan = extract_plan(inst, artifacts, result.model)
     assert not (plan.paths[0][1] == 1 and plan.paths[1][1] == 1)
 
 
-def test_conflict_on_absent_variable_skipped():
+def test_refine_posts_a_vertex_group_once_per_call():
+    """Two capacity conflicts at one vertex post its group once, and the
+    clauses come in the conflicts' order."""
+    inst = p3_swap()  # at slack 1, agent 0 can step 0 -> 1 as agent 1 steps 1 -> 0
+    artifacts = encode_basic(inst, 5)
+    group = encoder.capacity_group(inst, encode_basic(inst, 5), 1)
+    swap = Conflict(SWAP, (0, 1), (0, 1), 1)
+    clauses = encoder.refine(inst, artifacts, [swap, Conflict(CAPACITY, (0, 1), 1, 1),
+                                               Conflict(CAPACITY, (0, 1), 1, 2)])
+    assert group and clauses == [encoder.conflict_clause(inst, artifacts.xs, swap)] + group
+    assert artifacts.grouped == {1}
+
+
+def test_refine_of_no_conflict_posts_nothing():
+    inst = p3_swap()
+    for artifacts in (encode_basic(inst, 4), encode_complete(inst, 4)):
+        variables = artifacts.formula.variable_count
+        assert encoder.refine(inst, artifacts, []) == []
+        assert artifacts.formula.variable_count == variables
+
+
+def test_refine_rejects_a_conflict_against_a_posted_rule():
+    """The complete model posts every swap and capacity rule, and the basic
+    model a vertex's group once: a conflict against either is a fault."""
+    inst = p3_swap()
+    complete = encode_complete(inst, 4)
+    for conflict in (Conflict(CAPACITY, (0, 1), 1, 1), Conflict(SWAP, (0, 1), (0, 1), 0)):
+        with pytest.raises(EncodingSoundnessError, match="posted rule"):
+            encoder.refine(inst, complete, [conflict])
+    basic = encode_basic(inst, 4)
+    assert encoder.refine(inst, basic, [Conflict(CAPACITY, (0, 1), 1, 1)])
+    with pytest.raises(EncodingSoundnessError, match="posted rule"):
+        encoder.refine(inst, basic, [Conflict(CAPACITY, (0, 1), 1, 2)])
+
+
+def test_refine_rejects_a_fresh_conflict_without_a_clause():
+    # vertex 0 is not on level 2 at the tight bound, so no group bounds it
+    # there; a settled agent crosses no edge, so no swap clause names it
     inst = make_instance(path_graph(3), 1, [(0, 2)])
-    stale = Conflict(CAPACITY, (0,), 0, 2)  # vertex 0 not in level 2 at tight horizon
-    artifacts = encode_basic(inst, 2, [stale])
-    assert solve_formula(artifacts).outcome == SAT
+    with pytest.raises(EncodingSoundnessError, match="fresh conflict"):
+        encoder.refine(inst, encode_basic(inst, 2), [Conflict(CAPACITY, (0,), 0, 2)])
+    inst = make_instance(path_graph(4), 1, [(0, 1), (3, 0)])
+    with pytest.raises(EncodingSoundnessError, match="fresh conflict"):
+        encoder.refine(inst, encode_basic(inst, cost_lower_bound(inst) + 1),
+                       [Conflict(SWAP, (0, 1), (1, 2), 2)])
 
 
 def test_capacity_group_past_an_arrival_fixes_the_settled_agent():
@@ -554,9 +602,8 @@ def test_complete_model_attains_a_clean_root_at_the_lower_bound(corpus):
 
 def _grown_outcomes(inst, mode, no_follow, xis, conflicts=()):
     """Each bound's answer from one encoding grown bound by bound and one
-    SAT solver under the bound's literals; the conflicts' clauses (a swap's
-    elimination clause, a capacity conflict's vertex group) are posted once,
-    at the first bound."""
+    SAT solver under the bound's literals; `refine`'s clauses for the
+    conflicts are posted once, at the first bound."""
     encoding = encoder.Encoding(inst, mode, no_follow)
     solver = CdclSolver()
     outcomes = []
@@ -567,10 +614,7 @@ def _grown_outcomes(inst, mode, no_follow, xis, conflicts=()):
             encode_basic(inst, xi, onto=encoding)
         clauses = list(encoding.formula.clauses)
         if xi == xis[0]:
-            clauses += [c for c in (encoder.conflict_clause(inst, encoding.xs, conflict)
-                                    for conflict in conflicts if conflict.kind == SWAP) if c]
-            for v in sorted({c.vertex for c in conflicts if c.kind == CAPACITY}):
-                clauses += encoder.capacity_group(inst, encoding, v)
+            clauses += encoder.refine(inst, encoding, conflicts)
         for clause in clauses:
             solver.add_clause(clause)
         result = solver.solve(assumptions=encoding.bound_literals(encoding.delta))
@@ -616,7 +660,7 @@ def test_grown_encoding_agrees_with_standalone_and_oracle(corpus):
         standalone = [solve_formula(encode_complete(inst, xi, no_follow=True)).outcome for xi in xis]
         assert _grown_outcomes(inst, encoder.COMPLETE, True, xis) == standalone, name
         conflicts = validate_candidate(inst, shortest_path_plan(inst))
-        standalone = [solve_formula(encode_basic(inst, xi, conflicts)).outcome for xi in xis]
+        standalone = [solve_formula(encode_refined(inst, xi, conflicts)).outcome for xi in xis]
         assert _grown_outcomes(inst, encoder.BASIC, False, xis, conflicts) == standalone, name
         checked += 1
     assert checked >= 100
@@ -648,16 +692,20 @@ def test_bound_allocates_vertex_variables_for_exactly_its_new_nodes(corpus):
 # sha256 over the DIMACS text of every encoding below. Any change to the
 # variable numbering, the clauses or their order changes it, so a change
 # meant to keep the encoding must reproduce it. No search runs to build its
-# input, so a change confined to the SAT core leaves it alone.
-ENCODING_DIGEST = "38a7024bd70f5ffda0a8885e811ff7becacc78b0d6e05613bacdd7ba0a0605c4"
+# input, so a change confined to the SAT core leaves it alone. The complete
+# models have their own pin, so a change to the basic model or to `refine`
+# alone leaves it as it is.
+ENCODING_DIGEST = "2a119310fb1a9f55b75c351167f2d5fbe5b6f76674107a7f4d935907684ac4b4"
+REFINED_DIGEST = "767e9a75266eab11ea15717a377ccce7ec9b6e0b4e947989b5994b4265ffce18"
 
 
-def test_encodings_match_pinned_digest(corpus):
-    """The complete model with and without no-follow and the basic model
-    with the conflicts of a fixed shortest-path plan, over the corpus at
-    slack 0-2, reproduce a pinned digest of their DIMACS text."""
+def _digest(corpus, encodings):
+    """sha256 over the DIMACS text of `encodings(inst, xi, conflicts)` over
+    the corpus at slack 0-2, where `conflicts` are those of a fixed
+    shortest-path plan; with the number of encodings and of instances with
+    conflicts."""
     digest = hashlib.sha256()
-    encodings = with_conflicts = 0
+    count = with_conflicts = 0
     for name, inst in corpus:
         try:
             xi0 = cost_lower_bound(inst)
@@ -666,11 +714,26 @@ def test_encodings_match_pinned_digest(corpus):
         conflicts = validate_candidate(inst, shortest_path_plan(inst))
         with_conflicts += bool(conflicts)
         for xi in range(xi0, xi0 + 3):
-            for artifacts in (encode_complete(inst, xi),
-                              encode_complete(inst, xi, no_follow=True),
-                              encode_basic(inst, xi, conflicts)):
+            for artifacts in encodings(inst, xi, conflicts):
                 digest.update(f"{name} {xi}\n".encode())
                 digest.update(to_dimacs(artifacts.formula).encode())
-                encodings += 1
-    assert encodings >= 2000 and with_conflicts >= 50
-    assert digest.hexdigest() == ENCODING_DIGEST
+                count += 1
+    return digest.hexdigest(), count, with_conflicts
+
+
+def test_encodings_match_pinned_digest(corpus):
+    """The complete model with and without no-follow reproduces a pinned
+    digest of its DIMACS text."""
+    digest, count, _ = _digest(corpus, lambda inst, xi, conflicts: (
+        encode_complete(inst, xi), encode_complete(inst, xi, no_follow=True)))
+    assert count >= 1400
+    assert digest == ENCODING_DIGEST
+
+
+def test_refined_basic_encodings_match_pinned_digest(corpus):
+    """The basic model with `refine`'s clauses for the conflicts of a fixed
+    shortest-path plan reproduces a pinned digest of its DIMACS text."""
+    digest, count, with_conflicts = _digest(corpus, lambda inst, xi, conflicts: (
+        encode_refined(inst, xi, conflicts),))
+    assert count >= 700 and with_conflicts >= 50
+    assert digest == REFINED_DIGEST

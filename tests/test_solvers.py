@@ -267,7 +267,7 @@ def test_lazy_capacity_conflict_at_a_posted_vertex_is_an_error(monkeypatch):
     # later model that overfills it means the group is too weak
     monkeypatch.setattr(encoder, "_at_most", lambda formula, lits, new, cap: [[1, -1]])
     inst = generate_random(4, 4, 7, 1, 100)  # optimum 3 above the lower bound
-    with pytest.raises(encoder.EncodingSoundnessError, match="group is posted"):
+    with pytest.raises(encoder.EncodingSoundnessError, match="posted rule"):
         solve(inst, LAZY, Limits(time_limit_s=5))
 
 
@@ -288,10 +288,10 @@ def test_lazy_agrees_with_eager_at_capacity_two(agents, seed, monkeypatch):
         groups[-1].append(vertex)
         return original_group(instance, artifacts, vertex)
 
-    def counting_basic(instance, xi, conflicts=None, onto=None):
+    def counting_basic(instance, xi, onto=None):
         groups.append([])
         before = onto.formula.variable_count
-        encoding = original_basic(instance, xi, conflicts, onto)
+        encoding = original_basic(instance, xi, onto)
         bounds.append(encoding.formula.variable_count - before)  # what the growth added
         return encoding
 
@@ -312,7 +312,7 @@ def test_eager_plan_that_breaks_a_rule_is_an_error(monkeypatch):
     # eager posts every rule, so a conflict in its plan means a rule is missing
     monkeypatch.setattr(encoder.Encoding, "_encode_swaps", lambda encoding, mdds: None)
     monkeypatch.setattr(encoder, "_at_most", lambda formula, lits, new, cap: [])
-    with pytest.raises(encoder.EncodingSoundnessError, match="eager plan breaks"):
+    with pytest.raises(encoder.EncodingSoundnessError, match="posted rule"):
         solve(p3_swap(), EAGER, Limits(time_limit_s=2))
 
 
