@@ -17,14 +17,17 @@ The sweep fails when
 
 It prints one line per mismatch, then a sha256 digest of the table of
 (status, cost, bounds) per instance and setting, so two revisions can be
-compared by their digests, and exits 1 on any mismatch. Standard library
-only; it reads the package from `src/` next to this directory:
+compared by their digests, and exits 1 on any mismatch. With `--expect
+DIGEST` it also exits 1 when the table's digest is not DIGEST, so a change
+to any row fails. Standard library only; it reads the package from `src/`
+next to this directory:
 
-    python3 -O checks/sweep.py
+    python3 -O checks/sweep.py [--expect DIGEST]
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
 from pathlib import Path
@@ -93,6 +96,9 @@ def check(name, instance, oracle) -> tuple[list[str], list[str]]:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description="differential sweep of the solvers")
+    parser.add_argument("--expect", metavar="DIGEST", help="the table's expected sha256 digest")
+    expected = parser.parse_args().expect
     digest = hashlib.sha256()
     mismatches = instances = 0
     for name, instance, oracle in sweep_instances():
@@ -103,6 +109,9 @@ def main() -> int:
         mismatches += len(bad)
         instances += 1
     print(f"{instances} instances, {mismatches} mismatches, table sha256 {digest.hexdigest()}")
+    if expected is not None and digest.hexdigest() != expected:
+        print(f"MISMATCH table sha256, expected {expected}")
+        return 1
     return 1 if mismatches else 0
 
 

@@ -138,9 +138,12 @@ class Encoding:
         self._encode_cost_bound(delta)
         if self.moves is not None:
             self._encode_swaps(mdds)
-        caps = instance.capacities
-        for (t, v), new in sorted(fresh.items()):
-            formula.add_all(_at_most(formula, self.occupants[t][v], new, caps[v]))
+        caps, occupants = instance.capacities.values, self.occupants
+        # only a (t, v) whose occupants exceed its capacity posts a clause
+        crowded = [(key, new) for key, new in fresh.items()
+                   if len(occupants[key[0]][key[1]]) > caps[key[1]]]
+        for (t, v), new in sorted(crowded):
+            formula.add_all(_at_most(formula, occupants[t][v], new, caps[v]))
         if self.entering is not None:
             self._encode_no_follow(mdds, fresh)
         self.delta = delta
@@ -288,10 +291,14 @@ def _encode_routes(formula: CnfFormula, instance: Instance, mdds: list[Mdd],
             formula.add([x[0][a.start]])
         for t, arcs in enumerate(m.arcs):
             here, there = x[t], x[t + 1]
-            predecessors: dict[int, list[int]] = {}
-            for (u, v) in arcs:
-                predecessors.setdefault(v, [-there[v]]).append(here[u])
-            formula.add_all(predecessors.values())
+            clauses: list[list[int]] = []
+            head, clause = -1, []
+            for (u, v) in arcs:  # grouped by head: one clause per head, begun at its first arc
+                if v != head:
+                    head, clause = v, [-there[v]]
+                    clauses.append(clause)
+                clause.append(here[u])
+            formula.add_all(clauses)
 
 
 def _at_most(formula: CnfFormula, lits: list[int], new: list[int], cap: int) -> list[list[int]]:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
-from .pathcalc import AgentDistances, agent_distances, prioritized_root_plan
+from .pathcalc import (AgentDetours, AgentDistances, agent_detours, agent_distances,
+                       prioritized_root_plan)
 from .plans import Plan
 
 PASSABLE_CHARS = frozenset(".G")
@@ -151,6 +152,16 @@ class Instance:
         per instance; raises UnsolvableInstanceError, and caches nothing,
         while some goal is unreachable."""
         return agent_distances(self)
+
+    @cached_property
+    def detours(self) -> AgentDetours:
+        """Per agent, its vertices bucketed by detour d_start(v) + d_goal(v)
+        - c_i (`agent_detours`): the diagrams at cost slack delta hold only
+        the vertices of buckets 0..delta, so a growth to delta and
+        `cardinal_lift`, which reads bucket 0, visit no other vertex.
+        Computed from `distances` on first use, once per instance, so a
+        solve the root plan settles never builds it."""
+        return agent_detours(self)
 
     @cached_property
     def root_plan(self) -> Plan:

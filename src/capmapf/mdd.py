@@ -17,6 +17,13 @@ delta, and the arcs into them. A node's arcs in never change, and every arc
 out of a new node leads to a new node, so an encoding grown bound by bound
 only ever adds (`build_all_mdds(..., since=)`), from slack -1, whose
 diagrams are empty as d_start(v) + d_goal(v) >= c_i.
+
+A vertex's detour e(v) = d_start(v) + d_goal(v) - c_i is the first slack
+whose diagram has it, so a growth from slack delta' to delta visits only
+the vertices of the agent's detour buckets 0..delta (`Instance.detours`),
+never the rest of the map: each gains the levels max(d_start(v), c_i +
+delta' - d_goal(v) + 1) to c_i + delta - d_goal(v), and only the levels
+that gained nodes get arcs.
 """
 
 from __future__ import annotations
@@ -64,23 +71,30 @@ def cost_slack(agent_costs: list[int], xi: int) -> int:
 
 
 def _diagram(agent: int, goal: int, arrival: int, from_start: tuple[int, ...],
-             to_goal: tuple[int, ...], closed: tuple[tuple[int, ...], ...],
-             since: int = -1) -> Mdd:
+             to_goal: tuple[int, ...], detours: tuple[tuple[int, ...], ...],
+             closed: tuple[tuple[int, ...], ...], since: int = -1) -> Mdd:
     """Levels 0 to arrival: vertex v sits on the levels of its window
     [from_start[v], arrival - to_goal[v]], so the last level is (goal,).
-    arcs[t] holds the arcs into level t + 1, grouped by their head.
+    Each level is sorted by vertex id, and arcs[t] holds the arcs into
+    level t + 1, grouped by their head.
 
     Only the growth over the diagram ending at the earlier arrival step
     `since`: the nodes whose level lies past since - to_goal[v], and the
-    arcs into them. Below c_i, as at the default -1, that diagram is empty."""
-    if from_start[goal] == UNREACHABLE or from_start[goal] > arrival:
+    arcs into them. Below c_i, as at the default -1, that diagram is empty.
+    A vertex's window is empty past its detour's bucket, so this visits the
+    buckets `detours`[0..arrival - c_i] and no other vertex, and builds arcs
+    only into the levels that gained nodes."""
+    cost = from_start[goal]
+    if cost == UNREACHABLE or cost > arrival:
         raise EmptyMddError(f"agent {agent}: goal not reachable within step {arrival}")
     levels: list[list[int]] = [[] for _ in range(arrival + 1)]
-    for v, lo in enumerate(from_start):
-        if lo == UNREACHABLE:  # outside the start's component, so the goal is out of reach
-            continue
-        for t in range(max(lo, since - to_goal[v] + 1), arrival - to_goal[v] + 1):
-            levels[t].append(v)
+    for bucket in detours[:arrival - cost + 1]:
+        for v in bucket:
+            to_v = to_goal[v]
+            for t in range(max(from_start[v], since - to_v + 1), arrival - to_v + 1):
+                levels[t].append(v)
+    for level in levels:
+        level.sort()  # the buckets interleave by id within a level
 
     # The arcs into (v, t + 1) come from every (u, t) with u in v's closed
     # neighbourhood and from_start[u] <= t: to_goal[u] <= to_goal[v] + 1 puts
@@ -88,22 +102,24 @@ def _diagram(agent: int, goal: int, arrival: int, from_start: tuple[int, ...],
     # wait if it can spare a step, else a move nearer the goal) and, past
     # level 0, an arc in, so the windows alone leave no dead ends.
     arcs = [
-        tuple((u, v) for v in levels[t + 1] for u in closed[v] if from_start[u] <= t)
-        for t in range(arrival)
+        tuple((u, v) for v in heads for u in closed[v] if from_start[u] <= t) if heads else ()
+        for t, heads in enumerate(levels[1:])
     ]
     return Mdd(tuple(map(tuple, levels)), tuple(arcs))
 
 
 def build_all_mdds(instance: Instance, delta: int, since: int = -1) -> list[Mdd]:
     """Every agent's diagram at cost slack delta: agent i's ends at its
-    arrival step c_i + delta. Built from `Instance.distances`.
+    arrival step c_i + delta. Built from `Instance.distances` and
+    `Instance.detours`.
 
     Each diagram holds only its growth over the slack-`since` one, whose
     default -1 is the empty diagram: the new nodes and the arcs into them,
     which are all the arcs it gained."""
     costs = agent_path_costs(instance)
-    closed, distances = instance.graph.closed_neighbourhoods, instance.distances
+    closed = instance.graph.closed_neighbourhoods
     return [
-        _diagram(i, a.goal, c + delta, from_start, to_goal, closed, c + since)
-        for i, (a, c, (from_start, to_goal)) in enumerate(zip(instance.agents, costs, distances))
+        _diagram(i, a.goal, c + delta, from_start, to_goal, detours, closed, c + since)
+        for i, (a, c, (from_start, to_goal), detours) in enumerate(
+            zip(instance.agents, costs, instance.distances, instance.detours))
     ]

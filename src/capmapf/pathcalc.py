@@ -1,7 +1,7 @@
-"""Unweighted shortest-path distances, the sum-of-costs lower bound and a
-lift over it by forced conflicts, and the root plans of shortest paths that
-attain the bound: independent BFS paths, and prioritized paths that keep
-clear of each other's capacities and swaps."""
+"""Unweighted shortest-path distances and the detour buckets they give, the
+sum-of-costs lower bound and a lift over it by forced conflicts, and the
+root plans of shortest paths that attain the bound: independent BFS paths,
+and prioritized paths that keep clear of each other's capacities and swaps."""
 
 from __future__ import annotations
 
@@ -18,6 +18,9 @@ UNREACHABLE = -1
 
 #: per agent, (hop distances from its start, hop distances to its goal)
 AgentDistances = list[tuple[tuple[int, ...], tuple[int, ...]]]
+
+#: per agent, buckets[e] = the vertices of detour e, in ascending id order
+AgentDetours = list[tuple[tuple[int, ...], ...]]
 
 
 class UnsolvableInstanceError(ValueError):
@@ -53,6 +56,28 @@ def agent_distances(instance: Instance) -> AgentDistances:
     return dists
 
 
+def agent_detours(instance: Instance) -> AgentDetours:
+    """Per agent, its vertices bucketed by detour d_start(v) + d_goal(v) - c_i,
+    the fewest steps a walk through v takes over the agent's shortest-path
+    length c_i: bucket e holds those of detour e in ascending id order, and
+    a vertex outside the start's component is in none. Agent i's diagram at
+    cost slack delta holds exactly the vertices of buckets 0..delta (see
+    `mdd`). One scan of the vertices per agent; read it as
+    `Instance.detours`, which computes it once per instance."""
+    detours = []
+    for a, (from_start, to_goal) in zip(instance.agents, instance.distances):
+        c = from_start[a.goal]
+        buckets: list[list[int]] = []
+        for v, (d, e) in enumerate(zip(from_start, to_goal)):
+            if d != UNREACHABLE:
+                detour = d + e - c
+                if detour >= len(buckets):
+                    buckets += [[] for _ in range(detour + 1 - len(buckets))]
+                buckets[detour].append(v)
+        detours.append(tuple(map(tuple, buckets)))
+    return detours
+
+
 def agent_path_costs(instance: Instance) -> list[int]:
     """Per-agent shortest start-to-goal distance, read from `Instance.distances`."""
     return [from_start[a.goal] for a, (from_start, _) in zip(instance.agents, instance.distances)]
@@ -80,20 +105,23 @@ def cardinal_lift(instance: Instance) -> int:
     counts both. The counted groups are disjoint and each agent's delay is
     an integer, so their delays add up to at least the lift.
 
-    One scan of the vertices per agent and dicts over the forced nodes and
-    moves, O(k (|V| + max_j c_j)); no loop over pairs of agents."""
+    Each agent's shortest paths run through the vertices of its detour-0
+    bucket (`Instance.detours`), the slack-0 diagram's, so the lift reads
+    only those and dicts over the forced nodes and moves, O(|V_0| + k
+    max_j c_j) with V_0 the buckets' vertices; no scan of the other
+    vertices and no loop over pairs of agents."""
     costs = agent_path_costs(instance)
     mu = max(costs)
     nodes: dict[tuple[int, int], list[int]] = {}
     moves: dict[tuple[int, int, int], list[int]] = {}
-    for i, (a, c, (from_start, to_goal)) in enumerate(
-            zip(instance.agents, costs, instance.distances)):
+    for i, (a, c, (from_start, _), buckets) in enumerate(
+            zip(instance.agents, costs, instance.distances, instance.detours)):
         on_paths = [0] * (c + 1)  # per step, how many vertices of its shortest paths
         vertex = [0] * (c + 1)
-        for v, (d, e) in enumerate(zip(from_start, to_goal)):
-            if d + e == c:  # on a shortest path at step d (-2 off the start's component)
-                on_paths[d] += 1
-                vertex[d] = v
+        for v in buckets[0]:  # on a shortest path at step from_start[v]
+            d = from_start[v]
+            on_paths[d] += 1
+            vertex[d] = v
         path = [v if n == 1 else None for v, n in zip(vertex, on_paths)] + [a.goal] * (mu - c)
         for t, v in enumerate(path):
             if v is not None:

@@ -71,7 +71,8 @@ def test_mdd_unreachable_within_horizon():
     with pytest.raises(EmptyMddError):
         build_all_mdds(inst, -1)[0]
     with pytest.raises(EmptyMddError):  # arrival step below the path length
-        mdd._diagram(0, 3, 2, *agent_distances(inst)[0], inst.graph.closed_neighbourhoods)
+        mdd._diagram(0, 3, 2, *inst.distances[0], inst.detours[0],
+                     inst.graph.closed_neighbourhoods)
 
 
 def test_mdd_arc_endpoints_present():
@@ -130,7 +131,7 @@ def test_mdd_paths_are_exactly_length_mu_walks(graph, start, goal, mu):
     # ended at an arrival step and padded at the goal up to mu: exactly the
     # walks that stay at the goal from then on
     for arrival in range(min(_last_arrival(w, goal) for w in walks), mu + 1):
-        m = mdd._diagram(0, goal, arrival, *agent_distances(inst)[0],
+        m = mdd._diagram(0, goal, arrival, *inst.distances[0], inst.detours[0],
                          inst.graph.closed_neighbourhoods)
         padded = {p + (goal,) * (mu - arrival) for p in _mdd_paths(m)}
         assert padded == {w for w in walks if _last_arrival(w, goal) <= arrival}
