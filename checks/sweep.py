@@ -17,17 +17,15 @@ The sweep fails when
 
 It prints one line per mismatch, then a sha256 digest of the table of
 (status, cost, bounds) per instance and setting, so two revisions can be
-compared by their digests, and exits 1 on any mismatch. With `--expect
-DIGEST` it also exits 1 when the table's digest is not DIGEST, so a change
-to any row fails. Standard library only; it reads the package from `src/`
-next to this directory:
+compared by their digests, and exits 1 on any mismatch or when the digest
+is not `TABLE_DIGEST`, so a change to any row fails. Standard library only;
+it reads the package from `src/` next to this directory:
 
-    python3 -O checks/sweep.py [--expect DIGEST]
+    python3 -O checks/sweep.py
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import sys
 from pathlib import Path
@@ -40,6 +38,7 @@ from capmapf.solvers import EAGER, LAZY, SOLVED, Limits  # noqa: E402
 from capmapf.verify import ORACLE_MAX_HORIZON, OPTIMAL, brute_force_optimal  # noqa: E402
 
 TIME_LIMIT_S = 60.0
+TABLE_DIGEST = "5fe6fe797bf9c069482de08d5b0322b1203044b8e8314bb3f04ad5a70bd3070c"
 NO_FOLLOW = "no-follow"
 
 
@@ -96,9 +95,6 @@ def check(name, instance, oracle) -> tuple[list[str], list[str]]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="differential sweep of the solvers")
-    parser.add_argument("--expect", metavar="DIGEST", help="the table's expected sha256 digest")
-    expected = parser.parse_args().expect
     digest = hashlib.sha256()
     mismatches = instances = 0
     for name, instance, oracle in sweep_instances():
@@ -109,8 +105,8 @@ def main() -> int:
         mismatches += len(bad)
         instances += 1
     print(f"{instances} instances, {mismatches} mismatches, table sha256 {digest.hexdigest()}")
-    if expected is not None and digest.hexdigest() != expected:
-        print(f"MISMATCH table sha256, expected {expected}")
+    if digest.hexdigest() != TABLE_DIGEST:
+        print(f"MISMATCH table sha256, expected {TABLE_DIGEST}")
         return 1
     return 1 if mismatches else 0
 

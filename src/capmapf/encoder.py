@@ -139,7 +139,8 @@ class Encoding:
         if self.moves is not None:
             self._encode_swaps(mdds)
         caps, occupants = instance.capacities.values, self.occupants
-        # only a (t, v) whose occupants exceed its capacity posts a clause
+        # _at_most posts nothing at or under capacity, where most (t, v) are:
+        # leave those out before the sort
         crowded = [(key, new) for key, new in fresh.items()
                    if len(occupants[key[0]][key[1]]) > caps[key[1]]]
         for (t, v), new in sorted(crowded):

@@ -22,8 +22,7 @@ A vertex's detour e(v) = d_start(v) + d_goal(v) - c_i is the first slack
 whose diagram has it, so a growth from slack delta' to delta visits only
 the vertices of the agent's detour buckets 0..delta (`Instance.detours`),
 never the rest of the map: each gains the levels max(d_start(v), c_i +
-delta' - d_goal(v) + 1) to c_i + delta - d_goal(v), and only the levels
-that gained nodes get arcs.
+delta' - d_goal(v) + 1) to c_i + delta - d_goal(v).
 """
 
 from __future__ import annotations
@@ -82,8 +81,7 @@ def _diagram(agent: int, goal: int, arrival: int, from_start: tuple[int, ...],
     `since`: the nodes whose level lies past since - to_goal[v], and the
     arcs into them. Below c_i, as at the default -1, that diagram is empty.
     A vertex's window is empty past its detour's bucket, so this visits the
-    buckets `detours`[0..arrival - c_i] and no other vertex, and builds arcs
-    only into the levels that gained nodes."""
+    buckets `detours`[0..arrival - c_i] and no other vertex."""
     cost = from_start[goal]
     if cost == UNREACHABLE or cost > arrival:
         raise EmptyMddError(f"agent {agent}: goal not reachable within step {arrival}")
@@ -102,7 +100,7 @@ def _diagram(agent: int, goal: int, arrival: int, from_start: tuple[int, ...],
     # wait if it can spare a step, else a move nearer the goal) and, past
     # level 0, an arc in, so the windows alone leave no dead ends.
     arcs = [
-        tuple((u, v) for v in heads for u in closed[v] if from_start[u] <= t) if heads else ()
+        tuple((u, v) for v in heads for u in closed[v] if from_start[u] <= t)
         for t, heads in enumerate(levels[1:])
     ]
     return Mdd(tuple(map(tuple, levels)), tuple(arcs))
