@@ -213,7 +213,7 @@ def cmd_sat(args) -> int:
     if result.outcome == satcore.SAT:
         print("s SATISFIABLE")
         lits = [v if result.model[v] else -v for v in range(1, solver.num_vars + 1)]
-        print("v " + " ".join(str(l) for l in lits) + " 0")
+        print(" ".join(map(str, ["v", *lits, 0])))
         return EXIT_OK
     if result.outcome == satcore.UNSAT:
         print("s UNSATISFIABLE")

@@ -1,12 +1,11 @@
-"""CNF construction: variable labels, clause store, cardinality encodings, DIMACS.
+"""CNF construction: variable numbering, clause store, cardinality encodings, DIMACS.
 
-Each variable carries a label, a plain tuple:
-    ("X", agent, vertex, t)        agent occupies vertex at step t
-    ("aux", tag, n)                auxiliary (settled flags, running sums, cardinality counters)
-A label only names its variable in DIMACS `c var` comments; nothing finds a
-variable by its label (the encoder keeps its own map of the vertex variables).
-A move u->v between t and t+1 has no label of its own: it is the pair of
-vertex variables (agent, u, t) and (agent, v, t+1).
+A formula numbers its variables 1..n as they are allocated. It labels them
+only for DIMACS: `labels` holds variable v's label, a plain tuple, at index
+v - 1, written as a `c var` comment line. `parse_dimacs` fills it from a
+file's comments, and an encoder fills it once for an export (see
+`encoder.variable_labels`); a formula grown inside a solve has none, and
+nothing finds a variable by its label.
 Literals are nonzero signed ints in DIMACS convention, taken as given by
 `CnfFormula`: `parse_dimacs` checks each literal of a file as it reads it.
 """
@@ -15,15 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-VERTEX = "X"
-AUX = "aux"
-
-VarKey = tuple
-
-
-def var_key_vertex(agent: int, vertex: int, t: int) -> VarKey:
-    return (VERTEX, agent, vertex, t)
-
 
 @dataclass
 class CnfFormula:
@@ -31,19 +21,12 @@ class CnfFormula:
 
     variable_count: int = 0
     clauses: list[list[int]] = field(default_factory=list)
-    _keys: list[VarKey | None] = field(default_factory=lambda: [None])  # 1-based
+    labels: list[tuple] = field(default_factory=list)  # variable v's at v - 1, for DIMACS only
 
-    def allocate(self, key: VarKey) -> int:
-        """A new variable labelled `key`."""
-        self._keys.append(key)
+    def allocate(self) -> int:
+        """A new variable."""
         self.variable_count += 1
         return self.variable_count
-
-    def key_of(self, index: int) -> VarKey:
-        return self._keys[index]
-
-    def new_aux(self, tag: str) -> int:
-        return self.allocate((AUX, tag, self.variable_count + 1))
 
     def add(self, clause: list[int]) -> None:
         self.clauses.append(clause)  # kept, not copied: the caller hands it over
@@ -76,7 +59,7 @@ def at_most_k(formula: CnfFormula, lits: list[int], k: int) -> list[list[int]]:
         return at_most_one_pairwise(lits)
 
     # s[i][j] true <=> at least j+1 of lits[0..i] are true (Sinz 2005)
-    s = [[formula.new_aux("seq") for _ in range(k)] for _ in range(n - 1)]
+    s = [[formula.allocate() for _ in range(k)] for _ in range(n - 1)]
     clauses: list[list[int]] = [[-lits[0], s[0][0]]]
     for j in range(1, k):
         clauses.append([-s[0][j]])
@@ -91,23 +74,22 @@ def at_most_k(formula: CnfFormula, lits: list[int], k: int) -> list[list[int]]:
     return clauses
 
 
-def unary_sum(formula: CnfFormula, left: list[int], right: list[int], total: list[int],
-              tag: str) -> None:
+def unary_sum(formula: CnfFormula, left: list[int], right: list[int], total: list[int]) -> None:
     """The running-sum step of a totalizer (Bailleux & Boufkhad 2003), grown
     in place: extend the register `total` of the sum of two sorted unary
     counts of one length n to n bits.
 
-    left[p-1] and right[q-1] read "at least p" and "at least q". Each new bit
-    r[j-1], labelled (AUX, tag, j), gets the clauses left[j-1] -> r[j-1],
-    right[j-1] -> r[j-1] and left[p-1] & right[q-1] -> r[j-1] for p + q = j.
-    The bits already there keep their clauses, which only ever name bits up
-    to their own, so growing the counts by one step adds one bit and its
-    clauses. Nothing bounds the sum: r[n-1] reads "at least n", and a caller
-    bounds the sum below n by asserting -r[n-1]. r is only a lower bound of
-    the sum: a spurious true bit can only forbid more.
+    left[p-1] and right[q-1] read "at least p" and "at least q". Each new
+    bit r[j-1] gets the clauses left[j-1] -> r[j-1], right[j-1] -> r[j-1]
+    and left[p-1] & right[q-1] -> r[j-1] for p + q = j. The bits already
+    there keep their clauses, which only ever name bits up to their own, so
+    growing the counts by one step adds one bit and its clauses. Nothing
+    bounds the sum: r[n-1] reads "at least n", and a caller bounds the sum
+    below n by asserting -r[n-1]. r is only a lower bound of the sum: a
+    spurious true bit can only forbid more.
     """
     for j in range(len(total) + 1, len(left) + 1):
-        r = formula.allocate((AUX, tag, j))
+        r = formula.allocate()
         total.append(r)
         formula.add([-left[j - 1], r])
         formula.add([-right[j - 1], r])
@@ -115,24 +97,10 @@ def unary_sum(formula: CnfFormula, left: list[int], right: list[int], total: lis
             formula.add([-left[p - 1], -right[j - p - 1], r])
 
 
-def _key_to_comment(idx: int, key: VarKey) -> str:
-    return f"c var {idx} " + " ".join(str(f) for f in key)
-
-
-def _comment_to_key(tokens: list[str]) -> VarKey:
-    def conv(tok: str):
-        try:
-            return int(tok)
-        except ValueError:
-            return tok
-
-    return tuple(conv(t) for t in tokens)
-
-
 def to_dimacs(formula: CnfFormula) -> str:
-    """Standard DIMACS CNF; `c var` comment lines carry the labels."""
-    out = [_key_to_comment(idx, formula.key_of(idx))
-           for idx in range(1, formula.variable_count + 1)]
+    """Standard DIMACS CNF, with a `c var` comment line per label."""
+    out = [f"c var {v} " + " ".join(map(str, label))
+           for v, label in enumerate(formula.labels, start=1)]
     out.append(f"p cnf {formula.variable_count} {len(formula.clauses)}")
     for clause in formula.clauses:
         out.append(" ".join(str(lit) for lit in clause) + " 0")
@@ -146,13 +114,19 @@ def _ints(tokens: list[str], ln: int) -> list[int]:
         raise ValueError(f"line {ln}: {exc}") from None
 
 
+def _label_field(token: str) -> int | str:
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF, restoring the labels from `c var` comments.
 
     Comments never change what the CNF means: a `c var` line whose index is
     not a decimal integer is a plain comment, and a label is only a name."""
-    formula = CnfFormula()
-    keyed: dict[int, VarKey] = {}
+    labelled: dict[int, tuple] = {}
     n_vars = None
     lits: list[int] = []
     pending: list[list[int]] = []
@@ -163,7 +137,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         if line.startswith("c"):
             tokens = line.split()
             if len(tokens) >= 3 and tokens[1] == "var" and tokens[2].isdecimal():
-                keyed[int(tokens[2])] = _comment_to_key(tokens[3:])
+                labelled[int(tokens[2])] = tuple(map(_label_field, tokens[3:]))
             continue
         if line.startswith("p"):
             if n_vars is not None:
@@ -193,7 +167,5 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise ValueError("missing problem line")
     if len(pending) != n_clauses:
         raise ValueError(f"problem line declares {n_clauses} clauses, found {len(pending)}")
-    for idx in range(1, n_vars + 1):
-        formula.allocate(keyed.get(idx, (AUX, "dimacs", idx)))
-    formula.add_all(pending)
-    return formula
+    labels = [labelled.get(v, ("aux", "dimacs", v)) for v in range(1, n_vars + 1)]
+    return CnfFormula(n_vars, pending, labels)

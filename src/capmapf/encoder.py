@@ -45,7 +45,7 @@ from .cnf import CnfFormula
 from .instance import Instance
 from .mdd import Mdd, build_all_mdds, cost_slack
 from .pathcalc import agent_path_costs
-from .plans import CAPACITY, SWAP, Conflict, Plan
+from .plans import CAPACITY, Conflict, Plan
 
 COMPLETE = "complete"
 BASIC = "basic"
@@ -63,9 +63,10 @@ class EncodingSoundnessError(AssertionError):
 class Encoding:
     """One solve's formula, grown by `grow` one cost slack at a time from -1.
 
-    `formula` numbers and labels every variable of the solve, but its
-    `clauses` hold only what the last growth posted (and, in a standalone
-    encoding, what was posted after it). The encoding keeps the indexes its
+    `formula` numbers every variable of the solve, but its `clauses` hold
+    only what the last growth posted (and, in a standalone encoding, what
+    was posted after it). Only a standalone encoding labels its variables
+    (`variable_labels`), for DIMACS. The encoding keeps the indexes its
     mode reads: the agents at each (v, t) of a vertex with a capacity group
     (every vertex in the complete model), which agents move along each edge
     at each step for the complete model's swap clauses, and the moves into
@@ -159,11 +160,10 @@ class Encoding:
         formula, occupants, grouped = self.formula, self.occupants, self.grouped
         fresh: dict[tuple[int, int], list[int]] = {}
         mu = len(occupants) - 1
-        for i, (a, c, m, x, flags) in enumerate(
-                zip(self.instance.agents, self.costs, mdds, self.xs, self.settled)):
+        for a, c, m, x, flags in zip(self.instance.agents, self.costs, mdds, self.xs, self.settled):
             old_arrival = c + self.delta
             for t in range(c + len(flags), mu + 1):
-                flag = formula.allocate((cnf.AUX, f"settled_{i}", t))
+                flag = formula.allocate()
                 if flags:
                     formula.add([-flags[-1], flag])
                 flags.append(flag)
@@ -197,8 +197,8 @@ class Encoding:
         bound would have to lift."""
         width = delta + 1
         total = [-s for s in self.settled[0][:width]]
-        for i, (flags, register) in enumerate(zip(self.settled[1:], self.sums), start=1):
-            cnf.unary_sum(self.formula, total, [-s for s in flags[:width]], register, f"sum_{i}")
+        for flags, register in zip(self.settled[1:], self.sums):
+            cnf.unary_sum(self.formula, total, [-s for s in flags[:width]], register)
             total = register
 
     def _encode_swaps(self, mdds: list[Mdd]) -> None:
@@ -264,11 +264,11 @@ class Encoding:
 def _allocate_route_vars(formula: CnfFormula, mdds: list[Mdd], xs: VertexVars) -> None:
     """One vertex variable per new diagram node, allocated agent by agent
     and level by level into `xs`."""
-    for i, (m, x) in enumerate(zip(mdds, xs)):
+    for m, x in zip(mdds, xs):
         x += [{} for _ in range(len(m.levels) - len(x))]
-        for t, (level, here) in enumerate(zip(m.levels, x)):
+        for level, here in zip(m.levels, x):
             for v in level:
-                here[v] = formula.allocate(cnf.var_key_vertex(i, v, t))
+                here[v] = formula.allocate()
 
 
 def _encode_routes(formula: CnfFormula, instance: Instance, mdds: list[Mdd],
@@ -395,14 +395,16 @@ def encode_complete(instance: Instance, xi: int, no_follow: bool = False,
     """Complete model: satisfiable iff a plan of sum-of-costs <= xi exists.
 
     Without `onto`, a fresh encoding grown to xi, whose formula ends with
-    the bound's literals as unit clauses. With `onto`, a complete encoding
-    of a lower bound (or none yet) with this `no_follow`, that encoding grown
-    to xi: its formula holds only the clauses this bound adds, and the
-    bound's literals are left to the caller (`Encoding.bound_literals`)."""
+    the bound's literals as unit clauses and labels every variable
+    (`variable_labels`). With `onto`, a complete encoding of a lower bound
+    (or none yet) with this `no_follow`, that encoding grown to xi: its
+    formula holds only the clauses this bound adds, and the bound's literals
+    are left to the caller (`Encoding.bound_literals`)."""
     if onto is None:
         encoding = Encoding(instance, COMPLETE, no_follow)
         encoding.grow(cost_slack(encoding.costs, xi))
         encoding.formula.add_all([[lit] for lit in encoding.bound_literals(encoding.delta)])
+        encoding.formula.labels = variable_labels(encoding)
         return encoding
     if onto.mode != COMPLETE or onto.no_follow != no_follow:
         raise ValueError("onto is not a complete encoding with this no-follow setting")
@@ -423,7 +425,31 @@ def encode_basic(instance: Instance, xi: int, onto: Encoding | None = None) -> E
     encoding.grow(cost_slack(encoding.costs, xi))
     if onto is None:
         encoding.formula.add_all([[lit] for lit in encoding.bound_literals(encoding.delta)])
+        encoding.formula.labels = variable_labels(encoding)
     return encoding
+
+
+def variable_labels(encoding: Encoding) -> list[tuple]:
+    """The label of each variable of `encoding`, variable n's at index
+    n - 1, derived from the maps the encoding keeps; DIMACS `c var` comments
+    carry them (`cnf.to_dimacs`), and nothing else reads them:
+        ("X", i, v, t)           agent i's node (v, t)
+        ("aux", "settled_i", t)  agent i's settled flag at step t
+        ("aux", "sum_i", j)      bit j (reading "at least j") of register R_i
+        ("aux", "seq", n)        any other variable n: a counter auxiliary
+    """
+    labels = [("aux", "seq", n) for n in range(1, encoding.formula.variable_count + 1)]
+    for i, x in enumerate(encoding.xs):
+        for t, level in enumerate(x):
+            for v, var in level.items():
+                labels[var - 1] = ("X", i, v, t)
+    for i, (c, flags) in enumerate(zip(encoding.costs, encoding.settled)):
+        for t, flag in enumerate(flags, start=c):
+            labels[flag - 1] = ("aux", f"settled_{i}", t)
+    for i, register in enumerate(encoding.sums, start=1):
+        for j, bit in enumerate(register, start=1):
+            labels[bit - 1] = ("aux", f"sum_{i}", j)
+    return labels
 
 
 def extract_plan(instance: Instance, encoding: Encoding, model: list[bool]) -> Plan:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import random
 import string
@@ -265,6 +266,36 @@ def test_export_cnf_stdout_has_key_comments(capsys):
     assert "p cnf" in out and "c var 1 " in out
 
 
+TINY_DIGEST = "19818d1b5a836cf3c99ee6579f38dbbf3743a910c706092d201de64b860a6507"
+SWAP_RELAXED_DIGEST = "1809bbd0ccabe6d6719707e4c6e4bfd8153ad947fd9b3a1619c6e934394fa76c"
+SWAP_C1_DIGEST = "2cdc22831243eaf085dbec97249412e43710c63f9f07c8aae2960a1ddf495020"
+
+
+# sha256 of what `export-cnf --xi auto` prints, labels included: any change
+# to the numbering, the clauses, their order or the labels changes it. On
+# `tiny.scen` no rule binds, so every mode prints one text; on `swap.scen`
+# at capacity 1 the complete model's swap clauses set it apart.
+@pytest.mark.parametrize("scen,capacity,flags,digest", [
+    (TINY_SCEN, "1", (), TINY_DIGEST),
+    (TINY_SCEN, "1", ("--mode", "basic"), TINY_DIGEST),
+    (TINY_SCEN, "1", ("--no-follow",), TINY_DIGEST),
+    (TINY_SCEN, "2", (), TINY_DIGEST),
+    (TINY_SCEN, "2", ("--mode", "basic"), TINY_DIGEST),
+    (TINY_SCEN, "2", ("--no-follow",), TINY_DIGEST),
+    (SWAP_SCEN, "1", (), SWAP_C1_DIGEST),
+    (SWAP_SCEN, "1", ("--mode", "basic"), SWAP_RELAXED_DIGEST),
+    (SWAP_SCEN, "1", ("--no-follow",), SWAP_C1_DIGEST),
+    (SWAP_SCEN, "2", (), SWAP_RELAXED_DIGEST),
+    (SWAP_SCEN, "2", ("--mode", "basic"), SWAP_RELAXED_DIGEST),
+    (SWAP_SCEN, "2", ("--no-follow",), SWAP_RELAXED_DIGEST),
+])
+def test_export_cnf_matches_pinned_digest(capsys, scen, capacity, flags, digest):
+    code, out, _ = run(capsys, "export-cnf", "--map", TINY_MAP, "--scen", scen,
+                       "--capacity", capacity, "--xi", "auto", *flags)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def bench_args(**overrides):
     argv = ["bench", "--grid", "4x4", "--agent-counts", "2", "--capacities", "1,2",
             "--count", "2", "--seed", "7", "--timeout", "5"]
@@ -356,6 +387,17 @@ def test_sat_comments_never_change_the_cnf(capsys, tmp_path, comments):
     f.write_text(comments + "p cnf 2 2\n1 2 0\n-1 2 0\n")
     code, out, _ = run(capsys, "sat", str(f))
     assert code == EXIT_OK and "s SATISFIABLE" in out
+
+
+@pytest.mark.parametrize("text,values", [
+    ("p cnf 0 0\n", "v 0"),  # no variables: the terminating 0 alone
+    ("p cnf 2 2\n1 0\n-2 0\n", "v 1 -2 0"),
+])
+def test_sat_prints_the_exact_value_line(capsys, tmp_path, text, values):
+    f = tmp_path / "v.cnf"
+    f.write_text(text)
+    code, out, _ = run(capsys, "sat", str(f))
+    assert code == EXIT_OK and out == f"s SATISFIABLE\n{values}\n"
 
 
 def test_sat_out_of_time_is_unknown(capsys, tmp_path):

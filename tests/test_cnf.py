@@ -3,22 +3,23 @@ from itertools import product
 import pytest
 
 from capmapf import CnfFormula, at_most_k, at_most_one_pairwise, parse_dimacs, to_dimacs
-from capmapf.cnf import var_key_vertex
 from capmapf.satcore import SAT, CdclSolver
 
 
 def test_allocate_distinct_keys():
     f = CnfFormula()
-    a = f.allocate(var_key_vertex(0, 0, 0))
-    b = f.allocate(var_key_vertex(0, 1, 0))
-    assert a != b
+    a = f.allocate()
+    b = f.allocate()
+    assert (a, b) == (1, 2) and f.variable_count == 2
+    assert f.labels == []  # allocating labels nothing
 
 
 def test_key_map_round_trip():
     f = CnfFormula()
-    for key in [var_key_vertex(0, 3, 1), ("aux", "settled_2", 4), ("aux", "s", 9)]:
-        idx = f.allocate(key)
-        assert f.key_of(idx) == key
+    f.labels = [("X", 0, 3, 1), ("aux", "settled_2", 4), ("aux", "s", 9)]
+    for _ in f.labels:
+        f.allocate()
+    assert parse_dimacs(to_dimacs(f)).labels == f.labels  # ints and strings alike
 
 
 def test_pairwise_counts():
@@ -48,7 +49,7 @@ def test_pairwise_model_set_n4():
 def projected_models_match(n: int, k: int) -> bool:
     """Exhaustively check at_most_k's projection semantics for n vars, bound k."""
     f = CnfFormula()
-    xs = [f.allocate(("aux", "x", i)) for i in range(n)]
+    xs = [f.allocate() for _ in range(n)]
     clauses = at_most_k(f, xs, k)
     for bits in product((False, True), repeat=n):
         want = sum(bits) <= k
@@ -71,16 +72,16 @@ def test_at_most_k_exhaustive(n):
 
 def test_at_most_k_vacuous_and_zero():
     f = CnfFormula()
-    xs = [f.allocate(("aux", "x", i)) for i in range(5)]
+    xs = [f.allocate() for _ in range(5)]
     assert at_most_k(f, xs, 5) == []
     f2 = CnfFormula()
-    ys = [f2.allocate(("aux", "y", i)) for i in range(2)]
+    ys = [f2.allocate() for _ in range(2)]
     assert at_most_k(f2, ys, 0) == [[-ys[0]], [-ys[1]]]
 
 
 def test_at_most_k_three_choose_two():
     f = CnfFormula()
-    xs = [f.allocate(("aux", "x", i)) for i in range(3)]
+    xs = [f.allocate() for _ in range(3)]
     clauses = at_most_k(f, xs, 2)
     sat_count = 0
     for bits in product((False, True), repeat=3):
@@ -102,7 +103,7 @@ def test_at_most_one_variants_agree():
 
 def test_at_most_k_accepts_negative_literals():
     f = CnfFormula()
-    xs = [f.allocate(("aux", "x", i)) for i in range(3)]
+    xs = [f.allocate() for _ in range(3)]
     clauses = at_most_k(f, [-x for x in xs], 1)  # at most one false
     for bits in product((False, True), repeat=3):
         solver = CdclSolver()
@@ -119,39 +120,43 @@ def test_dimacs_empty():
 
 def test_dimacs_single_unit():
     f = CnfFormula()
-    x = f.allocate(("aux", "x", 1))
+    x = f.allocate()
     f.add([x])
     text = to_dimacs(f)
-    assert "p cnf 1 1" in text
-    assert text.rstrip().endswith("1 0")
+    assert text == "p cnf 1 1\n1 0\n"  # an unlabelled formula has no `c var` lines
+    f.labels = [("aux", "x", 1)]
+    assert to_dimacs(f) == "c var 1 aux x 1\n" + text
 
 
 def test_dimacs_structural_round_trip():
     f = CnfFormula()
-    a = f.allocate(var_key_vertex(0, 2, 1))
-    b = f.allocate(("aux", "settled_0", 1))
+    a = f.allocate()
+    b = f.allocate()
+    f.labels = [("X", 0, 2, 1), ("aux", "settled_0", 1)]
     f.add([a, -b])
     f.add([-a, b])
     g = parse_dimacs(to_dimacs(f))
     assert g.variable_count == f.variable_count
     assert g.clauses == f.clauses
-    assert g.key_of(a) == var_key_vertex(0, 2, 1)
-    assert g.key_of(b) == ("aux", "settled_0", 1)
+    assert g.labels[a - 1] == ("X", 0, 2, 1)
+    assert g.labels[b - 1] == ("aux", "settled_0", 1)
 
 
 def test_dimacs_byte_stable_round_trip():
     f = CnfFormula()
-    a = f.allocate(var_key_vertex(0, 2, 1))
-    b = f.allocate(("aux", "seq", 2))
+    a = f.allocate()
+    b = f.allocate()
+    f.labels = [("X", 0, 2, 1), ("aux", "seq", 2)]
     f.add([a, b])
     text = to_dimacs(f)
     assert to_dimacs(parse_dimacs(text)) == text
 
 
 def test_parse_dimacs_plain():
-    f = parse_dimacs("c comment\np cnf 3 2\n1 -2 0\n2 3 0\n")
+    f = parse_dimacs("c comment\nc var 2 X 0 1 2\np cnf 3 2\n1 -2 0\n2 3 0\n")
     assert f.variable_count == 3
     assert f.clauses == [[1, -2], [2, 3]]
+    assert f.labels == [("aux", "dimacs", 1), ("X", 0, 1, 2), ("aux", "dimacs", 3)]
 
 
 def test_parse_dimacs_errors():

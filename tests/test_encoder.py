@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -13,8 +14,8 @@ from capmapf import (
     validate_plan,
 )
 from capmapf import brute_force_optimal, cnf, encoder
-from capmapf.cnf import AUX, VERTEX, CnfFormula, to_dimacs
-from capmapf.encoder import EncodingSoundnessError
+from capmapf.cnf import to_dimacs
+from capmapf.encoder import EncodingSoundnessError, variable_labels
 from capmapf.mdd import build_all_mdds
 from capmapf.pathcalc import UnsolvableInstanceError, agent_path_costs, shortest_path_plan
 from capmapf.plans import CAPACITY, SWAP, Conflict, Plan
@@ -73,9 +74,10 @@ def test_basic_model_is_a_relaxation():
 
 def encode_refined(inst, xi, conflicts):
     """A standalone basic encoding with `refine`'s clauses for `conflicts`
-    posted after it."""
+    posted after it, relabelled for the counters `refine` allocated."""
     artifacts = encode_basic(inst, xi)
     artifacts.formula.add_all(encoder.refine(inst, artifacts, conflicts))
+    artifacts.formula.labels = variable_labels(artifacts)
     return artifacts
 
 
@@ -207,6 +209,7 @@ def test_uniform_one_capacity_emits_pairwise():
     inst = make_instance(path_graph(3), 1, [(0, 2), (2, 0)])
     artifacts = encode_complete(inst, 4)
     f = artifacts.formula
+    labels = variable_labels(artifacts)
     expected = set()
     for t in range(len(build_all_mdds(inst, 0)[0].levels)):
         for v in range(3):
@@ -217,8 +220,8 @@ def test_uniform_one_capacity_emits_pairwise():
     emitted = {
         frozenset(c) for c in f.clauses
         if len(c) == 2 and all(
-            l < 0 and f.key_of(-l)[0] == "X" for l in c
-        ) and f.key_of(-c[0])[1] != f.key_of(-c[1])[1]
+            l < 0 and labels[-l - 1][0] == "X" for l in c
+        ) and labels[-c[0] - 1][1] != labels[-c[1] - 1][1]
     }
     assert expected <= emitted
 
@@ -230,6 +233,7 @@ def test_uniform_one_capacity_emits_pairwise():
 def test_swap_clauses_are_opposite_arc_pairs(inst, slack):
     artifacts = encode_complete(inst, cost_lower_bound(inst) + slack)
     f = artifacts.formula
+    labels = variable_labels(artifacts)
     mdds = build_all_mdds(inst, slack)
 
     def x(agent, v, t):
@@ -251,8 +255,8 @@ def test_swap_clauses_are_opposite_arc_pairs(inst, slack):
     def crosses(clause):  # one agent at u then v, another at v then u
         if len(clause) != 4 or any(l > 0 for l in clause):
             return False
-        keys = [f.key_of(-l) for l in clause]
-        if any(k[0] != VERTEX for k in keys):
+        keys = [labels[-l - 1] for l in clause]
+        if any(k[0] != "X" for k in keys):
             return False
         steps = {}
         for _, agent, v, t in keys:
@@ -370,8 +374,8 @@ def test_cost_bound_counts_slack_inside_the_arrival_windows(corpus):
         f = artifacts.formula
         mdds = build_all_mdds(inst, delta)
         mu = max(len(m.levels) for m in mdds) - 1
-        settled = [k for k in map(f.key_of, range(1, f.variable_count + 1))
-                   if k[0] == AUX and k[1].startswith("settled_")]
+        settled = [k for k in variable_labels(artifacts)
+                   if k[0] == "aux" and k[1].startswith("settled_")]
         assert len(settled) == sum(mu + 1 - c for c in costs), name
 
         def plan_units(encoding):  # every vertex variable fixed: plan nodes true, all others false
@@ -404,9 +408,8 @@ def test_cost_bound_admits_exactly_the_delays_within_the_slack(k, delta):
     for d in range(delta + 1):
         encoding.grow(d)
         clauses += encoding.formula.clauses
-        formula = encoding.formula
-        labels = [formula.key_of(v) for v in range(1, formula.variable_count + 1)]
-        assert sum(key[1].startswith("sum_") for key in labels if key[0] == AUX) == (k - 1) * (d + 1)
+        labels = variable_labels(encoding)
+        assert sum(key[1].startswith("sum_") for key in labels if key[0] == "aux") == (k - 1) * (d + 1)
         assert [len(flags) for flags in encoding.settled] == [k + d - i for i in range(k)]
         bound = [[lit] for lit in encoding.bound_literals(d)]
         for delays in itertools.product(range(d + 1), repeat=k):
@@ -680,13 +683,28 @@ def test_bound_allocates_vertex_variables_for_exactly_its_new_nodes(corpus):
         for delta in range(4):
             count = encoding.formula.variable_count
             encoding.grow(delta)
-            f = encoding.formula
-            allocated = {f.key_of(v)[1:] for v in range(count + 1, f.variable_count + 1)
-                         if f.key_of(v)[0] == VERTEX}
+            allocated = {key[1:] for key in variable_labels(encoding)[count:] if key[0] == "X"}
             nodes = {(i, v, t) for i, m in enumerate(build_all_mdds(inst, delta))
                      for t, level in enumerate(m.levels) for v in level}
             assert allocated == nodes - before, (name, delta)
             before = nodes
+
+
+@pytest.mark.parametrize("mode,no_follow", [(encoder.COMPLETE, False), (encoder.COMPLETE, True),
+                                            (encoder.BASIC, False)])
+def test_only_a_standalone_encoding_is_labelled(mode, no_follow):
+    """A standalone encoding labels each of its variables once; one grown
+    with `onto`, as a solve grows it, labels none."""
+    inst = make_instance(grid3x3(), 2, [(0, 8), (8, 0), (2, 6), (4, 1)])
+    xi = cost_lower_bound(inst) + 1
+    encode = encode_basic if mode == encoder.BASIC else partial(encode_complete, no_follow=no_follow)
+    standalone = encode(inst, xi).formula
+    assert len(standalone.labels) == standalone.variable_count > 0
+    assert len(set(standalone.labels)) == len(standalone.labels)
+    grown = encode(inst, xi, onto=encoder.Encoding(inst, mode, no_follow))
+    assert grown.formula.variable_count == standalone.variable_count
+    assert grown.formula.labels == []
+    assert variable_labels(grown) == standalone.labels
 
 
 # sha256 over the DIMACS text of every encoding below. Any change to the
