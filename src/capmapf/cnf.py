@@ -98,7 +98,10 @@ def unary_sum(formula: CnfFormula, left: list[int], right: list[int], total: lis
 
 
 def to_dimacs(formula: CnfFormula) -> str:
-    """Standard DIMACS CNF, with a `c var` comment line per label."""
+    """Standard DIMACS CNF, with a `c var` comment line per label. Raises
+    ValueError when the formula is labelled, but not every variable."""
+    if 0 < len(formula.labels) != formula.variable_count:
+        raise ValueError(f"{len(formula.labels)} labels for {formula.variable_count} variables")
     out = [f"c var {v} " + " ".join(map(str, label))
            for v, label in enumerate(formula.labels, start=1)]
     out.append(f"p cnf {formula.variable_count} {len(formula.clauses)}")

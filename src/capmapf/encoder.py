@@ -66,11 +66,14 @@ class Encoding:
     `formula` numbers every variable of the solve, but its `clauses` hold
     only what the last growth posted (and, in a standalone encoding, what
     was posted after it). Only a standalone encoding labels its variables
-    (`variable_labels`), for DIMACS. The encoding keeps the indexes its
-    mode reads: the agents at each (v, t) of a vertex with a capacity group
-    (every vertex in the complete model), which agents move along each edge
-    at each step for the complete model's swap clauses, and the moves into
-    each (v, t) for the no-follow rule.
+    (`variable_labels`), for DIMACS. In both modes the encoding indexes the
+    agents at every (v, t), each by its node or, past its arrival step, by
+    its settled flag at its goal: `_settle` alone decides who counts there.
+    `grouped` holds the vertices whose capacity group (e) is posted, every
+    vertex in the complete model, and a growth extends the groups there.
+    The encoding also keeps which agents move along each edge at each step
+    for the complete model's swap clauses, and the moves into each (v, t)
+    for the no-follow rule.
     """
 
     def __init__(self, instance: Instance, mode: str, no_follow: bool = False):
@@ -85,7 +88,7 @@ class Encoding:
         self.xs: VertexVars = [[] for _ in instance.agents]
         self.settled: list[list[int]] = [[] for _ in instance.agents]  # [i][t - c_i]
         self.sums: list[list[int]] = [[] for _ in instance.agents[1:]]  # registers R_1..R_{k-1}
-        # occupants[t][v]: each agent's literal at (v, t), for every v with a group
+        # occupants[t][v]: each agent's literal at (v, t), for every v
         self.occupants: list[dict[int, list[int]]] = []
         self.grouped: set[int] = (set(range(instance.graph.vertex_count))
                                   if mode == COMPLETE else set())
@@ -154,35 +157,36 @@ class Encoding:
         """Settled flags out to the new horizon, chained settled_i[t] ->
         settled_i[t+1], with settled_i[t] -> x_i(goal, t) at each new goal
         node; then each new node and each new flag past its agent's arrival
-        step joins the occupants of its vertex if that vertex has a group.
-        A goal node where the agent's flag stood before takes its place, so
-        the agent still counts once. Returns the new literals per (t, v)."""
+        step joins the occupants of its vertex. A goal node where the
+        agent's flag stood before takes its place, so the agent still counts
+        once. Returns the new literals per (t, v) of a grouped vertex."""
         formula, occupants, grouped = self.formula, self.occupants, self.grouped
         fresh: dict[tuple[int, int], list[int]] = {}
         mu = len(occupants) - 1
         for a, c, m, x, flags in zip(self.instance.agents, self.costs, mdds, self.xs, self.settled):
-            old_arrival = c + self.delta
+            old_arrival, goal = c + self.delta, a.goal
             for t in range(c + len(flags), mu + 1):
                 flag = formula.allocate()
                 if flags:
                     formula.add([-flags[-1], flag])
                 flags.append(flag)
             for t in range(old_arrival + 1, c + delta + 1):
-                formula.add([-flags[t - c], x[t][a.goal]])
+                formula.add([-flags[t - c], x[t][goal]])
             for t, level in enumerate(m.levels):
+                at_t, here = occupants[t], x[t]
                 for v in level:
+                    var = here[v]
+                    if v == goal and old_arrival < t <= old_mu:
+                        lits = at_t[v]
+                        lits[lits.index(flags[t - c])] = var
+                    else:
+                        at_t.setdefault(v, []).append(var)
                     if v in grouped:
-                        lits = occupants[t].setdefault(v, [])
-                        var = x[t][v]
-                        if v == a.goal and old_arrival < t <= old_mu:
-                            lits[lits.index(flags[t - c])] = var
-                        else:
-                            lits.append(var)
                         fresh.setdefault((t, v), []).append(var)
-            if a.goal in grouped:
-                for t in range(max(c + delta, old_mu) + 1, mu + 1):
-                    occupants[t].setdefault(a.goal, []).append(flags[t - c])
-                    fresh.setdefault((t, a.goal), []).append(flags[t - c])
+            for t in range(max(c + delta, old_mu) + 1, mu + 1):
+                occupants[t].setdefault(goal, []).append(flags[t - c])
+                if goal in grouped:
+                    fresh.setdefault((t, goal), []).append(flags[t - c])
         return fresh
 
     def _encode_cost_bound(self, delta: int) -> None:
@@ -320,25 +324,17 @@ def _at_most(formula: CnfFormula, lits: list[int], new: list[int], cap: int) -> 
 
 def capacity_group(instance: Instance, encoding: Encoding, vertex: int) -> list[list[int]]:
     """Group (e) at one vertex, step by step up to the longest diagram's
-    horizon: the clauses the complete model posts there, over `encoding`'s
-    variables, with each agent past its arrival step counted by its settled
-    flag. The encoding then extends the group over every node it grows at
-    the vertex. Counter auxiliaries are allocated in `encoding.formula`; the
+    horizon, over the occupants `encoding` has indexed there: the clauses a
+    complete model grown in one step posts there. The vertex joins
+    `encoding.grouped`, so every later growth extends the group over its new
+    occupants. Counter auxiliaries are allocated in `encoding.formula`; the
     clauses are returned, not added. Every plan that keeps the capacities
     satisfies them, so posting them keeps every plan of cost <= xi."""
     encoding.grouped.add(vertex)
     cap = instance.capacities[vertex]
-    agents = list(zip(instance.agents, encoding.costs, encoding.xs, encoding.settled))
     clauses: list[list[int]] = []
-    for t, at_t in enumerate(encoding.occupants):
-        lits = []
-        for a, c, x, flags in agents:
-            if t < len(x):
-                if (var := x[t].get(vertex)) is not None:
-                    lits.append(var)
-            elif a.goal == vertex:
-                lits.append(flags[t - c])
-        at_t[vertex] = lits
+    for at_t in encoding.occupants:
+        lits = at_t.get(vertex, [])
         clauses += _at_most(encoding.formula, lits, lits, cap)
     return clauses
 

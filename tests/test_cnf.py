@@ -2,7 +2,19 @@ from itertools import product
 
 import pytest
 
-from capmapf import CnfFormula, at_most_k, at_most_one_pairwise, parse_dimacs, to_dimacs
+from capmapf import (
+    CnfFormula,
+    at_most_k,
+    at_most_one_pairwise,
+    cost_lower_bound,
+    encode_basic,
+    generate_random,
+    parse_dimacs,
+    to_dimacs,
+    validate_candidate,
+)
+from capmapf.encoder import refine, variable_labels
+from capmapf.pathcalc import shortest_path_plan
 from capmapf.satcore import SAT, CdclSolver
 
 
@@ -126,6 +138,21 @@ def test_dimacs_single_unit():
     assert text == "p cnf 1 1\n1 0\n"  # an unlabelled formula has no `c var` lines
     f.labels = [("aux", "x", 1)]
     assert to_dimacs(f) == "c var 1 aux x 1\n" + text
+
+
+def test_dimacs_rejects_labels_gone_stale():
+    """A standalone encoding is labelled when it is encoded; the counters
+    `refine` allocates after that leave some variables without a label,
+    which `to_dimacs` refuses rather than write a partial `c var` list."""
+    inst = generate_random(3, 3, 7, 2, 3)
+    encoding = encode_basic(inst, cost_lower_bound(inst))
+    f = encoding.formula
+    f.add_all(refine(inst, encoding, validate_candidate(inst, shortest_path_plan(inst))))
+    assert (len(f.labels), f.variable_count) == (62, 70)
+    with pytest.raises(ValueError, match="62 labels for 70 variables"):
+        to_dimacs(f)
+    f.labels = variable_labels(encoding)
+    assert sum(line.startswith("c var ") for line in to_dimacs(f).splitlines()) == 70
 
 
 def test_dimacs_structural_round_trip():

@@ -165,25 +165,33 @@ def test_swap_clause_past_an_arrival_is_vacuous():
 
 
 def test_capacity_groups_are_clauses_of_the_complete_model(corpus):
-    """Over the unit-capacity corpus at slack 1, every clause of every
-    vertex's group is one the complete model posts: both number the vertex
-    variables alike, and a group is group (e) at one vertex."""
+    """Over the unit-capacity corpus, every clause of every vertex's group
+    is one the complete model posts: both number the vertex variables
+    alike, and a group is group (e) at one vertex. That holds for
+    standalone encodings at slack 1, and for encodings grown bound by bound
+    to slack 2, whose occupants are listed in the order they joined."""
     checked = 0
     for name, inst in corpus[::5]:
         try:
-            xi = cost_lower_bound(inst) + 1
+            xi0 = cost_lower_bound(inst)
         except UnsolvableInstanceError:
             continue
         if any(c > 1 for c in inst.capacities.values):
             continue  # room >= 2 uses a counter, whose numbering differs
-        complete = encode_complete(inst, xi).formula.clauses
-        basic = encode_basic(inst, xi)
-        groups = [clause for v in range(inst.graph.vertex_count)
-                  for clause in encoder.capacity_group(inst, basic, v)]
-        in_complete = {tuple(c) for c in complete}
-        assert all(tuple(c) in in_complete for c in groups), name
-        checked += bool(groups)
-    assert checked >= 5
+        grown_complete = encoder.Encoding(inst, encoder.COMPLETE)
+        grown_basic = encoder.Encoding(inst, encoder.BASIC)
+        posted = []
+        for xi in range(xi0, xi0 + 3):
+            posted += encode_complete(inst, xi, onto=grown_complete).formula.clauses
+            encode_basic(inst, xi, onto=grown_basic)
+        for complete, basic in ((encode_complete(inst, xi0 + 1).formula.clauses,
+                                 encode_basic(inst, xi0 + 1)), (posted, grown_basic)):
+            groups = [clause for v in range(inst.graph.vertex_count)
+                      for clause in encoder.capacity_group(inst, basic, v)]
+            in_complete = {tuple(c) for c in complete}
+            assert all(tuple(c) in in_complete for c in groups), name
+            checked += bool(groups)
+    assert checked >= 10
 
 
 def test_complete_sat_implies_basic_sat(corpus):
@@ -517,6 +525,22 @@ def test_no_follow_generalizes_with_capacity():
     assert strict.optimal_cost == 2
 
 
+def _scanned_occupants(inst, encoding, v, t, skip=None):
+    """The literals that count the agents at (v, t), found by probing every
+    agent of `encoding`, in id order, but the agent `skip`: its node where
+    its diagram reaches step t, and otherwise, past its arrival step, its
+    settled flag if v is its goal."""
+    found = []
+    for i, (a, c, x, flags) in enumerate(zip(inst.agents, encoding.costs, encoding.xs,
+                                             encoding.settled)):
+        if t < len(x):
+            if i != skip and (var := x[t].get(v)) is not None:
+                found.append(var)
+        elif a.goal == v:
+            found.append(flags[t - c])  # flags start at c_i
+    return found
+
+
 def _scanned_encoding(inst, delta, no_follow):
     """The complete encoding at slack delta with the swap, capacity and
     no-follow groups found by probing every (step, vertex, agent) node of
@@ -535,16 +559,7 @@ def _scanned_encoding(inst, delta, no_follow):
                     if u != v and (v, u) in mj.arcs[t]:
                         formula.add([-xs[i][t][u], -xs[i][t + 1][v], -xs[j][t][v], -xs[j][t + 1][u]])
 
-    def occupants(v, t, skip=None):
-        found = []
-        for i, (a, x, flags) in enumerate(zip(inst.agents, xs, base.settled)):
-            if t < len(x):
-                if i != skip and (var := x[t].get(v)) is not None:
-                    found.append(var)
-            elif a.goal == v:
-                found.append(flags[t - (len(x) - 1 - delta)])  # flags start at c_i
-        return found
-
+    occupants = partial(_scanned_occupants, inst, base)
     for t in range(mu + 1):
         for v in range(inst.graph.vertex_count):
             lits = occupants(v, t)
@@ -580,6 +595,31 @@ def test_occupant_index_matches_full_scan(corpus, no_follow):
             assert sorted(artifacts.formula.clauses) == sorted(expected.clauses), (name, xi)
             checked += 1
     assert checked >= 100
+
+
+@pytest.mark.parametrize("mode", [encoder.COMPLETE, encoder.BASIC])
+def test_occupant_index_holds_every_agent_at_every_step(corpus, mode):
+    """In both models, grown slack by slack from 0 to 3 and in one step to
+    slack 3, `occupants[t][v]` holds at every (v, t) exactly the literals a
+    scan of every agent finds there, as a multiset: the basic model keeps
+    the index where no group is posted yet, for a group to read."""
+    checked = 0
+    for name, inst in corpus[::3]:
+        try:
+            cost_lower_bound(inst)
+        except UnsolvableInstanceError:
+            continue
+        stepwise, at_once = encoder.Encoding(inst, mode), encoder.Encoding(inst, mode)
+        at_once.grow(3)
+        for delta in range(4):
+            stepwise.grow(delta)
+            for encoding in (stepwise, at_once) if delta == 3 else (stepwise,):
+                for t, at_t in enumerate(encoding.occupants):
+                    for v in range(inst.graph.vertex_count):
+                        assert (sorted(at_t.get(v, [])) ==
+                                sorted(_scanned_occupants(inst, encoding, v, t))), (name, delta, t, v)
+        checked += 1
+    assert checked >= 75
 
 
 def test_complete_model_attains_a_clean_root_at_the_lower_bound(corpus):

@@ -464,6 +464,23 @@ def test_time_limit_is_reached_on_a_larger_solve(solver):
     assert report.status == EXHAUSTED
 
 
+# generate_random's arguments, the optimal cost and the number of bounds of
+# five open-grid rows from 8x8 to 16x16, where lazy posts capacity groups
+FRONTIER_ROWS = [((8, 8, 20, 1, 1), 114, 7), ((12, 12, 36, 1, 101), 303, 7),
+                 ((16, 16, 4, 1, 101), 52, 1), ((16, 16, 40, 1, 2), 458, 4),
+                 ((12, 12, 30, 1, 105), 233, 6)]
+
+
+@pytest.mark.parametrize("solver", [EAGER, LAZY])
+@pytest.mark.parametrize("args,cost,bounds", FRONTIER_ROWS,
+                         ids=[f"{w}x{h}-k{k}-s{seed}" for (w, h, k, _, seed), _, _ in FRONTIER_ROWS])
+def test_frontier_rows_solve_to_their_pinned_cost(args, cost, bounds, solver):
+    inst = generate_random(*args)
+    report = solve(inst, solver)
+    assert (report.status, report.optimal_cost, len(report.iterations)) == (SOLVED, cost, bounds)
+    assert validate_plan(inst, report.plan) == []
+
+
 # (optimal cost, conflicts of the solve's one CdclSolver, refinements, bounds)
 # for generate_random(4, 4, 7, 1, seed), seeds 100-104; refinements count the
 # clauses lazy posted between solve() calls
