@@ -13,9 +13,14 @@ The sweep fails when
 - a returned plan breaks a rule (`validate_plan`) or does not cost what the
   report says;
 - on a tiny grid, a solve's cost is not the oracle's. Those solves stop at
-  the highest cost bound at which every plan fits the oracle's horizon.
+  the highest cost bound at which every plan fits the oracle's horizon;
+- on a tiny grid with a cardinal lift and an optimal plan from the oracle,
+  an agent's delay in that plan exceeds its budget, (xi* - xi0) - cut_i,
+  where cut_i is the lift less 1 for an agent the lift counted and the lift
+  for any other: the cuts by which the solvers end each agent's diagram.
 
-It prints one line per mismatch, then a sha256 digest of the table of
+It prints one line per mismatch, then the number of budgets checked and of
+those the oracle's plan meets exactly, and a sha256 digest of the table of
 (status, cost, bounds) per instance and setting, so two revisions can be
 compared by their digests, and exits 1 on any mismatch or when the digest
 is not `TABLE_DIGEST`, so a change to any row fails. Standard library only;
@@ -33,7 +38,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from capmapf import generate_random, solve, validate_plan  # noqa: E402
-from capmapf.pathcalc import UnsolvableInstanceError, agent_path_costs  # noqa: E402
+from capmapf.pathcalc import UnsolvableInstanceError, agent_path_costs, cardinal_lift  # noqa: E402
 from capmapf.solvers import EAGER, LAZY, SOLVED, Limits  # noqa: E402
 from capmapf.verify import ORACLE_MAX_HORIZON, OPTIMAL, brute_force_optimal  # noqa: E402
 
@@ -64,8 +69,28 @@ def oracle_ceiling(instance) -> int | None:
     return sum(costs) + ORACLE_MAX_HORIZON - max(costs)
 
 
-def check(name, instance, oracle) -> tuple[list[str], list[str]]:
-    """The instance's table rows and its mismatches."""
+def budget_mismatches(name, instance, best) -> tuple[list[str], int, int]:
+    """Each agent's delay in the oracle's optimal plan `best` against its
+    budget: the mismatches, the budgets checked and those met exactly. None
+    is checked where the lift is 0, as every budget is then the slack."""
+    lift, counted = cardinal_lift(instance)
+    if not lift:
+        return [], 0, 0
+    costs = agent_path_costs(instance)
+    slack = best.cost - sum(costs)
+    bad, exact = [], 0
+    for i, (c, arrival, is_counted) in enumerate(zip(costs, best.plan.arrivals, counted)):
+        budget = slack - (lift - 1 if is_counted else lift)
+        if arrival - c > budget:
+            bad.append(f"{name}: agent {i} is delayed by {arrival - c} in the oracle's plan, "
+                       f"past its budget {budget}")
+        exact += arrival - c == budget
+    return bad, len(costs), exact
+
+
+def check(name, instance, oracle) -> tuple[list[str], list[str], int, int]:
+    """The instance's table rows, its mismatches, and the budgets checked
+    against the oracle and met exactly there."""
     ceiling = oracle_ceiling(instance) if oracle else None
     limits = Limits(time_limit_s=TIME_LIMIT_S, xi_ceiling=ceiling)
     reports = {EAGER: solve(instance, EAGER, limits), LAZY: solve(instance, LAZY, limits),
@@ -84,6 +109,7 @@ def check(name, instance, oracle) -> tuple[list[str], list[str]]:
         if r.status == SOLVED and (validate_plan(instance, r.plan)
                                    or r.plan.sum_of_costs != r.optimal_cost):
             bad.append(f"{name}: {setting} returns a plan that breaks a rule or its cost")
+    budgets = exact = 0
     if oracle:
         best = brute_force_optimal(instance, ORACLE_MAX_HORIZON)
         expected = best.cost if best.status == OPTIMAL and best.cost <= ceiling else None
@@ -91,19 +117,25 @@ def check(name, instance, oracle) -> tuple[list[str], list[str]]:
             if reports[setting].optimal_cost != expected:
                 bad.append(f"{name}: {setting} costs {reports[setting].optimal_cost}, "
                            f"the oracle {expected}")
-    return rows, bad
+        if best.status == OPTIMAL:
+            over, budgets, exact = budget_mismatches(name, instance, best)
+            bad += over
+    return rows, bad, budgets, exact
 
 
 def main() -> int:
     digest = hashlib.sha256()
-    mismatches = instances = 0
+    mismatches = instances = budgets = exact = 0
     for name, instance, oracle in sweep_instances():
-        rows, bad = check(name, instance, oracle)
+        rows, bad, checked, met = check(name, instance, oracle)
         digest.update("".join(row + "\n" for row in rows).encode())
         for line in bad:
             print(f"MISMATCH {line}")
         mismatches += len(bad)
         instances += 1
+        budgets += checked
+        exact += met
+    print(f"{budgets} agents' budgets checked against the oracle, {exact} met exactly")
     print(f"{instances} instances, {mismatches} mismatches, table sha256 {digest.hexdigest()}")
     if digest.hexdigest() != TABLE_DIGEST:
         print(f"MISMATCH table sha256, expected {TABLE_DIGEST}")

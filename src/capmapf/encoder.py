@@ -15,10 +15,13 @@ node of agent i's diagram, or an auxiliary one (settled flags, the cost
 bound's running-sum registers, the capacity and no-follow counters).
 A move u->v between t and t+1 is the pair x_i(u,t), x_i(v,t+1), so no
 diagram arc has a variable of its own. settled_i[t], from agent i's
-shortest-path length c_i up to the longest diagram's horizon, means agent i
-is at its goal from step t on. Agent i's diagram ends at its arrival step;
-after it the agent is settled, and its settled flag stands in for it where
-the capacity and no-follow clauses count the agents at its goal.
+shortest-path length c_i up to the horizon max_j c_j + delta, means agent i
+is at its goal from step t on. Agent i's diagram ends at its arrival step
+c_i + delta - cut_i (see `mdd`): its cost budget is the slack less the
+delays the other agents are proven to take, cut_i, 0 unless the solve loop
+gives the encoding its cuts. After its arrival step the agent is settled,
+and its settled flag stands in for it where the capacity and no-follow
+clauses count the agents at its goal.
 
 Two modes, which differ only in when the inter-agent rules are posted: the
 complete model posts them all (swap prohibition and per-vertex capacity
@@ -33,9 +36,11 @@ per agent through true nodes, back from its goal, along the predecessor
 clauses. The swap, capacity, no-follow and conflict clauses hold vertex
 variables only negatively, so they hold for any such walk; the walk waits at
 its goal wherever that node is true, so it costs no more than the cost bound
-charged. Every valid plan of cost <= xi has each agent home for good by its
-arrival step, so its nodes and settled steps set true and all others false
-are still a model, and an UNSAT bound still proves that no plan fits it.
+charged. In every valid plan of cost <= xi the delays add up to at most
+delta and the agents other than i take at least cut_i of them, so each
+agent is home for good by its arrival step; the plan's nodes and settled
+steps set true and all others false are still a model, and an UNSAT bound
+still proves that no plan fits it.
 """
 
 from __future__ import annotations
@@ -74,15 +79,22 @@ class Encoding:
     The encoding also keeps which agents move along each edge at each step
     for the complete model's swap clauses, and the moves into each (v, t)
     for the no-follow rule.
+
+    `cuts[i]`, 0 for every agent by default, is a lower bound on the delays
+    of the agents other than i together in every valid plan; agent i's
+    diagram then ends at c_i + delta - cuts[i], and no slack below a cut
+    can be grown.
     """
 
-    def __init__(self, instance: Instance, mode: str, no_follow: bool = False):
+    def __init__(self, instance: Instance, mode: str, no_follow: bool = False,
+                 cuts: list[int] | None = None):
         if no_follow and mode != COMPLETE:
             raise ValueError("no-follow is only encoded in the complete model")
         self.instance = instance
         self.mode = mode
         self.no_follow = no_follow
         self.costs = agent_path_costs(instance)
+        self.cuts = list(cuts) if cuts else [0] * instance.k
         self.delta = -1
         self.formula = CnfFormula()
         self.xs: VertexVars = [[] for _ in instance.agents]
@@ -103,12 +115,12 @@ class Encoding:
 
     def bound_literals(self, delta: int) -> list[int]:
         """The literals that hold the encoding to slack `delta`, at most the
-        grown one: each agent settled by its arrival step c_i + delta, and
-        the running sum of the delays below delta + 1. At the grown slack
-        they are the bound's own literals: the solve loop's assumptions, a
-        standalone encoding's units."""
+        grown one and at least every cut: each agent settled by its arrival
+        step c_i + delta - cut_i, and the running sum of the delays below
+        delta + 1. At the grown slack they are the bound's own literals: the
+        solve loop's assumptions, a standalone encoding's units."""
         top = self.sums[-1] if self.sums else [-s for s in self.settled[0]]
-        return [flags[delta] for flags in self.settled] + [-top[delta]]
+        return [flags[delta - cut] for flags, cut in zip(self.settled, self.cuts)] + [-top[delta]]
 
     def plan_literals(self, plan: Plan) -> list[int]:
         """The literals that put `plan` on the diagrams: each agent's node at
@@ -116,7 +128,7 @@ class Encoding:
         settled flags from its arrival step on. With every other vertex
         variable false this is the model `extract_plan` decodes back to the
         plan padded to the horizon. Raises KeyError for a plan that does not
-        fit the grown slack."""
+        fit the grown diagrams."""
         literals = []
         for a, c, x, flags, path, arrival in zip(self.instance.agents, self.costs, self.xs,
                                                  self.settled, plan.paths, plan.arrivals):
@@ -134,7 +146,7 @@ class Encoding:
         instance, formula = self.instance, self.formula
         formula.clauses = []
         old_mu = len(self.occupants) - 1
-        mdds = build_all_mdds(instance, delta, self.delta)
+        mdds = build_all_mdds(instance, delta, self.delta, self.cuts)
         self.occupants += [{} for _ in range(max(self.costs) + delta - old_mu)]
         _allocate_route_vars(formula, mdds, self.xs)
         _encode_routes(formula, instance, mdds, self.xs)
@@ -159,18 +171,24 @@ class Encoding:
         node; then each new node and each new flag past its agent's arrival
         step joins the occupants of its vertex. A goal node where the
         agent's flag stood before takes its place, so the agent still counts
-        once. Returns the new literals per (t, v) of a grouped vertex."""
+        once. Returns the new literals per (t, v) of a grouped vertex.
+
+        Each agent has its own arrival step, c_i + delta - cut_i. Before the
+        first growth its old one is taken as c_i - 1, the last step of the
+        empty diagram, not c_i - 1 - cut_i, so that no flag is read below
+        c_i."""
         formula, occupants, grouped = self.formula, self.occupants, self.grouped
         fresh: dict[tuple[int, int], list[int]] = {}
         mu = len(occupants) - 1
-        for a, c, m, x, flags in zip(self.instance.agents, self.costs, mdds, self.xs, self.settled):
-            old_arrival, goal = c + self.delta, a.goal
+        for a, c, cut, m, x, flags in zip(self.instance.agents, self.costs, self.cuts, mdds,
+                                          self.xs, self.settled):
+            old_arrival, arrival, goal = max(c + self.delta - cut, c - 1), c + delta - cut, a.goal
             for t in range(c + len(flags), mu + 1):
                 flag = formula.allocate()
                 if flags:
                     formula.add([-flags[-1], flag])
                 flags.append(flag)
-            for t in range(old_arrival + 1, c + delta + 1):
+            for t in range(old_arrival + 1, arrival + 1):
                 formula.add([-flags[t - c], x[t][goal]])
             for t, level in enumerate(m.levels):
                 at_t, here = occupants[t], x[t]
@@ -183,7 +201,7 @@ class Encoding:
                         at_t.setdefault(v, []).append(var)
                     if v in grouped:
                         fresh.setdefault((t, v), []).append(var)
-            for t in range(max(c + delta, old_mu) + 1, mu + 1):
+            for t in range(max(arrival, old_mu) + 1, mu + 1):
                 occupants[t].setdefault(goal, []).append(flags[t - c])
                 if goal in grouped:
                     fresh.setdefault((t, goal), []).append(flags[t - c])

@@ -2,27 +2,31 @@
 agent's own cost budget.
 
 At cost bound xi = xi0 + delta, where xi0 is the sum of the agents'
-shortest-path lengths c_j and delta the cost slack, agent i must reach its
-goal for the last time by its arrival step c_i + delta: in a plan of
-sum-of-costs <= xi every other agent j pays at least c_j, so agent i pays at
-most c_i + delta. Agent i's diagram ends at that step, and level t keeps
-vertex v iff the start reaches v within t steps and v reaches the goal by
-the arrival step; the last level holds only the goal. After its arrival step
-the agent stays at its goal, so a plan runs on to the longest diagram's
-horizon mu = max_j c_j + delta with every shorter path padded at its goal.
+shortest-path lengths c_j and delta the cost slack, every plan of
+sum-of-costs <= xi has delays d_j (agent j pays c_j + d_j) that add up to at
+most delta. Where the other agents are proven to be delayed by at least
+cut_i in all (`pathcalc.cardinal_lift`, the cuts of `solvers.solve`), d_i <=
+delta - cut_i, so agent i must reach its goal for the last time by its
+arrival step c_i + delta - cut_i; a cut of 0, the default, leaves it the
+whole slack. Agent i's diagram ends at that step, and level t keeps vertex v
+iff the start reaches v within t steps and v reaches the goal by the
+arrival step; the last level holds only the goal. After its arrival step
+the agent stays at its goal, so a plan runs on to the horizon mu = max_j c_j
++ delta with every shorter path padded at its goal.
 
 The diagram at slack delta contains the one at delta - 1: it adds exactly
-the nodes (v, c_i + delta - d_goal(v)) with d_start(v) + d_goal(v) <= c_i +
-delta, and the arcs into them. A node's arcs in never change, and every arc
-out of a new node leads to a new node, so an encoding grown bound by bound
-only ever adds (`build_all_mdds(..., since=)`), from slack -1, whose
-diagrams are empty as d_start(v) + d_goal(v) >= c_i.
+the nodes (v, c_i + delta - cut_i - d_goal(v)) with d_start(v) + d_goal(v)
+<= c_i + delta - cut_i, and the arcs into them. A node's arcs in never
+change, and every arc out of a new node leads to a new node, so an encoding
+grown bound by bound only ever adds (`build_all_mdds(..., since=)`), from
+slack -1, whose diagrams are empty as d_start(v) + d_goal(v) >= c_i.
 
 A vertex's detour e(v) = d_start(v) + d_goal(v) - c_i is the first slack
-whose diagram has it, so a growth from slack delta' to delta visits only
-the vertices of the agent's detour buckets 0..delta (`Instance.detours`),
-never the rest of the map: each gains the levels max(d_start(v), c_i +
-delta' - d_goal(v) + 1) to c_i + delta - d_goal(v).
+past the cut whose diagram has it, so a growth from slack delta' to delta
+visits only the vertices of the agent's detour buckets 0..delta - cut_i
+(`Instance.detours`), never the rest of the map: each gains the levels
+max(d_start(v), c_i + delta' - cut_i - d_goal(v) + 1) to c_i + delta -
+cut_i - d_goal(v).
 """
 
 from __future__ import annotations
@@ -106,18 +110,21 @@ def _diagram(agent: int, goal: int, arrival: int, from_start: tuple[int, ...],
     return Mdd(tuple(map(tuple, levels)), tuple(arcs))
 
 
-def build_all_mdds(instance: Instance, delta: int, since: int = -1) -> list[Mdd]:
+def build_all_mdds(instance: Instance, delta: int, since: int = -1,
+                   cuts: list[int] | None = None) -> list[Mdd]:
     """Every agent's diagram at cost slack delta: agent i's ends at its
-    arrival step c_i + delta. Built from `Instance.distances` and
-    `Instance.detours`.
+    arrival step c_i + delta - cuts[i], each cut 0 by default. Built from
+    `Instance.distances` and `Instance.detours`; raises EmptyMddError where
+    a cut exceeds delta.
 
     Each diagram holds only its growth over the slack-`since` one, whose
     default -1 is the empty diagram: the new nodes and the arcs into them,
     which are all the arcs it gained."""
     costs = agent_path_costs(instance)
     closed = instance.graph.closed_neighbourhoods
+    cuts = cuts or [0] * instance.k
     return [
-        _diagram(i, a.goal, c + delta, from_start, to_goal, detours, closed, c + since)
-        for i, (a, c, (from_start, to_goal), detours) in enumerate(
-            zip(instance.agents, costs, instance.distances, instance.detours))
+        _diagram(i, a.goal, c + delta - cut, from_start, to_goal, detours, closed, c + since - cut)
+        for i, (a, c, cut, (from_start, to_goal), detours) in enumerate(
+            zip(instance.agents, costs, cuts, instance.distances, instance.detours))
     ]

@@ -88,9 +88,10 @@ def cost_lower_bound(instance: Instance) -> int:
     return sum(agent_path_costs(instance))
 
 
-def cardinal_lift(instance: Instance) -> int:
+def cardinal_lift(instance: Instance) -> tuple[int, list[bool]]:
     """A count of agents that must be delayed, read off the slack-0
-    diagrams: every valid plan costs at least `cost_lower_bound` plus this.
+    diagrams, and per agent whether a counted group holds it: every valid
+    plan costs at least `cost_lower_bound` plus the count.
 
     Agent i's forced node at step t <= c_i is the one vertex of its shortest
     paths at distance t from its start, where only one is; for c_i < t <=
@@ -103,7 +104,11 @@ def cardinal_lift(instance: Instance) -> int:
     counts all m; a forced move u -> v at step t that meets another's forced
     move v -> u at the same step is a swap at any capacity, so it adds 1 and
     counts both. The counted groups are disjoint and each agent's delay is
-    an integer, so their delays add up to at least the lift.
+    an integer, so their delays add up to at least the lift. Without agent
+    i its group, if any, counts exactly 1 less (a node group of m - 1 agents
+    over cap(v) still adds m - 1 - cap(v) >= 0, a swap pair nothing), so the
+    other agents' delays add up to at least the lift - 1 for a counted
+    agent and the lift for any other: the per-agent cuts of `solve`.
 
     Each agent's shortest paths run through the vertices of its detour-0
     bucket (`Instance.detours`), the slack-0 diagram's, so the lift reads
@@ -146,7 +151,7 @@ def cardinal_lift(instance: Instance) -> int:
             if j is not None:
                 lift += 1
                 counted[i] = counted[j] = True
-    return lift
+    return lift, counted
 
 
 def shortest_path_plan(instance: Instance) -> Plan:

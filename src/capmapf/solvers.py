@@ -4,11 +4,16 @@ model, to which `encoder.refine` posts a swap's elimination clause per swap
 conflict and a vertex's capacity group at its first capacity conflict.
 
 The loop starts at the sum-of-costs lower bound xi0, or, once the root plan
-is found unclean, at xi0 plus `pathcalc.cardinal_lift`. One SAT solver and
-one `encoder.Encoding` serve a whole solve. The first bound grows the
-encoding from nothing to its slack and every later bound by one slack step;
-each loads only the clauses it adds, and asks the solver under the bound's
-own literals as assumptions; clauses, learned ones included, carry over to
+is found unclean, at xi0 plus `pathcalc.cardinal_lift`, whose counted
+agents also give each agent a cost budget: at slack delta agent i's diagram
+ends at c_i + delta - cut_i, where cut_i, the lift less 1 for a counted
+agent and the lift for any other, is a lower bound on the other agents'
+delays together. Every plan of cost <= xi keeps to its budget, so an UNSAT
+bound still proves that none fits. One SAT solver and one
+`encoder.Encoding` serve a whole solve. The first bound grows the encoding
+from nothing to its slack and every later bound by one slack step; each
+loads only the clauses it adds, and asks the solver under the bound's own
+literals as assumptions; clauses, learned ones included, carry over to
 every later bound."""
 
 from __future__ import annotations
@@ -110,14 +115,17 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
     capacity or swap conflict it costs the lower bound xi0 and is returned
     as SOLVED without encoding anything, so `iterations` stays empty. An
     unclean root starts the loop at xi0 + `cardinal_lift`, the agents that
-    forced conflicts of the shortest paths must delay, and seeds the first
+    forced conflicts of the shortest paths must delay, cuts each agent's
+    diagrams by the lift's proven delays of the other agents (the lift less
+    1 for an agent it counted, the lift for any other), and seeds the first
     bound's phases (`CdclSolver.prefer`): a decision on one of its nodes or
     settled flags sets it true, so the first descent follows the root's
-    paths where the clauses allow. The lift is computed only then, so a
-    solve the root settles pays nothing for it. The root is neither built
-    nor seeded, and the loop starts at xi0, under no-follow, which
-    `validate_candidate` does not check, or wherever the first bound would
-    not run (past the ceiling or the deadline).
+    paths where the clauses allow; each root path is a shortest path, so it
+    fits its cut diagrams. The lift is computed only then, so a solve the
+    root settles pays nothing for it. The root is neither built nor
+    seeded, no diagram is cut, and the loop starts at xi0, under no-follow,
+    which `validate_candidate` does not check, or wherever the first bound
+    would not run (past the ceiling or the deadline).
 
     The solver names the encoding, complete for eager and basic for lazy.
     The first bound grows it from nothing to its slack, each later bound by
@@ -145,19 +153,21 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
     ceiling = limits.xi_ceiling
     if ceiling is None:
         ceiling = xi0 + instance.graph.vertex_count * instance.k
-    root = None
+    root = cuts = None
     first = xi0
     if not no_follow and xi0 <= ceiling and time.monotonic() < deadline:
         root = instance.root_plan
         if next(_conflicts(instance, root), None) is None:  # the lower bound is attained
             return SolveReport(SOLVED, root, xi0, lower_bound=xi0)
-        first += cardinal_lift(instance)
+        lift, counted = cardinal_lift(instance)
+        first += lift
+        cuts = [lift - 1 if c else lift for c in counted]
     report = SolveReport(EXHAUSTED, lower_bound=first)
     if solver == EAGER:
-        encoding = encoder.Encoding(instance, encoder.COMPLETE, no_follow)
+        encoding = encoder.Encoding(instance, encoder.COMPLETE, no_follow, cuts)
         encode = partial(encoder.encode_complete, instance, no_follow=no_follow, onto=encoding)
     else:
-        encoding = encoder.Encoding(instance, encoder.BASIC)
+        encoding = encoder.Encoding(instance, encoder.BASIC, cuts=cuts)
         encode = partial(encoder.encode_basic, instance, onto=encoding)
     sat = satcore.CdclSolver()
     for xi in range(first, ceiling + 1):

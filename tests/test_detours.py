@@ -49,8 +49,9 @@ def _full_scan_diagram(goal, arrival, from_start, to_goal, closed, since):
 
 
 def _full_scan_lift(instance):
-    """`cardinal_lift` with each agent's shortest-path vertices found by a
-    scan of every vertex, d_start(v) + d_goal(v) == c_i."""
+    """`cardinal_lift`, the lift and the agents it counted, with each
+    agent's shortest-path vertices found by a scan of every vertex,
+    d_start(v) + d_goal(v) == c_i."""
     costs = agent_path_costs(instance)
     mu = max(costs)
     nodes, moves = {}, {}
@@ -83,7 +84,7 @@ def _full_scan_lift(instance):
             if j is not None:
                 lift += 1
                 counted[i] = counted[j] = True
-    return lift
+    return lift, counted
 
 
 @pytest.fixture(scope="module")
@@ -124,12 +125,13 @@ def test_bucketed_growth_matches_a_full_scan(instances):
 
 def test_lift_matches_a_full_scan(instances):
     """On the corpus, the split graphs and the differential sweep's 162 open
-    grids, the lift read off bucket 0 is the full scan's."""
+    grids, the lift read off bucket 0 and the agents it counts are the full
+    scan's."""
     grids = [generate_random(w, w, 4 + s % 6, c, s)
              for w in (4, 5, 6) for c in (1, 2, 3) for s in range(18)]
     lifted = 0
     for name, inst in instances + [(f"grid-{n}", g) for n, g in enumerate(grids)]:
-        lift = cardinal_lift(inst)
-        assert lift == _full_scan_lift(inst), name
+        lift, counted = cardinal_lift(inst)
+        assert (lift, counted) == _full_scan_lift(inst), name
         lifted += lift > 0
     assert lifted >= 50

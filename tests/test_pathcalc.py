@@ -98,7 +98,7 @@ def test_lower_bound_unreachable():
 def test_lift_counts_a_corridor_swap_at_any_capacity(capacity):
     """path_graph(4), agents 0->3 and 3->0: at step 1 each is forced across
     the edge 1-2 against the other. The optimum at capacity 2 is xi0 + 1."""
-    assert cardinal_lift(make_instance(path_graph(4), capacity, [(0, 3), (3, 0)])) == 1
+    assert cardinal_lift(make_instance(path_graph(4), capacity, [(0, 3), (3, 0)])) == (1, [True, True])
 
 
 @pytest.mark.parametrize("capacity, lift", [(1, 1), (2, 0)])
@@ -106,47 +106,62 @@ def test_lift_counts_a_full_vertex(capacity, lift):
     """Two agents across a star, 1->2 and 3->4, are both forced onto the
     centre at step 1; they cross no edge against each other."""
     inst = make_instance(star_graph(4), (capacity, 1, 1, 1, 1), [(1, 2), (3, 4)])
-    assert cardinal_lift(inst) == lift
+    assert cardinal_lift(inst) == (lift, [lift > 0] * 2)
 
 
 def test_lift_counts_the_agents_over_a_capacity():
     """Three agents forced onto the centre of a star at step 1, capacity 2."""
     inst = make_instance(star_graph(6), (2, 1, 1, 1, 1, 1, 1), [(1, 2), (3, 4), (5, 6)])
-    assert cardinal_lift(inst) == 1
+    assert cardinal_lift(inst) == (1, [True, True, True])
 
 
 def test_lift_counts_an_agent_settled_on_a_forced_node():
     """A T: path 0-1-2-3 with 4 hung on 2. Agent 1 goes 4->2 and is home by
     step 1; agent 0 goes 0->3 and is forced through 2 at step 2."""
     graph = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
-    assert cardinal_lift(make_instance(graph, 1, [(0, 3), (4, 2)])) == 1
+    assert cardinal_lift(make_instance(graph, 1, [(0, 3), (4, 2)])) == (1, [True, True])
 
 
 def test_lift_adds_disjoint_groups():
     """Two corridors, each with a swap: the groups share no agent, so their
     delays add."""
     graph = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
-    assert cardinal_lift(make_instance(graph, 1, [(0, 3), (3, 0), (4, 7), (7, 4)])) == 2
+    assert cardinal_lift(make_instance(graph, 1, [(0, 3), (3, 0), (4, 7), (7, 4)])) == (2, [True] * 4)
 
 
 def test_lift_stays_at_or_below_the_optimum(corpus):
     """xi0 + lift <= the oracle's optimum on every corpus instance at its own
     capacity and every higher one up to 3, and the lift is 0 wherever the
-    root plan, which costs xi0, is clean."""
-    checked = lifted = 0
+    root plan, which costs xi0, is clean. Where it lifts, the budgets hold
+    in the oracle's plan: the agents other than i are delayed by at least
+    cut_i together (the lift less 1 for a counted agent, the lift for any
+    other), so agent i by at most (xi* - xi0) - cut_i; some agent meets its
+    budget exactly."""
+    checked = lifted = exact = 0
     for name, inst in corpus:
         for c in range(max(inst.capacities.values), 4):
             variant = Instance(inst.graph, CapacityMap.uniform(inst.graph, c), inst.agents)
-            lift = cardinal_lift(variant)
+            lift, counted = cardinal_lift(variant)
+            assert sum(counted) > lift if lift else not any(counted), (name, c)
             if validate_candidate(variant, variant.root_plan) == []:
                 assert lift == 0, name
                 continue
             oracle = brute_force_optimal(variant, 8)
             if oracle.status == OPTIMAL:
-                assert cost_lower_bound(variant) + lift <= oracle.cost, (name, c)
+                xi0 = cost_lower_bound(variant)
+                assert xi0 + lift <= oracle.cost, (name, c)
                 checked += 1
-                lifted += lift > 0
-    assert checked >= 80 and lifted >= 80
+                if lift == 0:
+                    continue
+                lifted += 1
+                delays = [arrival - from_start[a.goal] for a, arrival, (from_start, _) in zip(
+                    variant.agents, oracle.plan.arrivals, variant.distances)]
+                for i, (d, is_counted) in enumerate(zip(delays, counted)):
+                    cut = lift - 1 if is_counted else lift
+                    assert sum(delays) - d >= cut, (name, c, i)
+                    assert d <= oracle.cost - xi0 - cut, (name, c, i)
+                    exact += d == oracle.cost - xi0 - cut
+    assert checked >= 80 and lifted >= 80 and exact >= 1
 
 
 def test_root_plan_attains_the_lower_bound(corpus):
