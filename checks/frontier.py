@@ -1,6 +1,6 @@
 """The frontier: open-grid rows where the optimum lies above the lower bound
 and a solve takes from a tenth of a second to more than a minute, each
-solved in a fresh `python3 -O` process under a time limit.
+solved with each solver in a fresh `python3 -O` process under a 60-s limit.
 
 Per row and solver it prints one line of key=value fields: the status, the
 cost, the number of cost bounds encoded, `SolveReport.lower_bound` (for a
@@ -12,12 +12,14 @@ its pin, or when a row's process fails. Obstacle rows are left out until
 `generate_random` draws obstacles. Standard library only; it reads the
 package from `src/` next to this directory:
 
-    python3 checks/frontier.py [--seconds 60] [--solver eager|lazy|both] [ROW ...]
+    python3 checks/frontier.py
+
+The pins are the optimal costs that `tests/test_solvers.py` checks its
+frontier rows against.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import resource
 import subprocess
@@ -45,9 +47,10 @@ ROWS = [
     Row("16x16-k60-s2", (16, 16, 60, 1, 2), None),
 ]
 SOLVERS = ("eager", "lazy")
+SECONDS = 60.0  # the time limit of each solve
 
 
-def solve_one(args: list[int], solver: str, seconds: float) -> dict:
+def solve_one(args: list[int], solver: str) -> dict:
     """Solve one row in this process: its report's fields, the solve's wall
     time and the process's peak RSS."""
     sys.path.insert(0, str(SRC))
@@ -56,7 +59,7 @@ def solve_one(args: list[int], solver: str, seconds: float) -> dict:
 
     instance = generate_random(*args)
     started = time.monotonic()
-    report = solve(instance, solver, Limits(time_limit_s=seconds))
+    report = solve(instance, solver, Limits(time_limit_s=SECONDS))
     wall = time.monotonic() - started
     return {"status": report.status, "cost": report.optimal_cost,
             "bounds": len(report.iterations), "lower_bound": report.lower_bound,
@@ -64,17 +67,16 @@ def solve_one(args: list[int], solver: str, seconds: float) -> dict:
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
-def run(rows: list[Row], solvers: list[str], seconds: float) -> int:
+def run(rows: list[Row], solvers: list[str]) -> int:
     """Solve every row with every solver, each in a fresh -O process, print
     a line per solve, and return 1 on a pin mismatch or a failed process."""
     failures = 0
     for row in rows:
         for solver in solvers:
-            command = [sys.executable, "-O", __file__, "--one", solver, str(seconds),
-                       *map(str, row.args)]
+            command = [sys.executable, "-O", __file__, "--one", solver, *map(str, row.args)]
             try:
                 done = subprocess.run(command, capture_output=True, text=True,
-                                      timeout=2 * seconds + 60)
+                                      timeout=2 * SECONDS + 60)
                 result = json.loads(done.stdout) if done.returncode == 0 else {
                     "status": f"failed:{done.returncode}"}
             except subprocess.TimeoutExpired:
@@ -90,26 +92,13 @@ def run(rows: list[Row], solvers: list[str], seconds: float) -> int:
     return 1 if failures else 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seconds", type=float, default=60.0,
-                        help="time limit of each solve (default 60)")
-    parser.add_argument("--solver", choices=[*SOLVERS, "both"], default="both")
-    parser.add_argument("--one", nargs=7, help=argparse.SUPPRESS)  # SOLVER SECONDS W H K C SEED
-    parser.add_argument("rows", nargs="*", metavar="ROW",
-                        help="row names to run (default all): " + ", ".join(r.name for r in ROWS))
-    options = parser.parse_args(argv)
-    if options.one:
-        solver, seconds, *args = options.one
-        print(json.dumps(solve_one([int(a) for a in args], solver, float(seconds))))
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--one"]:  # one solve in this process: --one SOLVER W H K C SEED
+        solver, *args = argv[1:]
+        print(json.dumps(solve_one([int(a) for a in args], solver)))
         return 0
-    unknown = set(options.rows) - {r.name for r in ROWS}
-    if unknown:
-        parser.error(f"unknown rows: {', '.join(sorted(unknown))}")
-    rows = [r for r in ROWS if not options.rows or r.name in options.rows]
-    solvers = list(SOLVERS) if options.solver == "both" else [options.solver]
-    return run(rows, solvers, options.seconds)
+    return run(ROWS, list(SOLVERS))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -1,8 +1,19 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
 from capmapf import Agent, CapacityMap, Graph, Instance, parse_map
+
+
+def load_check(name: str):
+    """A script of `checks/`, loaded as a module by its file path."""
+    path = Path(__file__).resolve().parent.parent / "checks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def path_graph(n: int) -> Graph:

@@ -21,7 +21,7 @@ from capmapf.plans import CAPACITY, SWAP
 from capmapf.solvers import EAGER, EXHAUSTED, LAZY, SOLVED, UNSOLVABLE, Limits
 from capmapf.verify import OPTIMAL
 
-from conftest import cycle_graph, grid3x3, make_instance, p3_swap, path_graph, star_graph
+from conftest import cycle_graph, grid3x3, load_check, make_instance, p3_swap, path_graph, star_graph
 
 
 def test_eager_single_agent():
@@ -466,10 +466,12 @@ def test_time_limit_is_reached_on_a_larger_solve(solver):
 
 
 # generate_random's arguments, the optimal cost and the number of bounds of
-# five open-grid rows from 8x8 to 16x16, where lazy posts capacity groups
-FRONTIER_ROWS = [((8, 8, 20, 1, 1), 114, 7), ((12, 12, 36, 1, 101), 303, 7),
-                 ((16, 16, 4, 1, 101), 52, 1), ((16, 16, 40, 1, 2), 458, 4),
-                 ((12, 12, 30, 1, 105), 233, 6)]
+# five open-grid rows from 8x8 to 16x16, where lazy posts capacity groups;
+# four are rows of checks/frontier.py, whose pins give their costs
+FRONTIER_BOUNDS = {"8x8-k20-s1": 7, "12x12-k36-s101": 7, "16x16-k40-s2": 4, "12x12-k30-s105": 6}
+FRONTIER_ROWS = [(row.args, row.pin, FRONTIER_BOUNDS[row.name])
+                 for row in load_check("frontier").ROWS if row.name in FRONTIER_BOUNDS]
+FRONTIER_ROWS.append(((16, 16, 4, 1, 101), 52, 1))
 
 
 @pytest.mark.parametrize("solver", [EAGER, LAZY])
