@@ -23,12 +23,12 @@ gives the encoding its cuts. After its arrival step the agent is settled,
 and its settled flag stands in for it where the capacity and no-follow
 clauses count the agents at its goal.
 
-Two modes, which differ only in when the inter-agent rules are posted: the
-complete model posts them all (swap prohibition and per-vertex capacity
-cardinality at every step), the basic model none until `refine` maps a
-candidate plan's conflicts to them: a swap's elimination clause, and at a
-vertex's first capacity conflict its capacity group over every step, which
-every later bound extends.
+Eager and lazy differ only in which inter-agent rule groups are posted up
+front: the complete model posts them all (swap prohibition and per-vertex
+capacity cardinality at every step), the basic model none. `refine` posts
+the others once a candidate plan's conflicts show that they bind: a swap's
+elimination clause, and at a vertex's first capacity conflict its capacity
+group over every step, which every later bound extends.
 
 No clause keeps an agent to one vertex per step, so a model may set more of
 an agent's nodes true than one walk uses. `extract_plan` decodes one walk
@@ -71,14 +71,15 @@ class Encoding:
     `formula` numbers every variable of the solve, but its `clauses` hold
     only what the last growth posted (and, in a standalone encoding, what
     was posted after it). Only a standalone encoding labels its variables
-    (`variable_labels`), for DIMACS. In both modes the encoding indexes the
+    (`variable_labels`), for DIMACS. In both models the encoding indexes the
     agents at every (v, t), each by its node or, past its arrival step, by
     its settled flag at its goal: `_settle` alone decides who counts there.
-    `grouped` holds the vertices whose capacity group (e) is posted, every
-    vertex in the complete model, and a growth extends the groups there.
-    The encoding also keeps which agents move along each edge at each step
-    for the complete model's swap clauses, and the moves into each (v, t)
-    for the no-follow rule.
+    `mode` and `no_follow` are kept only as which rule groups are posted up
+    front: `grouped`, the vertices whose capacity group (e) is posted (all
+    in the complete model, none at first in the basic one), which a growth
+    extends; the swap index `moves`, which agents move along each edge at
+    each step, kept in the complete model only (None otherwise); and
+    `entering`, the moves into each (v, t), kept under no-follow only.
 
     `cuts[i]`, 0 for every agent by default, is a lower bound on the delays
     of the agents other than i together in every valid plan; agent i's
@@ -88,11 +89,11 @@ class Encoding:
 
     def __init__(self, instance: Instance, mode: str, no_follow: bool = False,
                  cuts: list[int] | None = None):
+        if mode not in (COMPLETE, BASIC):
+            raise ValueError(f"unknown model {mode!r}")
         if no_follow and mode != COMPLETE:
             raise ValueError("no-follow is only encoded in the complete model")
         self.instance = instance
-        self.mode = mode
-        self.no_follow = no_follow
         self.costs = agent_path_costs(instance)
         self.cuts = list(cuts) if cuts else [0] * instance.k
         self.delta = -1
@@ -102,11 +103,11 @@ class Encoding:
         self.sums: list[list[int]] = [[] for _ in instance.agents[1:]]  # registers R_1..R_{k-1}
         # occupants[t][v]: each agent's literal at (v, t), for every v
         self.occupants: list[dict[int, list[int]]] = []
-        self.grouped: set[int] = (set(range(instance.graph.vertex_count))
-                                  if mode == COMPLETE else set())
+        complete = mode == COMPLETE
+        self.grouped: set[int] = set(range(instance.graph.vertex_count) if complete else ())
         # moves[(t * n + u) * n + v], n vertices: a bit per agent with a diagram arc u -> v
         # from step t, u != v
-        self.moves: dict[int, int] | None = {} if mode == COMPLETE else None
+        self.moves: dict[int, int] | None = {} if complete else None
         # negated[x] = -x, one int object per variable for the swap clauses to share
         self.negated: list[int] = [0]
         # entering[(t, v)]: (agent, [-x(u, t), -x(v, t + 1)]) per diagram arc u -> v, u != v
@@ -340,7 +341,7 @@ def _at_most(formula: CnfFormula, lits: list[int], new: list[int], cap: int) -> 
     return [[-a, -b] for j, b in enumerate(lits) for a in lits[:j] if a in new or b in new]
 
 
-def capacity_group(instance: Instance, encoding: Encoding, vertex: int) -> list[list[int]]:
+def capacity_group(encoding: Encoding, vertex: int) -> list[list[int]]:
     """Group (e) at one vertex, step by step up to the longest diagram's
     horizon, over the occupants `encoding` has indexed there: the clauses a
     complete model grown in one step posts there. The vertex joins
@@ -349,7 +350,7 @@ def capacity_group(instance: Instance, encoding: Encoding, vertex: int) -> list[
     clauses are returned, not added. Every plan that keeps the capacities
     satisfies them, so posting them keeps every plan of cost <= xi."""
     encoding.grouped.add(vertex)
-    cap = instance.capacities[vertex]
+    cap = encoding.instance.capacities[vertex]
     clauses: list[list[int]] = []
     for at_t in encoding.occupants:
         lits = at_t.get(vertex, [])
@@ -357,7 +358,7 @@ def capacity_group(instance: Instance, encoding: Encoding, vertex: int) -> list[
     return clauses
 
 
-def conflict_clause(instance: Instance, xs: VertexVars, conflict: Conflict) -> list[int] | None:
+def conflict_clause(xs: VertexVars, conflict: Conflict) -> list[int] | None:
     """Elimination clause for a recorded swap conflict over the vertex
     variables `xs`: i at u then v while j is at v then u is forbidden. None
     when a node it names is absent from the current diagrams (vacuously
@@ -375,28 +376,29 @@ def conflict_clause(instance: Instance, xs: VertexVars, conflict: Conflict) -> l
     return lits
 
 
-def refine(instance: Instance, encoding: Encoding, conflicts: list[Conflict]) -> list[list[int]]:
+def refine(encoding: Encoding, conflicts: list[Conflict]) -> list[list[int]]:
     """The clauses against `conflicts`, a candidate plan's conflicts in
     `validate_candidate`'s order, in that order: a swap's elimination clause
     (`conflict_clause`), and at a vertex's first capacity conflict its
     capacity group (`capacity_group`), once per call. Raises
-    EncodingSoundnessError for a conflict against a posted rule (any in the
-    complete model, a capacity conflict at a vertex grouped before the call)
-    and for a fresh conflict with no clause, which a plan decoded from the
-    encoding cannot show: its agents are on nodes or settled."""
+    EncodingSoundnessError for a conflict against a group posted before the
+    call, a swap while `encoding` keeps `moves` or a capacity conflict at a
+    vertex in `grouped`, and for a fresh conflict with no clause, which a
+    plan decoded from the encoding cannot show: its agents are on nodes or
+    settled."""
     clauses: list[list[int]] = []
     grouping: set[int] = set()  # the vertices grouped by this call
     for conflict in conflicts:
         capacity = conflict.kind == CAPACITY
         if capacity and conflict.vertex in grouping:
             continue
-        if encoding.mode == COMPLETE or capacity and conflict.vertex in encoding.grouped:
+        if (conflict.vertex in encoding.grouped) if capacity else (encoding.moves is not None):
             raise EncodingSoundnessError(f"conflict against a posted rule: {conflict}")
         if capacity:
             grouping.add(conflict.vertex)
-            new = capacity_group(instance, encoding, conflict.vertex)
+            new = capacity_group(encoding, conflict.vertex)
         else:
-            clause = conflict_clause(instance, encoding.xs, conflict)
+            clause = conflict_clause(encoding.xs, conflict)
             new = [] if clause is None else [clause]
         if not new:
             raise EncodingSoundnessError(f"no clause for fresh conflict {conflict}")
@@ -404,26 +406,28 @@ def refine(instance: Instance, encoding: Encoding, conflicts: list[Conflict]) ->
     return clauses
 
 
+def _encode(encoding: Encoding, xi: int, standalone: bool) -> Encoding:
+    """`encoding` grown to xi, a standalone one with its bound's units and labels."""
+    encoding.grow(cost_slack(encoding.costs, xi))
+    if standalone:
+        encoding.formula.add_all([[lit] for lit in encoding.bound_literals(encoding.delta)])
+        encoding.formula.labels = variable_labels(encoding)
+    return encoding
+
+
 def encode_complete(instance: Instance, xi: int, no_follow: bool = False,
                     onto: Encoding | None = None) -> Encoding:
     """Complete model: satisfiable iff a plan of sum-of-costs <= xi exists.
 
     Without `onto`, a fresh encoding grown to xi, whose formula ends with
-    the bound's literals as unit clauses and labels every variable
-    (`variable_labels`). With `onto`, a complete encoding of a lower bound
-    (or none yet) with this `no_follow`, that encoding grown to xi: its
-    formula holds only the clauses this bound adds, and the bound's literals
-    are left to the caller (`Encoding.bound_literals`)."""
-    if onto is None:
-        encoding = Encoding(instance, COMPLETE, no_follow)
-        encoding.grow(cost_slack(encoding.costs, xi))
-        encoding.formula.add_all([[lit] for lit in encoding.bound_literals(encoding.delta)])
-        encoding.formula.labels = variable_labels(encoding)
-        return encoding
-    if onto.mode != COMPLETE or onto.no_follow != no_follow:
-        raise ValueError("onto is not a complete encoding with this no-follow setting")
-    onto.grow(cost_slack(onto.costs, xi))
-    return onto
+    the bound's literals as unit clauses and labels every variable. With
+    `onto`, a complete encoding of a lower bound (or none yet), grown to xi
+    as it was built, with or without no-follow: its formula holds only the
+    clauses this bound adds, and the bound's literals are left to the caller
+    (`Encoding.bound_literals`). `no_follow` sets up a fresh encoding only."""
+    if onto is not None and onto.moves is None:
+        raise ValueError("onto is not a complete encoding")
+    return _encode(onto or Encoding(instance, COMPLETE, no_follow), xi, onto is None)
 
 
 def encode_basic(instance: Instance, xi: int, onto: Encoding | None = None) -> Encoding:
@@ -433,14 +437,9 @@ def encode_basic(instance: Instance, xi: int, onto: Encoding | None = None) -> E
 
     `onto` is as for `encode_complete`, with a basic encoding, whose
     capacity groups the growth extends."""
-    encoding = Encoding(instance, BASIC) if onto is None else onto
-    if encoding.mode != BASIC:
+    if onto is not None and onto.moves is not None:
         raise ValueError("onto is not a basic encoding")
-    encoding.grow(cost_slack(encoding.costs, xi))
-    if onto is None:
-        encoding.formula.add_all([[lit] for lit in encoding.bound_literals(encoding.delta)])
-        encoding.formula.labels = variable_labels(encoding)
-    return encoding
+    return _encode(onto or Encoding(instance, BASIC), xi, onto is None)
 
 
 def variable_labels(encoding: Encoding) -> list[tuple]:

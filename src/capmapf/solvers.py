@@ -1,7 +1,8 @@
-"""The optimal cost-bound loop, one for both solvers: eager grows the
-complete model, with every inter-agent rule posted up front, lazy the basic
-model, to which `encoder.refine` posts a swap's elimination clause per swap
-conflict and a vertex's capacity group at its first capacity conflict.
+"""The optimal cost-bound loop, one for both solvers, which differ only in
+the inter-agent rule groups posted up front: all of them for eager (the
+complete model), none for lazy (the basic model), where `encoder.refine`
+posts a swap's elimination clause per swap conflict and a vertex's capacity
+group at its first capacity conflict.
 
 The loop starts at the sum-of-costs lower bound xi0, or, once the root plan
 is found unclean, at xi0 plus `pathcalc.cardinal_lift`, whose counted
@@ -21,7 +22,6 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import partial
 
 from . import encoder, satcore
 from .instance import Instance, validate_instance
@@ -127,13 +127,14 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
     which `validate_candidate` does not check, or wherever the first bound
     would not run (past the ceiling or the deadline).
 
-    The solver names the encoding, complete for eager and basic for lazy.
-    The first bound grows it from nothing to its slack, each later bound by
-    one slack step (`onto=`), and each loads its new clauses into the one
-    SAT solver, which answers under the bound's literals as assumptions.
-    Each model decodes to a candidate; a clean one is the optimum, and for
-    any other `encoder.refine`'s clauses are loaded and the bound is asked
-    again. With every rule posted, an eager conflict raises there. The kept
+    The solver names the rule groups the one encoding posts up front, every
+    group for eager and none for lazy. The first bound grows it from nothing
+    to its slack, each later bound by one slack step (`onto=`), and each
+    loads its new clauses into the one SAT solver, which answers under the
+    bound's literals as assumptions. Each model decodes to a candidate; a
+    clean one is the optimum, and for any other `encoder.refine`'s clauses
+    are loaded and the bound is asked again. A conflict against a group
+    posted up front, any conflict under eager, raises there. The kept
     clauses admit every valid plan, so a contradiction among them raises
     EncodingSoundnessError. `SolveReport.lower_bound` follows the loop.
 
@@ -163,19 +164,16 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
         first += lift
         cuts = [lift - 1 if c else lift for c in counted]
     report = SolveReport(EXHAUSTED, lower_bound=first)
-    if solver == EAGER:
-        encoding = encoder.Encoding(instance, encoder.COMPLETE, no_follow, cuts)
-        encode = partial(encoder.encode_complete, instance, no_follow=no_follow, onto=encoding)
-    else:
-        encoding = encoder.Encoding(instance, encoder.BASIC, cuts=cuts)
-        encode = partial(encoder.encode_basic, instance, onto=encoding)
+    mode, encode = ((encoder.COMPLETE, encoder.encode_complete) if solver == EAGER
+                    else (encoder.BASIC, encoder.encode_basic))
+    encoding = encoder.Encoding(instance, mode, no_follow, cuts)
     sat = satcore.CdclSolver()
     for xi in range(first, ceiling + 1):
         started = time.monotonic()
         if started >= deadline:
             return report
         variables = encoding.formula.variable_count
-        encode(xi)
+        encode(instance, xi, onto=encoding)
         if time.monotonic() >= deadline:  # do not load a bound encoded past the deadline
             return report
         sat.reserve(encoding.formula.variable_count)
@@ -195,7 +193,7 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
             if not found:
                 plan = candidate
                 break
-            clauses = encoder.refine(instance, encoding, found)
+            clauses = encoder.refine(encoding, found)
             for clause in clauses:
                 sat.add_clause(clause)
             refinements += len(clauses)

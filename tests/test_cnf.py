@@ -147,7 +147,7 @@ def test_dimacs_rejects_labels_gone_stale():
     inst = generate_random(3, 3, 7, 2, 3)
     encoding = encode_basic(inst, cost_lower_bound(inst))
     f = encoding.formula
-    f.add_all(refine(inst, encoding, validate_candidate(inst, shortest_path_plan(inst))))
+    f.add_all(refine(encoding, validate_candidate(inst, shortest_path_plan(inst))))
     assert (len(f.labels), f.variable_count) == (62, 70)
     with pytest.raises(ValueError, match="62 labels for 70 variables"):
         to_dimacs(f)

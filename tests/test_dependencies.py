@@ -1,4 +1,5 @@
-"""capmapf needs nothing beyond the standard library."""
+"""AST checks over `src/capmapf`: it needs nothing beyond the standard
+library, and it imports no name and takes no parameter that it leaves unread."""
 
 import ast
 import sys
@@ -44,3 +45,22 @@ def test_src_modules_use_every_name_they_import():
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_src_functions_read_every_parameter():
+    """Every parameter of every function and lambda (`self` excepted) is
+    read in its body, so no argument a caller passes is silently ignored."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [args.vararg, args.kwarg] if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {name.id for part in body for name in ast.walk(part)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+            unread += [f"{path.stem}.{getattr(node, 'name', '<lambda>')}: {param}"
+                       for param in params if param != "self" and param not in read]
+    assert unread == []

@@ -76,7 +76,7 @@ def encode_refined(inst, xi, conflicts):
     """A standalone basic encoding with `refine`'s clauses for `conflicts`
     posted after it, relabelled for the counters `refine` allocated."""
     artifacts = encode_basic(inst, xi)
-    artifacts.formula.add_all(encoder.refine(inst, artifacts, conflicts))
+    artifacts.formula.add_all(encoder.refine(artifacts, conflicts))
     artifacts.formula.labels = variable_labels(artifacts)
     return artifacts
 
@@ -96,11 +96,11 @@ def test_refine_posts_a_vertex_group_once_per_call():
     clauses come in the conflicts' order."""
     inst = p3_swap()  # at slack 1, agent 0 can step 0 -> 1 as agent 1 steps 1 -> 0
     artifacts = encode_basic(inst, 5)
-    group = encoder.capacity_group(inst, encode_basic(inst, 5), 1)
+    group = encoder.capacity_group(encode_basic(inst, 5), 1)
     swap = Conflict(SWAP, (0, 1), (0, 1), 1)
-    clauses = encoder.refine(inst, artifacts, [swap, Conflict(CAPACITY, (0, 1), 1, 1),
-                                               Conflict(CAPACITY, (0, 1), 1, 2)])
-    assert group and clauses == [encoder.conflict_clause(inst, artifacts.xs, swap)] + group
+    clauses = encoder.refine(artifacts, [swap, Conflict(CAPACITY, (0, 1), 1, 1),
+                                         Conflict(CAPACITY, (0, 1), 1, 2)])
+    assert group and clauses == [encoder.conflict_clause(artifacts.xs, swap)] + group
     assert artifacts.grouped == {1}
 
 
@@ -108,22 +108,42 @@ def test_refine_of_no_conflict_posts_nothing():
     inst = p3_swap()
     for artifacts in (encode_basic(inst, 4), encode_complete(inst, 4)):
         variables = artifacts.formula.variable_count
-        assert encoder.refine(inst, artifacts, []) == []
+        assert encoder.refine(artifacts, []) == []
         assert artifacts.formula.variable_count == variables
 
 
 def test_refine_rejects_a_conflict_against_a_posted_rule():
-    """The complete model posts every swap and capacity rule, and the basic
-    model a vertex's group once: a conflict against either is a fault."""
+    """`refine` rejects a conflict against a group posted before the call,
+    group by group: the complete model, with or without no-follow, posts
+    every swap and capacity group up front, and the basic model a vertex's
+    group once. A basic encoding with a group still maps a swap conflict to
+    its clause, since it posts no swap rule."""
     inst = p3_swap()
-    complete = encode_complete(inst, 4)
-    for conflict in (Conflict(CAPACITY, (0, 1), 1, 1), Conflict(SWAP, (0, 1), (0, 1), 0)):
-        with pytest.raises(EncodingSoundnessError, match="posted rule"):
-            encoder.refine(inst, complete, [conflict])
-    basic = encode_basic(inst, 4)
-    assert encoder.refine(inst, basic, [Conflict(CAPACITY, (0, 1), 1, 1)])
+    swap = Conflict(SWAP, (0, 1), (0, 1), 1)
+    for complete in (encode_complete(inst, 5), encode_complete(inst, 5, no_follow=True)):
+        for conflict in (Conflict(CAPACITY, (0, 1), 1, 1), swap):
+            with pytest.raises(EncodingSoundnessError, match="posted rule"):
+                encoder.refine(complete, [conflict])
+    basic = encode_basic(inst, 5)
+    assert encoder.refine(basic, [Conflict(CAPACITY, (0, 1), 1, 1)])
     with pytest.raises(EncodingSoundnessError, match="posted rule"):
-        encoder.refine(inst, basic, [Conflict(CAPACITY, (0, 1), 1, 2)])
+        encoder.refine(basic, [Conflict(CAPACITY, (0, 1), 1, 2)])
+    clause = encoder.conflict_clause(basic.xs, swap)
+    assert basic.grouped == {1} and clause and encoder.refine(basic, [swap]) == [clause]
+
+
+def test_encodings_of_the_other_model_are_rejected():
+    """`onto` must be an encoding of the function's own model, only the
+    complete model encodes no-follow, and no other model label is taken."""
+    inst = p3_swap()
+    with pytest.raises(ValueError, match="not a complete encoding"):
+        encode_complete(inst, 4, onto=encoder.Encoding(inst, encoder.BASIC))
+    with pytest.raises(ValueError, match="not a basic encoding"):
+        encode_basic(inst, 4, onto=encoder.Encoding(inst, encoder.COMPLETE))
+    with pytest.raises(ValueError, match="no-follow"):
+        encoder.Encoding(inst, encoder.BASIC, no_follow=True)
+    with pytest.raises(ValueError, match="unknown model 'eager'"):
+        encoder.Encoding(inst, "eager")
 
 
 def test_refine_rejects_a_fresh_conflict_without_a_clause():
@@ -131,10 +151,10 @@ def test_refine_rejects_a_fresh_conflict_without_a_clause():
     # there; a settled agent crosses no edge, so no swap clause names it
     inst = make_instance(path_graph(3), 1, [(0, 2)])
     with pytest.raises(EncodingSoundnessError, match="fresh conflict"):
-        encoder.refine(inst, encode_basic(inst, 2), [Conflict(CAPACITY, (0,), 0, 2)])
+        encoder.refine(encode_basic(inst, 2), [Conflict(CAPACITY, (0,), 0, 2)])
     inst = make_instance(path_graph(4), 1, [(0, 1), (3, 0)])
     with pytest.raises(EncodingSoundnessError, match="fresh conflict"):
-        encoder.refine(inst, encode_basic(inst, cost_lower_bound(inst) + 1),
+        encoder.refine(encode_basic(inst, cost_lower_bound(inst) + 1),
                        [Conflict(SWAP, (0, 1), (1, 2), 2)])
 
 
@@ -149,10 +169,10 @@ def test_capacity_group_past_an_arrival_fixes_the_settled_agent():
     # at its arrival step agent 0 still has a node; after it, agent 0 is
     # settled at its goal and its settled flag for step 3 counts it there
     settled_at_3 = artifacts.settled[0][3 - 1]  # agent 0's flags start at its c_0 = 1
-    assert encoder.capacity_group(inst, artifacts, 1) == [[-xs[0][2][1], -xs[1][2][1]],
-                                                         [-settled_at_3, -xs[1][3][1]]]
+    assert encoder.capacity_group(artifacts, 1) == [[-xs[0][2][1], -xs[1][2][1]],
+                                                   [-settled_at_3, -xs[1][3][1]]]
     # agent 0 is never at vertex 2, so agent 1 is alone there: nothing to post
-    assert encoder.capacity_group(inst, artifacts, 2) == []
+    assert encoder.capacity_group(artifacts, 2) == []
     assert artifacts.formula.variable_count == variables
 
 
@@ -161,7 +181,7 @@ def test_swap_clause_past_an_arrival_is_vacuous():
     # after that step; a swap that names it there has no clause
     inst = make_instance(path_graph(4), 1, [(0, 1), (3, 0)])
     xs = encode_basic(inst, cost_lower_bound(inst) + 1).xs
-    assert encoder.conflict_clause(inst, xs, Conflict(SWAP, (0, 1), (1, 2), 2)) is None
+    assert encoder.conflict_clause(xs, Conflict(SWAP, (0, 1), (1, 2), 2)) is None
 
 
 def test_capacity_groups_are_clauses_of_the_complete_model(corpus):
@@ -187,7 +207,7 @@ def test_capacity_groups_are_clauses_of_the_complete_model(corpus):
         for complete, basic in ((encode_complete(inst, xi0 + 1).formula.clauses,
                                  encode_basic(inst, xi0 + 1)), (posted, grown_basic)):
             groups = [clause for v in range(inst.graph.vertex_count)
-                      for clause in encoder.capacity_group(inst, basic, v)]
+                      for clause in encoder.capacity_group(basic, v)]
             in_complete = {tuple(c) for c in complete}
             assert all(tuple(c) in in_complete for c in groups), name
             checked += bool(groups)
@@ -657,7 +677,7 @@ def _grown_outcomes(inst, mode, no_follow, xis, conflicts=()):
             encode_basic(inst, xi, onto=encoding)
         clauses = list(encoding.formula.clauses)
         if xi == xis[0]:
-            clauses += encoder.refine(inst, encoding, conflicts)
+            clauses += encoder.refine(encoding, conflicts)
         for clause in clauses:
             solver.add_clause(clause)
         result = solver.solve(assumptions=encoding.bound_literals(encoding.delta))

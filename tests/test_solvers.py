@@ -256,8 +256,8 @@ def test_solve_validates_instance(solver):
 def test_lazy_fresh_conflict_without_a_clause_is_an_error(monkeypatch):
     # a conflict of the model just decoded names only diagram nodes, so a
     # missing clause is a fault; skipping it would find the same model again
-    monkeypatch.setattr(encoder, "conflict_clause", lambda instance, xs, conflict: None)
-    monkeypatch.setattr(encoder, "capacity_group", lambda instance, artifacts, vertex: [])
+    monkeypatch.setattr(encoder, "conflict_clause", lambda xs, conflict: None)
+    monkeypatch.setattr(encoder, "capacity_group", lambda artifacts, vertex: [])
     with pytest.raises(encoder.EncodingSoundnessError, match="fresh conflict"):
         solve(generate_random(4, 4, 7, 1, 100), LAZY, Limits(time_limit_s=2))
 
@@ -284,9 +284,9 @@ def test_lazy_agrees_with_eager_at_capacity_two(agents, seed, monkeypatch):
     groups, bounds = [], []
     original_group, original_basic = encoder.capacity_group, encoder.encode_basic
 
-    def counting_group(instance, artifacts, vertex):
+    def counting_group(artifacts, vertex):
         groups[-1].append(vertex)
-        return original_group(instance, artifacts, vertex)
+        return original_group(artifacts, vertex)
 
     def counting_basic(instance, xi, onto=None):
         groups.append([])
