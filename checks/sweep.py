@@ -5,7 +5,8 @@ The instances are the 162 open grids `generate_random(w, w, 4 + s % 6, c, s)`
 for w = 4-6, c = 1-3 and s = 0-17, and 120 crowded tiny grids within the
 brute-force oracle's limits (at most 3 agents, 12 vertices and 8 steps),
 `generate_random(w, h, 3, c, s)` for 2x2, 3x2 and 3x3, c = 1-2 and s = 0-19.
-On 22 of those the root plan is unclean, so the solvers encode a bound.
+On 22 of those the root plan is unclean; the lifted plan settles 3 of them,
+and on the other 19 the solvers encode a bound.
 The sweep fails when
 - eager and lazy differ in status, cost or number of cost bounds;
 - no-follow, which only forbids plans, solves where eager does not or costs
@@ -19,8 +20,10 @@ The sweep fails when
   where cut_i is the lift less 1 for an agent the lift counted and the lift
   for any other: the cuts by which the solvers end each agent's diagram.
 
-It prints one line per mismatch, then the number of budgets checked and of
-those the oracle's plan meets exactly, and a sha256 digest of the table of
+It prints one line per mismatch, then the number of eager and lazy solves
+that the lifted plan settled (`solve` returned a plan above xi0 without
+encoding a bound), the number of budgets checked and of those the oracle's
+plan meets exactly, and a sha256 digest of the table of
 (status, cost, bounds) per instance and setting, so two revisions can be
 compared by their digests, and exits 1 on any mismatch or when the digest
 is not `TABLE_DIGEST`, so a change to any row fails. Standard library only;
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -43,7 +47,7 @@ from capmapf.solvers import EAGER, LAZY, SOLVED, Limits  # noqa: E402
 from capmapf.verify import ORACLE_MAX_HORIZON, OPTIMAL, brute_force_optimal  # noqa: E402
 
 TIME_LIMIT_S = 60.0
-TABLE_DIGEST = "5fe6fe797bf9c069482de08d5b0322b1203044b8e8314bb3f04ad5a70bd3070c"
+TABLE_DIGEST = "b979f4adbf621aa2e7373e2e9d2d19ff75003afdec688c938c3c571db894f648"
 NO_FOLLOW = "no-follow"
 
 
@@ -88,8 +92,9 @@ def budget_mismatches(name, instance, best) -> tuple[list[str], int, int]:
     return bad, len(costs), exact
 
 
-def check(name, instance, oracle) -> tuple[list[str], list[str], int, int]:
-    """The instance's table rows, its mismatches, and the budgets checked
+def check(name, instance, oracle) -> tuple[list[str], list[str], Counter]:
+    """The instance's table rows, its mismatches, and a tally of its eager
+    and lazy solves the lifted plan settled and of the budgets checked
     against the oracle and met exactly there."""
     ceiling = oracle_ceiling(instance) if oracle else None
     limits = Limits(time_limit_s=TIME_LIMIT_S, xi_ceiling=ceiling)
@@ -109,7 +114,9 @@ def check(name, instance, oracle) -> tuple[list[str], list[str], int, int]:
         if r.status == SOLVED and (validate_plan(instance, r.plan)
                                    or r.plan.sum_of_costs != r.optimal_cost):
             bad.append(f"{name}: {setting} returns a plan that breaks a rule or its cost")
-    budgets = exact = 0
+    tally = Counter(settled=sum(
+        r.status == SOLVED and not r.iterations and r.optimal_cost > sum(agent_path_costs(instance))
+        for r in (eager, lazy)))
     if oracle:
         best = brute_force_optimal(instance, ORACLE_MAX_HORIZON)
         expected = best.cost if best.status == OPTIMAL and best.cost <= ceiling else None
@@ -118,24 +125,25 @@ def check(name, instance, oracle) -> tuple[list[str], list[str], int, int]:
                 bad.append(f"{name}: {setting} costs {reports[setting].optimal_cost}, "
                            f"the oracle {expected}")
         if best.status == OPTIMAL:
-            over, budgets, exact = budget_mismatches(name, instance, best)
+            over, tally["budgets"], tally["exact"] = budget_mismatches(name, instance, best)
             bad += over
-    return rows, bad, budgets, exact
+    return rows, bad, tally
 
 
 def main() -> int:
     digest = hashlib.sha256()
-    mismatches = instances = budgets = exact = 0
+    mismatches = instances = 0
+    tally = Counter()
     for name, instance, oracle in sweep_instances():
-        rows, bad, checked, met = check(name, instance, oracle)
+        rows, bad, counts = check(name, instance, oracle)
         digest.update("".join(row + "\n" for row in rows).encode())
         for line in bad:
             print(f"MISMATCH {line}")
         mismatches += len(bad)
         instances += 1
-        budgets += checked
-        exact += met
-    print(f"{budgets} agents' budgets checked against the oracle, {exact} met exactly")
+        tally.update(counts)
+    print(f"{tally['settled']} eager and lazy solves settled by the lifted plan, without a bound")
+    print(f"{tally['budgets']} agents' budgets checked against the oracle, {tally['exact']} met exactly")
     print(f"{instances} instances, {mismatches} mismatches, table sha256 {digest.hexdigest()}")
     if digest.hexdigest() != TABLE_DIGEST:
         print(f"MISMATCH table sha256, expected {TABLE_DIGEST}")

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from .pathcalc import (AgentDetours, AgentDistances, agent_detours, agent_distances,
-                       prioritized_root_plan)
+                       prioritized_plan, shortest_path_plan)
 from .plans import Plan
 
 PASSABLE_CHARS = frozenset(".G")
@@ -167,11 +167,13 @@ class Instance:
     def root_plan(self) -> Plan:
         """Each agent's shortest path, padded at its goal, planned in
         priority order to keep clear of the capacities and swaps of the
-        agents before it (`prioritized_root_plan`): a plan that costs the
+        agents before it (`prioritized_plan` at budget 0), or where that
+        finds none the independent BFS paths (`shortest_path_plan`), whose
+        conflicts send the solve to its first bound: a plan that costs the
         sum-of-costs lower bound and, when it has no conflict, is optimal.
         Computed on first use, once per instance, so the reports of repeated
         solves share it."""
-        return prioritized_root_plan(self)
+        return prioritized_plan(self, 0) or shortest_path_plan(self)
 
 
 def _grid_graph(width: int, height: int, passable: list[bool]) -> Graph:

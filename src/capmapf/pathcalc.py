@@ -1,7 +1,10 @@
 """Unweighted shortest-path distances and the detour buckets they give, the
 sum-of-costs lower bound and a lift over it by forced conflicts, and the
-root plans of shortest paths that attain the bound: independent BFS paths,
-and prioritized paths that keep clear of each other's capacities and swaps."""
+plans that can meet those bounds without SAT: independent BFS paths, and one
+prioritized planner that keeps each agent clear of the capacities and swaps
+of the agents before it within a total delay budget. At budget 0 it gives
+the root plan, which attains the lower bound; at the lift's budget a plan
+it finds attains the lifted bound."""
 
 from __future__ import annotations
 
@@ -155,9 +158,10 @@ def cardinal_lift(instance: Instance) -> tuple[int, list[bool]]:
 
 
 def shortest_path_plan(instance: Instance) -> Plan:
-    """The root plan: each agent's BFS shortest path, taking the lowest-id
-    vertex one step nearer its goal at every step, padded at its goal to a
-    common length. Its sum of costs is `cost_lower_bound`."""
+    """The independent BFS paths, the root plan where prioritized planning
+    finds none: each agent's BFS shortest path, taking the lowest-id vertex
+    one step nearer its goal at every step, padded at its goal to a common
+    length. Its sum of costs is `cost_lower_bound`."""
     adjacency = instance.graph.adjacency
     paths = []
     for a, (_, to_goal) in zip(instance.agents, instance.distances):
@@ -172,78 +176,93 @@ def shortest_path_plan(instance: Instance) -> Plan:
     return Plan(tuple(tuple(p + [p[-1]] * (mu - len(p))) for p in paths))
 
 
-def prioritized_root_plan(instance: Instance) -> Plan:
-    """The root plan: shortest paths planned one agent at a time against a
-    reservation table, so that the plan attains the sum-of-costs lower bound
-    without breaking a capacity or swap rule whenever this finds one.
+def prioritized_plan(instance: Instance, budget: int) -> Plan | None:
+    """A plan that delays the agents by at most `budget` steps in total over
+    their shortest-path lengths and breaks no capacity or swap rule, planned
+    one agent at a time against a reservation table; None where this finds
+    none. Its cost is at most `cost_lower_bound` + budget, so where that sum
+    is a proven lower bound a plan from here is optimal.
 
-    Agents go in priority order, at first by id. Each takes the lowest-id
-    shortest-path continuation that keeps every (vertex, step) it occupies,
-    its goal up to the common length max_j c_j included, below the vertex's
-    capacity among the agents already placed, and that never moves against
-    one of their moves on the same edge at the same step. An agent with no
-    such path moves to the front of the order and the build restarts; an
-    agent that moved once and fails again ends the search, and the result is
-    `shortest_path_plan`, whose conflicts send the solve to its first bound.
-    Where the paths of `shortest_path_plan` are clean, the first order
-    returns them."""
+    Agents go in priority order, at first by id. Each takes the earliest
+    arrival A at most c_i plus the budget still left at which it has a clear
+    walk: one through its diagram nodes of arrival A, from_start[v] <= t <=
+    A - to_goal[v], waits included, that keeps every (vertex, step) it
+    occupies, its goal from A up to the horizon max_j c_j + budget included,
+    below the vertex's capacity among the agents already placed, and never
+    moves against one of their moves on the same edge at the same step. Of
+    those walks it takes the one that steps to the lowest-id vertex first.
+    An agent with none moves to the front of the order and the build
+    restarts with the whole budget; an agent that moved once and fails
+    again ends the search. At budget 0 the diagrams hold only shortest
+    paths, so every agent keeps to one: the root plan (`Instance.root_plan`)
+    attains the lower bound, and where the paths of `shortest_path_plan` are
+    clean the first order returns them."""
     order = list(range(instance.k))
     moved = set()
     while True:
-        paths = _reserve_in_order(instance, order)
+        paths = _reserve_in_order(instance, order, budget)
         if isinstance(paths, list):
             return Plan(tuple(paths))
         if paths in moved:
-            return shortest_path_plan(instance)
+            return None
         moved.add(paths)
         order.remove(paths)
         order.insert(0, paths)
 
 
-def _reserve_in_order(instance: Instance, order: list[int]) -> list[tuple[int, ...]] | int:
-    """Each agent's clear shortest path, padded at its goal to the common
-    length, planned in `order`; or the first agent that has none.
+def _reserve_in_order(instance: Instance, order: list[int],
+                      budget: int) -> list[tuple[int, ...]] | int:
+    """Each agent's clear walk at its earliest arrival, padded at its goal to
+    the horizon max_j c_j + budget, planned in `order` within the budget; or
+    the first agent that has none.
 
-    An agent's path is a depth-first search over its shortest paths that
-    tries successors lowest id first and remembers each (vertex, step) with
-    no clear way on, so it visits each of them once at most. It finds the
-    path that a backward pass keeping the vertices with a clear way to the
+    At each arrival in turn, from the first after which its goal stays
+    clear, an agent's walk is a depth-first search over its diagram nodes
+    that tries successors lowest id first and remembers each (vertex, step)
+    with no clear way on, so it visits each of them once at most. It finds
+    the walk that a backward pass keeping the nodes with a clear way to the
     goal, then a forward walk to the lowest-id clear successor, would find,
-    and when nothing blocks the lowest-id path it takes one step per step."""
-    adjacency = instance.graph.adjacency
+    and when nothing blocks the lowest-id walk it takes one step per step."""
+    neighbourhoods = instance.graph.closed_neighbourhoods
     caps = instance.capacities.values
     n = instance.graph.vertex_count
     costs = agent_path_costs(instance)
-    mu = max(costs)
-    occupants = [0] * ((mu + 1) * n)  # t * n + v: agents placed at v at step t
+    horizon = max(costs) + budget
+    occupants = [0] * ((horizon + 1) * n)  # t * n + v: agents placed at v at step t
     moves: set[int] = set()  # (t * n + u) * n + v: a placed agent moves u -> v at step t
     paths: list[tuple[int, ...]] = [()] * instance.k
+    left = budget
     for i in order:
         a, (_, to_goal), c = instance.agents[i], instance.distances[i], costs[i]
         goal = a.goal
-        if any(occupants[t * n + goal] >= caps[goal] for t in range(c, mu + 1)):
+        blocked = max((t for t in range(c, horizon + 1) if occupants[t * n + goal] >= caps[goal]),
+                      default=c - 1)
+        for arrival in range(blocked + 1, c + left + 1):
+            path = [a.start]  # step 0 is clear: the instance's starts fit their capacities
+            successors = [iter(neighbourhoods[a.start])]
+            dead = set()  # t * n + v: no clear way on from v at step t
+            while path and len(path) <= arrival:
+                t = len(path) - 1
+                base, here, room = (t + 1) * n, path[-1], arrival - t - 1
+                for u in successors[-1]:
+                    if (to_goal[u] <= room and occupants[base + u] < caps[u] and base + u not in dead
+                            and (t * n + u) * n + here not in moves):
+                        path.append(u)
+                        successors.append(iter(neighbourhoods[u]))
+                        break
+                else:
+                    dead.add(t * n + path.pop())
+                    successors.pop()
+            if path:
+                break
+        else:
             return i
-        path = [a.start]  # step 0 is clear: the instance's starts fit their capacities
-        successors = [iter(adjacency[a.start])]
-        dead = set()  # t * n + v: no clear way on from v at step t
-        while len(path) <= c:
-            t = len(path) - 1
-            base, here, nearer = (t + 1) * n, path[-1], c - t - 1
-            for u in successors[-1]:
-                if (to_goal[u] == nearer and occupants[base + u] < caps[u] and base + u not in dead
-                        and (t * n + u) * n + here not in moves):
-                    path.append(u)
-                    successors.append(iter(adjacency[u]))
-                    break
-            else:
-                dead.add(t * n + path.pop())
-                successors.pop()
-                if not path:
-                    return i
-        path += [goal] * (mu - c)
+        left -= arrival - c
+        path += [goal] * (horizon - arrival)
         for t, v in enumerate(path):
             occupants[t * n + v] += 1
-        for t in range(c):
-            moves.add((t * n + path[t]) * n + path[t + 1])
+        for t in range(arrival):
+            if path[t] != path[t + 1]:
+                moves.add((t * n + path[t]) * n + path[t + 1])
         paths[i] = tuple(path)
     return paths

@@ -4,13 +4,16 @@ complete model), none for lazy (the basic model), where `encoder.refine`
 posts a swap's elimination clause per swap conflict and a vertex's capacity
 group at its first capacity conflict.
 
-The loop starts at the sum-of-costs lower bound xi0, or, once the root plan
-is found unclean, at xi0 plus `pathcalc.cardinal_lift`, whose counted
-agents also give each agent a cost budget: at slack delta agent i's diagram
-ends at c_i + delta - cut_i, where cut_i, the lift less 1 for a counted
-agent and the lift for any other, is a lower bound on the other agents'
-delays together. Every plan of cost <= xi keeps to its budget, so an UNSAT
-bound still proves that none fits. One SAT solver and one
+Before the loop, plans that meet a proven lower bound are tried without
+SAT: the root plan at xi0, and, where the root is unclean, a prioritized
+plan that delays the agents by at most `pathcalc.cardinal_lift` steps in
+total (`pathcalc.prioritized_plan`) at xi0 plus the lift. The loop starts
+at xi0, or at that lifted bound once the root is found unclean, and the
+lift's counted agents also give each agent a cost budget: at slack delta
+agent i's diagram ends at c_i + delta - cut_i, where cut_i, the lift less
+1 for a counted agent and the lift for any other, is a lower bound on the
+other agents' delays together. Every plan of cost <= xi keeps to its
+budget, so an UNSAT bound still proves that none fits. One SAT solver and one
 `encoder.Encoding` serve a whole solve. The first bound grows the encoding
 from nothing to its slack and every later bound by one slack step; each
 loads only the clauses it adds, and asks the solver under the bound's own
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 from . import encoder, satcore
 from .instance import Instance, validate_instance
-from .pathcalc import UnsolvableInstanceError, cardinal_lift, cost_lower_bound
+from .pathcalc import UnsolvableInstanceError, cardinal_lift, cost_lower_bound, prioritized_plan
 from .plans import CAPACITY, SWAP, Conflict, Plan
 
 SOLVED = "solved"
@@ -34,6 +37,11 @@ UNSOLVABLE = "unsolvable"
 
 EAGER = "eager"
 LAZY = "lazy"
+
+
+class LiftSoundnessError(AssertionError):
+    """A clean plan that costs less than xi0 plus `cardinal_lift`, which
+    should be a lower bound on every valid plan's cost."""
 
 
 @dataclass(frozen=True)
@@ -114,18 +122,25 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
     the capacities and swaps of the agents before it. When it has no
     capacity or swap conflict it costs the lower bound xi0 and is returned
     as SOLVED without encoding anything, so `iterations` stays empty. An
-    unclean root starts the loop at xi0 + `cardinal_lift`, the agents that
-    forced conflicts of the shortest paths must delay, cuts each agent's
-    diagrams by the lift's proven delays of the other agents (the lift less
-    1 for an agent it counted, the lift for any other), and seeds the first
-    bound's phases (`CdclSolver.prefer`): a decision on one of its nodes or
-    settled flags sets it true, so the first descent follows the root's
-    paths where the clauses allow; each root path is a shortest path, so it
-    fits its cut diagrams. The lift is computed only then, so a solve the
-    root settles pays nothing for it. The root is neither built nor
-    seeded, no diagram is cut, and the loop starts at xi0, under no-follow,
-    which `validate_candidate` does not check, or wherever the first bound
-    would not run (past the ceiling or the deadline).
+    unclean root gives the lower bound xi0 + `cardinal_lift`, the agents that
+    forced conflicts of the shortest paths must delay. Where the lift is
+    positive and the first bound would run, the prioritized planner is asked
+    for a plan that delays the agents by at most the lift in total
+    (`prioritized_plan`); a clean one costs at most that bound, so it is
+    returned as SOLVED at xi0 + lift, again with no iterations, and one that
+    costs less raises LiftSoundnessError, as the lift is then not a lower
+    bound. The plan is made on every such solve, not cached. Otherwise the
+    loop starts at the lifted bound, cuts each agent's diagrams by the
+    lift's proven delays of the other agents (the lift less 1 for an agent
+    it counted, the lift for any other), and seeds the first bound's phases
+    (`CdclSolver.prefer`): a decision on one of its nodes or settled flags
+    sets it true, so the first descent follows the root's paths where the
+    clauses allow; each root path is a shortest path, so it fits its cut
+    diagrams. The lift is computed only then, so a solve the root settles
+    pays nothing for it. Under no-follow, which `validate_candidate` does
+    not check, or wherever the first bound would not run (past the ceiling
+    or the deadline), the root is neither built nor seeded, no lifted plan
+    is made, no diagram is cut, and the loop starts at xi0.
 
     The solver names the rule groups the one encoding posts up front, every
     group for eager and none for lazy. The first bound grows it from nothing
@@ -163,6 +178,13 @@ def solve(instance: Instance, solver: str = EAGER, limits: Limits | None = None,
         lift, counted = cardinal_lift(instance)
         first += lift
         cuts = [lift - 1 if c else lift for c in counted]
+        if lift and first <= ceiling and time.monotonic() < deadline:
+            plan = prioritized_plan(instance, lift)
+            if plan is not None and next(_conflicts(instance, plan), None) is None:
+                if plan.sum_of_costs < first:
+                    raise LiftSoundnessError(f"a clean plan costs {plan.sum_of_costs}, below the"
+                                             f" lifted bound {first}")
+                return SolveReport(SOLVED, plan, first, lower_bound=first)
     report = SolveReport(EXHAUSTED, lower_bound=first)
     mode, encode = ((encoder.COMPLETE, encoder.encode_complete) if solver == EAGER
                     else (encoder.BASIC, encoder.encode_basic))

@@ -10,16 +10,18 @@ from capmapf import (
     CapacityMap,
     Graph,
     Instance,
+    Plan,
     brute_force_optimal,
     cost_lower_bound,
     extract_plan,
     solve,
+    validate_plan,
 )
-from capmapf import encoder, mdd
+from capmapf import encoder, mdd, solvers
 from capmapf.encoder import variable_labels
 from capmapf.pathcalc import UnsolvableInstanceError, cardinal_lift
 from capmapf.satcore import SAT, CdclSolver
-from capmapf.solvers import EAGER, LAZY
+from capmapf.solvers import EAGER, LAZY, SOLVED, Limits
 from capmapf.verify import OPTIMAL
 
 from conftest import make_instance
@@ -44,16 +46,29 @@ def _lifted(corpus):
     return lifted
 
 
-@pytest.mark.parametrize("solver", [EAGER, LAZY])
-def test_first_bound_gives_counted_agents_slack_1_and_the_others_slack_0(solver, monkeypatch):
+def _variants(corpus):
+    """Each corpus instance at its own capacity and every higher one up to 3."""
+    return [(f"{name}-as-c{c}", Instance(inst.graph, CapacityMap.uniform(inst.graph, c), inst.agents))
+            for name, inst in corpus for c in range(max(inst.capacities.values), 4)]
+
+
+def _corridor():
     """A corridor 0-1-2-3 at capacity 2, agents 0->3 and 3->0 forced across
     the edge 1-2 against each other, and a third agent 4->6 on a corridor of
-    its own: the lift is 1 and counts the first two. At the first bound,
-    xi0 + 1, which is the optimum, the counted agents' diagrams are their
-    slack-1 diagrams and the third agent's is its slack-0 diagram."""
+    its own: the lift is 1 and counts the first two."""
     graph = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)])
-    inst = make_instance(graph, 2, [(0, 3), (3, 0), (4, 6)])
+    return make_instance(graph, 2, [(0, 3), (3, 0), (4, 6)])
+
+
+@pytest.mark.parametrize("solver", [EAGER, LAZY])
+def test_first_bound_gives_counted_agents_slack_1_and_the_others_slack_0(solver, monkeypatch):
+    """On the corridor, with the lifted plan patched out so that the solve
+    encodes: at the first bound, xi0 + 1, which is the optimum, the counted
+    agents' diagrams are their slack-1 diagrams and the third agent's is its
+    slack-0 diagram."""
+    inst = _corridor()
     assert cardinal_lift(inst) == (1, [True, True, False])
+    monkeypatch.setattr(solvers, "prioritized_plan", lambda instance, budget: None)
     built = []
     original = encoder.build_all_mdds
     monkeypatch.setattr(encoder, "build_all_mdds",
@@ -63,6 +78,48 @@ def test_first_bound_gives_counted_agents_slack_1_and_the_others_slack_0(solver,
     slack0, slack1 = mdd.build_all_mdds(inst, 0), mdd.build_all_mdds(inst, 1)
     assert built[0] == slack1[:2] + slack0[2:]
     assert slack0[2] != slack1[2]
+
+
+@pytest.mark.parametrize("solver", [EAGER, LAZY])
+def test_the_lifted_plan_settles_the_corridor_without_a_bound(solver):
+    """On the corridor, agent 1 waits one step on vertex 2 beside agent 0,
+    which capacity 2 allows, and lets it pass: a clean plan at xi0 + 1, the
+    lifted bound, returned without encoding."""
+    inst = _corridor()
+    report = solve(inst, solver)
+    assert (report.status, report.optimal_cost, report.lower_bound, report.iterations) == (
+        SOLVED, cost_lower_bound(inst) + 1, cost_lower_bound(inst) + 1, [])
+    assert report.plan == Plan(((0, 1, 2, 3, 3), (3, 2, 2, 1, 0), (4, 5, 6, 6, 6)))
+    assert validate_plan(inst, report.plan) == []
+
+
+@pytest.mark.parametrize("solver", [EAGER, LAZY])
+def test_a_lift_too_high_fails_the_solve(solver, monkeypatch):
+    """With the corridor's lift raised by 1, the planner's clean plan at a
+    budget of 2 costs xi0 + 1, below the bound the lift claims: the solve
+    raises instead of returning it."""
+    lift, counted = cardinal_lift(_corridor())
+    monkeypatch.setattr(solvers, "cardinal_lift", lambda instance: (lift + 1, counted))
+    with pytest.raises(solvers.LiftSoundnessError, match="costs 9, below the lifted bound 10"):
+        solve(_corridor(), solver)
+
+
+def test_every_plan_the_lift_settles_is_optimal(corpus):
+    """On the corpus, at each instance's capacity and every higher one up
+    to 3, every solve that the lifted plan settles (no bound encoded, a cost
+    above xi0) costs what the oracle gives, for both solvers."""
+    settled = 0
+    for name, inst in _lifted(_variants(corpus)):
+        xi0 = cost_lower_bound(inst)
+        limits = Limits(xi_ceiling=xi0 + 6)
+        eager, lazy = solve(inst, EAGER, limits), solve(inst, LAZY, limits)
+        assert (eager.optimal_cost, len(eager.iterations)) == (lazy.optimal_cost, len(lazy.iterations)), name
+        if eager.status == SOLVED and not eager.iterations and eager.optimal_cost > xi0:
+            oracle = brute_force_optimal(inst, 8)
+            assert oracle.status == OPTIMAL and oracle.cost == eager.optimal_cost, name
+            assert validate_plan(inst, eager.plan) == [] and validate_plan(inst, lazy.plan) == [], name
+            settled += 1
+    assert settled >= 80
 
 
 def _labelled(encoding, clauses):
@@ -113,11 +170,8 @@ def test_plan_literals_put_an_optimal_plan_on_the_cut_diagrams(corpus):
     diagrams cut by the lift at its cost xi*: its literals, with every other
     vertex variable false, satisfy the complete encoding under the bound's
     literals, and the model decodes back to the plan."""
-    variants = [(f"{name}-as-c{c}",
-                 Instance(inst.graph, CapacityMap.uniform(inst.graph, c), inst.agents))
-                for name, inst in corpus for c in range(max(inst.capacities.values), 4)]
     checked = 0
-    for name, inst in _lifted(variants):
+    for name, inst in _lifted(_variants(corpus)):
         oracle = brute_force_optimal(inst, 8)
         if oracle.status != OPTIMAL:
             continue

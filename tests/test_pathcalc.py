@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import random
 
@@ -16,11 +17,12 @@ from capmapf import (
     validate_plan,
 )
 from capmapf.instance import CapacityMap
-from capmapf.pathcalc import UnsolvableInstanceError, cardinal_lift, shortest_path_plan
+from capmapf.pathcalc import (UnsolvableInstanceError, cardinal_lift, prioritized_plan,
+                              shortest_path_plan)
 from capmapf.plans import CAPACITY, SWAP
 from capmapf.verify import OPTIMAL, brute_force_optimal
 
-from conftest import cycle_graph, grid3x3, make_instance, path_graph, star_graph
+from conftest import cycle_graph, grid3x3, load_check, make_instance, path_graph, star_graph
 
 
 def dijkstra_unit(graph: Graph, source: int) -> list[int]:
@@ -210,41 +212,47 @@ def test_shortest_path_plan_steps_to_the_lowest_id_vertex(corpus):
     assert checked >= 50
 
 
-def _shortest_paths(inst, i):
-    """Every shortest path of agent i, in ascending lexicographic order."""
-    adjacency, (_, to_goal), goal = inst.graph.adjacency, inst.distances[i], inst.agents[i].goal
+def _walks(inst, i, arrival):
+    """Every walk of agent i, waits included, from its start to its goal at
+    step `arrival` through its diagram nodes of that arrival, from_start[v]
+    <= t <= arrival - to_goal[v], in ascending lexicographic order."""
+    adjacency, (_, to_goal) = inst.graph.adjacency, inst.distances[i]
     stack = [(inst.agents[i].start,)]
     while stack:
-        path = stack.pop()
-        if path[-1] == goal:
-            yield path
+        walk = stack.pop()
+        if len(walk) == arrival + 1:
+            yield walk
             continue
-        nearer = to_goal[path[-1]] - 1
-        stack.extend(path + (u,) for u in reversed(adjacency[path[-1]]) if to_goal[u] == nearer)
+        room = arrival - len(walk)
+        stack.extend(walk + (u,) for u in sorted((walk[-1], *adjacency[walk[-1]]), reverse=True)
+                     if to_goal[u] <= room)
 
 
-def _enumerated_root(inst):
+def _enumerated_plan(inst, budget):
     """Prioritized planning by enumeration, judged by the independent plan
-    validator: in each order every agent takes its least shortest path that
-    is valid alongside the agents already placed, all padded to max_j c_j."""
-    mu = max(len(next(_shortest_paths(inst, i))) for i in range(inst.k))
+    validator: in each order every agent takes, at its earliest arrival
+    within the budget left, its least walk that is valid alongside the
+    agents already placed, all padded to max_j c_j + budget; None where an
+    agent that moved to the front fails again."""
+    costs = [from_start[a.goal] for a, (from_start, _) in zip(inst.agents, inst.distances)]
+    horizon = max(costs) + budget
     order, moved = list(range(inst.k)), set()
     while True:
-        placed = {}
+        placed, left = {}, budget
         for i in order:
-            ids = [*placed, i]
-            sub = Instance(inst.graph, inst.capacities, tuple(inst.agents[j] for j in ids))
-            for path in _shortest_paths(inst, i):
-                paths = [*placed.values(), path + (path[-1],) * (mu - len(path))]
-                if validate_plan(sub, Plan(tuple(paths))) == []:
-                    placed[i] = paths[-1]
-                    break
-            else:
+            sub = Instance(inst.graph, inst.capacities, tuple(inst.agents[j] for j in [*placed, i]))
+            padded = (w + (w[-1],) * (horizon + 1 - len(w))
+                      for arrival in range(costs[i], costs[i] + left + 1) for w in _walks(inst, i, arrival))
+            walk = next((w for w in padded
+                         if validate_plan(sub, Plan((*placed.values(), w))) == []), None)
+            if walk is None:
                 break
+            placed[i] = walk
+            left -= Plan((walk,)).sum_of_costs - costs[i]
         else:
             return Plan(tuple(placed[i] for i in range(inst.k)))
         if i in moved:
-            return shortest_path_plan(inst)
+            return None
         moved.add(i)
         order.remove(i)
         order.insert(0, i)
@@ -261,9 +269,71 @@ def test_root_plan_matches_enumerated_prioritized_planning(corpus):
             cost_lower_bound(inst)
         except UnsolvableInstanceError:
             continue
-        assert inst.root_plan == _enumerated_root(inst)
+        assert inst.root_plan == (_enumerated_plan(inst, 0) or shortest_path_plan(inst))
         checked += 1
     assert checked >= 250
+
+
+def test_prioritized_plan_matches_enumeration_within_a_budget(corpus):
+    """At budgets 1 and 2 the planner returns what enumerating every walk
+    of each agent's diagrams, arrival by arrival, and checking it with the
+    plan validator returns, restarts and failures included."""
+    instances = [inst for _, inst in corpus]
+    instances += [generate_random(3, 3, k, c, seed) for k in (3, 5) for c in (1, 2) for seed in range(5)]
+    checked = found = delayed = 0
+    for inst in instances:
+        try:
+            xi0 = cost_lower_bound(inst)
+        except UnsolvableInstanceError:
+            continue
+        for budget in (1, 2):
+            plan = prioritized_plan(inst, budget)
+            assert plan == _enumerated_plan(inst, budget)
+            checked += 1
+            found += plan is not None
+            delayed += plan is not None and plan.sum_of_costs > xi0
+    assert checked >= 500 and found >= 450 and delayed >= 60
+
+
+def test_prioritized_plan_is_valid_and_keeps_to_its_budget(corpus):
+    """At budgets 0-3, on the corpus and on seeded grids from 4x4 to 8x8,
+    every plan the planner returns breaks no rule and delays the agents by
+    at most the budget in total over their shortest-path lengths."""
+    instances = [inst for _, inst in corpus]
+    instances += [generate_random(w, w, k, c, seed)
+                  for w in (4, 6, 8) for k in (6, 12) for c in (1, 2) for seed in range(5)]
+    returned = delayed = 0
+    for inst in instances:
+        try:
+            xi0 = cost_lower_bound(inst)
+        except UnsolvableInstanceError:
+            continue
+        for budget in range(4):
+            plan = prioritized_plan(inst, budget)
+            if plan is not None:
+                assert validate_plan(inst, plan) == []
+                assert xi0 <= plan.sum_of_costs <= xi0 + budget
+                returned += 1
+                delayed += plan.sum_of_costs > xi0
+    assert returned >= 950 and delayed >= 140
+
+
+# sha256 of the root plans of the three benchmark pools and the 282 grids of
+# checks/sweep.py, one line of paths per instance: the root is the planner's
+# budget-0 plan, and this pins it to the paths it had before the budget
+ROOT_DIGEST = "1a3c0a4886182b91bb12a446d8f36d428a90308e008bacead5e681c9bd29093a"
+POOLS = [(8, 8, 12, (1, 2), range(100, 110)), (16, 16, 4, (1,), range(100, 120)),
+         (4, 4, 7, (1,), range(100, 120))]  # perfbench: congestion, open16, dense4
+
+
+def test_root_plans_match_their_digest():
+    instances = [generate_random(w, h, k, c, seed)
+                 for w, h, k, capacities, seeds in POOLS for c in capacities for seed in seeds]
+    instances += [inst for _, inst, _ in load_check("sweep").sweep_instances()]
+    digest = hashlib.sha256()
+    for inst in instances:
+        digest.update(f"{inst.root_plan.paths}\n".encode())
+    assert len(instances) == 342 and digest.hexdigest() == ROOT_DIGEST
 
 
 def test_root_plan_routes_around_a_full_vertex():

@@ -15,7 +15,7 @@ from capmapf import (
     validate_candidate,
     validate_plan,
 )
-from capmapf import encoder, mdd, pathcalc, satcore
+from capmapf import encoder, mdd, pathcalc, satcore, solvers
 from capmapf.instance import InstanceError
 from capmapf.plans import CAPACITY, SWAP
 from capmapf.solvers import EAGER, EXHAUSTED, LAZY, SOLVED, UNSOLVABLE, Limits
@@ -143,14 +143,16 @@ def test_lazy_single_agent_no_refinements():
 
 
 def test_lazy_capacity_refinement_on_star():
-    # three agents funnel through the center, which holds only two
-    inst = make_instance(star_graph(6), [2, 1, 1, 1, 1, 1, 1],
+    # three agents funnel through the center, which holds only one: the lift
+    # counts two delays, but the optimum delays them by three in all, so no
+    # plan meets the lifted bound and lazy refines
+    inst = make_instance(star_graph(6), [1, 1, 1, 1, 1, 1, 1],
                          [(1, 4), (2, 5), (3, 6)])
     report = solve(inst, LAZY)
     assert report.status == SOLVED
     assert report.total_refinements >= 1
     oracle = brute_force_optimal(inst, 6)
-    assert oracle.status == OPTIMAL and report.optimal_cost == oracle.cost == 7
+    assert oracle.status == OPTIMAL and report.optimal_cost == oracle.cost == 9
 
 
 def test_lazy_swap_unsolvable_never_returns_invalid():
@@ -466,12 +468,15 @@ def test_time_limit_is_reached_on_a_larger_solve(solver):
 
 
 # generate_random's arguments, the optimal cost and the number of bounds of
-# five open-grid rows from 8x8 to 16x16, where lazy posts capacity groups;
-# four are rows of checks/frontier.py, whose pins give their costs
+# six open-grid rows from 8x8 to 16x16; four are rows of checks/frontier.py,
+# whose pins give their costs. Both 16x16 k=4 rows have a lift of 1: the
+# lifted plan settles s101 at its optimum, one above xi0, without a bound,
+# and s655's optimum is two above xi0, so it encodes. On the others and on
+# s655, lazy posts capacity groups
 FRONTIER_BOUNDS = {"8x8-k20-s1": 7, "12x12-k36-s101": 7, "16x16-k40-s2": 4, "12x12-k30-s105": 6}
 FRONTIER_ROWS = [(row.args, row.pin, FRONTIER_BOUNDS[row.name])
                  for row in load_check("frontier").ROWS if row.name in FRONTIER_BOUNDS]
-FRONTIER_ROWS.append(((16, 16, 4, 1, 101), 52, 1))
+FRONTIER_ROWS += [((16, 16, 4, 1, 101), 52, 0), ((16, 16, 4, 1, 655), 37, 2)]
 
 
 @pytest.mark.parametrize("solver", [EAGER, LAZY])
@@ -517,10 +522,11 @@ def test_search_matches_pin(solver, monkeypatch):
 
 @pytest.mark.parametrize("solver", [EAGER, LAZY])
 def test_unclean_root_seeds_the_first_bound(solver, monkeypatch):
-    """The root of this 16x16 instance has a conflict, so the solve encodes.
-    The lift starts it at the optimum, one above xi0, and that one bound
-    decides along the root's paths and answers without a single SAT
-    conflict."""
+    """The root of this 16x16 instance has a conflict, so the solve encodes
+    once the lifted plan is patched out. The lift starts it at the optimum,
+    one above xi0, and that one bound decides along the root's paths and
+    answers without a single SAT conflict."""
+    monkeypatch.setattr(solvers, "prioritized_plan", lambda instance, budget: None)
     made = []
 
     class Recording(satcore.CdclSolver):
